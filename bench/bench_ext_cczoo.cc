@@ -38,7 +38,6 @@ std::vector<const cc::EngineInfo*> SelectedEngines(
     const harness::CliOptions& options) {
   std::vector<const cc::EngineInfo*> engines;
   for (const cc::EngineInfo& info : cc::Engines()) {
-    if (!info.sharded) continue;  // caching engines are single-server only
     if (!options.cc.empty() && options.cc != info.name) continue;
     engines.push_back(&info);
   }

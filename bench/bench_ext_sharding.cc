@@ -7,8 +7,8 @@
 // item pool, sharding buys no concurrency the protocols didn't already
 // extract, so response time *rises* with server count at WAN latencies in
 // proportion to the cross-server commit rate — quantifying the latency cost
-// GeoTP-style middleware tries to hide. servers = 1 reproduces the
-// single-server engines bit for bit.
+// GeoTP-style middleware tries to hide. servers = 1 is the paper's
+// single-server model (no transaction pays 2PC).
 
 #include "bench_common.h"
 

@@ -32,7 +32,7 @@ struct LockEngineTraits {
 /// ConflictPolicy deciding what happens when a request blocks. The message
 /// sequences are ported verbatim from the pre-refactor sharded s-2PL engine
 /// — with MakeDetectPolicy this class *is* that engine, bit for bit (the
-/// equivalence suite and the legacy golden tables pin this) — so every
+/// legacy golden tables pin this) — so every
 /// policy inherits sharding, the link model, span accounting, and the
 /// invariant layer for free.
 ///

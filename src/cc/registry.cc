@@ -7,9 +7,7 @@
 #include "cc/policy.h"
 #include "common/check.h"
 #include "protocols/caching.h"
-#include "protocols/g2pl.h"
 #include "protocols/parsim.h"
-#include "protocols/s2pl.h"
 #include "protocols/sharded.h"
 
 namespace gtpl::cc {
@@ -19,21 +17,17 @@ using proto::EngineBase;
 using proto::Protocol;
 using proto::SimConfig;
 
+// Server-based strict 2PL (paper §3.1, the baseline): the generic lock
+// engine with waits-for-graph detection. Sticky leases (--lease) only add
+// the lease layer on top.
 std::unique_ptr<EngineBase> MakeS2pl(const SimConfig& config) {
-  if (config.lease.mode != lease::LeaseMode::kNone) {
-    // Sticky leases live in the generic lock engine; with the detect
-    // policy it is the s-2PL engine bit for bit (the policy-equivalence
-    // suite pins this), so --lease only ever adds the lease layer.
-    return std::make_unique<LockCcEngine>(config, MakeDetectPolicy());
-  }
-  return std::make_unique<proto::S2plEngine>(config);
+  return std::make_unique<LockCcEngine>(config, MakeDetectPolicy());
 }
 
+// Group 2PL (paper §3) at any shard count: one server is the N=1 case of
+// the sharded engine, with no 2PC because no transaction spans shards.
 std::unique_ptr<EngineBase> MakeG2pl(const SimConfig& config) {
-  if (config.num_servers > 1) {
-    return std::make_unique<proto::ShardedG2plEngine>(config);
-  }
-  return std::make_unique<proto::G2plEngine>(config);
+  return std::make_unique<proto::ShardedG2plEngine>(config);
 }
 
 std::unique_ptr<EngineBase> MakeCaching(const SimConfig& config) {
@@ -67,25 +61,24 @@ std::unique_ptr<EngineBase> MakeOrdered(const SimConfig& config) {
 const std::vector<EngineInfo>& Engines() {
   static const std::vector<EngineInfo>* engines = new std::vector<EngineInfo>{
       {"s2pl", "strict 2PL, waits-for deadlock detection (paper baseline)",
-       Protocol::kS2pl, /*sharded=*/true, MakeS2pl},
+       Protocol::kS2pl, MakeS2pl},
       {"g2pl", "group 2PL with forward lists (paper contribution)",
-       Protocol::kG2pl, /*sharded=*/true, MakeG2pl},
+       Protocol::kG2pl, MakeG2pl},
       {"c2pl", "caching 2PL: locks+data cached across txns",
-       Protocol::kC2pl, /*sharded=*/true, MakeCaching},
-      {"cbl", "callback locking", Protocol::kCbl, /*sharded=*/true,
-       MakeCaching},
+       Protocol::kC2pl, MakeCaching},
+      {"cbl", "callback locking", Protocol::kCbl, MakeCaching},
       {"o2pl", "optimistic 2PL (deferred write intentions)",
-       Protocol::kO2pl, /*sharded=*/true, MakeCaching},
+       Protocol::kO2pl, MakeCaching},
       {"nowait", "no-wait 2PL: blocked requests abort the requester",
-       Protocol::kNoWait, /*sharded=*/true, MakeNoWait},
+       Protocol::kNoWait, MakeNoWait},
       {"waitdie", "wait-die 2PL: wait for younger only, die on older",
-       Protocol::kWaitDie, /*sharded=*/true, MakeWaitDie},
+       Protocol::kWaitDie, MakeWaitDie},
       {"woundwait", "wound-wait 2PL: wound younger blockers, wait on older",
-       Protocol::kWoundWait, /*sharded=*/true, MakeWoundWait},
+       Protocol::kWoundWait, MakeWoundWait},
       {"occ", "optimistic CC, backward validation at commit",
-       Protocol::kOcc, /*sharded=*/true, MakeOcc},
+       Protocol::kOcc, MakeOcc},
       {"ordered", "ordered 2PL: in-order acquisition, release at prepare",
-       Protocol::kOrdered, /*sharded=*/true, MakeOrdered},
+       Protocol::kOrdered, MakeOrdered},
   };
   return *engines;
 }
@@ -137,17 +130,6 @@ RunResult RunSimulation(const SimConfig& config) {
     return RunParallelSimulation(config);
   }
   return cc::EngineFor(config.protocol).make(config)->Run();
-}
-
-std::unique_ptr<EngineBase> MakeShardedEngine(const SimConfig& config) {
-  GTPL_CHECK_EQ(config.sim_threads, 1)
-      << "serial engine factory called with sim_threads > 1";
-  if (config.protocol == Protocol::kG2pl) {
-    return std::make_unique<ShardedG2plEngine>(config);
-  }
-  const cc::EngineInfo& info = cc::EngineFor(config.protocol);
-  GTPL_CHECK(info.sharded) << info.name << " does not support sharding";
-  return info.make(config);
 }
 
 }  // namespace gtpl::proto

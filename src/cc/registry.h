@@ -18,7 +18,6 @@ struct EngineInfo {
   const char* name;     // registry key, e.g. "waitdie"
   const char* summary;  // one-liner for --help and error listings
   proto::Protocol protocol;
-  bool sharded;         // supports num_servers > 1 (2PC via the engine base)
   std::unique_ptr<proto::EngineBase> (*make)(const proto::SimConfig& config);
 };
 

@@ -110,11 +110,12 @@ class ShardCoordinator {
 
 /// The data server's per-item window state machine — the core of the g-2PL
 /// protocol. The precedence graph and cross-cutting transaction lifecycle
-/// live in a ShardCoordinator, private to this manager in the single-server
-/// configuration and shared between managers in the sharded one.
+/// live in a ShardCoordinator, shared between the per-shard managers of the
+/// g-2PL engine (one shard included), or private to a manager built without
+/// one (unit tests, benchmarks).
 ///
 /// The manager is transport-agnostic: it makes protocol decisions and emits
-/// them through callbacks; the protocol layer (protocols/g2pl.cc and
+/// them through callbacks; the protocol layer (ShardedG2plEngine in
 /// protocols/sharded.cc) turns them into network messages. Simulated
 /// decision cost is zero, following the paper: reordering happens while the
 /// server waits for items to return, so it adds no blocking time.

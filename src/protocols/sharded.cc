@@ -51,8 +51,8 @@ std::vector<int32_t> ShardedEngineBase::WriteShardsOf(
 void ShardedEngineBase::StartCommit(TxnRun& run) {
   std::vector<int32_t> participants = ParticipantsOf(run);
   if (participants.size() <= 1) {
-    // Single-shard transaction: the ordinary commit path, bit-identical to
-    // the single-server engines (and the only path when num_servers == 1).
+    // Single-shard transaction: the ordinary commit path of the paper's
+    // single-server model (and the only path when num_servers == 1).
     EngineBase::StartCommit(run);
     return;
   }
@@ -513,11 +513,6 @@ void ShardedEngineBase::RegisterMetrics(obs::MetricsRegistry* metrics) {
 // ---------------------------------------------------------------------------
 // ShardedG2plEngine
 // ---------------------------------------------------------------------------
-// The client-side machinery below mirrors G2plEngine (g2pl.cc) operation for
-// operation; only the server endpoints differ (per-item shard sites instead
-// of the single kServerSite). Keeping the operation sequences identical is
-// what makes the num_servers == 1 configuration bit-identical to the
-// single-server engine — the equivalence suite enforces this.
 
 ShardedG2plEngine::ShardedG2plEngine(const SimConfig& config)
     : ShardedEngineBase(config) {

@@ -28,9 +28,8 @@ namespace gtpl::proto {
 /// locally as usual). Both rounds travel through the simulated network, so
 /// a cross-server commit pays two extra latency rounds — the cost the
 /// sharding bench quantifies. Transactions confined to one shard skip the
-/// protocol entirely, which is what makes the `num_servers == 1`
-/// configuration reproduce the single-server engines bit for bit (the
-/// standing equivalence suite pins this).
+/// protocol entirely, so `num_servers == 1` is the paper's single-server
+/// model: no 2PC, no extra messages (the golden tables pin its results).
 ///
 /// That two-flight protocol is CommitPath::kClassic. The geo-aware commit
 /// paths (protocols/commit.h, DESIGN.md §13) rework it per
@@ -203,12 +202,21 @@ class ShardedEngineBase : public EngineBase {
   std::unordered_set<TxnId> remote_decided_;
 };
 
-/// g-2PL across shards: one WindowManager per server, all sharing a single
-/// ShardCoordinator, so deadlock avoidance and forward-list reordering
-/// consult one global precedence graph — the same-pair-same-order property
-/// holds across shards. Client-side obligation tracking is shard-agnostic
-/// (items migrate client to client exactly as in the single-server engine;
-/// only the request/return endpoints differ per item).
+/// Group two-phase locking (paper §3), the only g-2PL engine: the server
+/// collects requests into forward lists; data items migrate client to
+/// client along the list, fusing each lock release with the next grant;
+/// deadlocks are avoided by keeping the transaction precedence graph
+/// acyclic; MR1W lets the writer following a read group run concurrently
+/// with its readers. `num_servers == 1` is the paper's single-server model.
+///
+/// Across shards there is one WindowManager per server, all sharing a
+/// single ShardCoordinator, so deadlock avoidance and forward-list
+/// reordering consult one global precedence graph — the same-pair-same-order
+/// property holds across shards. Client-side obligation tracking is
+/// shard-agnostic (an *obligation* is one occupied slot on a dispatched
+/// forward list: receive the data, process it if the transaction is alive,
+/// and forward it downstream at commit — or pass it through unchanged after
+/// an abort); only the request/return endpoints differ per item.
 class ShardedG2plEngine : public ShardedEngineBase {
  public:
   explicit ShardedG2plEngine(const SimConfig& config);
@@ -227,7 +235,10 @@ class ShardedG2plEngine : public ShardedEngineBase {
   void OnCommitDecision(int32_t shard, TxnId txn) override;
 
  private:
-  // Client-side state mirrors G2plEngine exactly (see g2pl.h).
+  /// Transaction state that outlives the client's TxnRun: a finished
+  /// transaction still occupies forward-list slots until every one of them
+  /// has been forwarded (only then is it *drained* and leaves the
+  /// precedence graph).
   struct TxnState {
     int32_t client_index = 0;
     bool finished = false;
@@ -292,15 +303,9 @@ class ShardedG2plEngine : public ShardedEngineBase {
   std::unordered_set<TxnId> drained_;
 };
 
-// (The former ShardedS2plEngine lives on as cc::LockCcEngine with the
-// detection policy — the generic lock engine in cc/lock_engine.h — so the
-// no-wait / wait-die / ordered variants inherit its sharding and 2PC
-// machinery. protocols/s2pl.h keeps the S2plEngine name as a thin alias.)
-
-/// Builds the sharded engine for `config.protocol` (any engine the registry
-/// marks sharded; Validate() rejects sharded caching protocols). Defined in
-/// cc/registry.cc alongside RunSimulation.
-std::unique_ptr<EngineBase> MakeShardedEngine(const SimConfig& config);
+// (s-2PL is cc::LockCcEngine with the detection policy — the generic lock
+// engine in cc/lock_engine.h — so the no-wait / wait-die / ordered variants
+// share its sharding and 2PC machinery.)
 
 }  // namespace gtpl::proto
 

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,15 +53,12 @@ proto::RunResult CheckRun(const proto::SimConfig& config) {
   return result;
 }
 
-// The headline sweep: every registered engine, randomized workloads, every
-// shard count its registry entry claims to support.
+// The headline sweep: every registered engine, randomized workloads, 1-8
+// shards.
 TEST(CcInvariantsTest, EveryEngineStaysSerializableAcrossShardCounts) {
   for (const EngineInfo& info : Engines()) {
-    const std::vector<int32_t> shard_counts =
-        info.sharded ? std::vector<int32_t>{1, 2, 3, 5, 8}
-                     : std::vector<int32_t>{1};
     for (uint64_t seed = 1; seed <= 2; ++seed) {
-      for (int32_t servers : shard_counts) {
+      for (int32_t servers : {1, 2, 3, 5, 8}) {
         proto::SimConfig config = RandomConfig(info.protocol, seed);
         config.num_servers = servers;
         SCOPED_TRACE(std::string(info.name) + " seed " + std::to_string(seed) +
@@ -74,21 +70,19 @@ TEST(CcInvariantsTest, EveryEngineStaysSerializableAcrossShardCounts) {
   }
 }
 
-// Cross-server 2PC must actually engage for the new engines too: under 4
-// shards each sharded engine commits distributed transactions, and the
-// commit rounds appear in the protocol-event stream (prepare before
-// decision, a full round of yes votes per decision).
+// Cross-server 2PC must actually engage for every registered engine: under
+// 4 shards each one commits distributed transactions, and the commit rounds
+// appear in the protocol-event stream (prepare before decision, a full
+// round of yes votes per decision).
 TEST(CcInvariantsTest, NewEnginesRunTwoPhaseCommitRounds) {
-  for (const char* name : {"nowait", "waitdie", "woundwait", "occ", "ordered",
-                           "c2pl", "cbl", "o2pl"}) {
-    const EngineInfo* info = FindEngine(name);
-    ASSERT_NE(info, nullptr) << name;
-    proto::SimConfig config = RandomConfig(info->protocol, 31);
+  for (const EngineInfo& info : Engines()) {
+    SCOPED_TRACE(info.name);
+    proto::SimConfig config = RandomConfig(info.protocol, 31);
     config.num_servers = 4;
     const proto::RunResult result = proto::RunSimulation(config);
-    ASSERT_FALSE(result.timed_out) << name;
-    EXPECT_GT(result.cross_server_commits, 0) << name;
-    EXPECT_GE(result.commit_participants.mean(), 2.0) << name;
+    ASSERT_FALSE(result.timed_out);
+    EXPECT_GT(result.cross_server_commits, 0);
+    EXPECT_GE(result.commit_participants.mean(), 2.0);
     int64_t prepares = 0;
     int64_t yes_votes = 0;
     int64_t decisions = 0;
@@ -99,10 +93,10 @@ TEST(CcInvariantsTest, NewEnginesRunTwoPhaseCommitRounds) {
       decisions +=
           event.kind == proto::ProtocolEventKind::kCommitDecisionArrived;
     }
-    EXPECT_GT(prepares, 0) << name;
-    EXPECT_GE(prepares, decisions) << name;
-    EXPECT_GE(yes_votes, decisions) << name;
-    EXPECT_GT(decisions, 0) << name;
+    EXPECT_GT(prepares, 0);
+    EXPECT_GE(prepares, decisions);
+    EXPECT_GE(yes_votes, decisions);
+    EXPECT_GT(decisions, 0);
   }
 }
 
@@ -156,23 +150,22 @@ TEST(CcInvariantsTest, RestartPoliciesAbortUnderContention) {
   }
 }
 
-// Determinism across the zoo: the new engines inherit the simulator's
-// bit-identical replay guarantee — same seed, same metrics, byte for byte.
+// Determinism across the zoo: every registered engine inherits the
+// simulator's bit-identical replay guarantee on a sharded group — same
+// seed, same metrics, byte for byte.
 TEST(CcInvariantsTest, NewEnginesAreDeterministic) {
-  for (const char* name : {"nowait", "waitdie", "woundwait", "occ", "ordered",
-                           "c2pl", "cbl", "o2pl"}) {
-    const EngineInfo* info = FindEngine(name);
-    ASSERT_NE(info, nullptr) << name;
-    proto::SimConfig config = RandomConfig(info->protocol, 5);
+  for (const EngineInfo& info : Engines()) {
+    SCOPED_TRACE(info.name);
+    proto::SimConfig config = RandomConfig(info.protocol, 5);
     config.num_servers = 3;
     const proto::RunResult a = proto::RunSimulation(config);
     const proto::RunResult b = proto::RunSimulation(config);
-    EXPECT_EQ(a.commits, b.commits) << name;
-    EXPECT_EQ(a.aborts, b.aborts) << name;
-    EXPECT_EQ(a.events, b.events) << name;
-    EXPECT_EQ(a.end_time, b.end_time) << name;
-    EXPECT_EQ(a.response.mean(), b.response.mean()) << name;
-    EXPECT_EQ(a.cross_server_commits, b.cross_server_commits) << name;
+    EXPECT_EQ(a.commits, b.commits);
+    EXPECT_EQ(a.aborts, b.aborts);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.end_time, b.end_time);
+    EXPECT_EQ(a.response.mean(), b.response.mean());
+    EXPECT_EQ(a.cross_server_commits, b.cross_server_commits);
   }
 }
 

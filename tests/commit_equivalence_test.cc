@@ -69,7 +69,6 @@ void ExpectIdenticalRuns(const RunResult& a, const RunResult& b,
 // the event count and the per-transaction commit times.
 TEST(CommitEquivalenceTest, EveryVariantInertOnSingleServer) {
   for (const cc::EngineInfo& info : cc::Engines()) {
-    if (!info.sharded) continue;
     const RunResult classic = RunSimulation(BaseConfig(info.protocol, 1));
     for (const CommitPathInfo& path : CommitPaths()) {
       if (path.path == CommitPath::kClassic) continue;
@@ -91,7 +90,6 @@ TEST(CommitEquivalenceTest, EveryVariantInertOnSingleServer) {
 // not statistically close: the same run, event for event.
 TEST(CommitEquivalenceTest, CoordIsExactlyClassicUnderUniformLatency) {
   for (const cc::EngineInfo& info : cc::Engines()) {
-    if (!info.sharded) continue;
     // The caching engines only admit the classic path under sharding
     // (Validate() rejects kCoord for them), so there is nothing to compare.
     if (info.protocol == Protocol::kC2pl || info.protocol == Protocol::kCbl ||

@@ -163,7 +163,6 @@ void CheckCommittedTxns(const RunResult& result, const SimConfig& config,
 
 TEST(CommitPathBatteryTest, EveryEngineTimesEveryVariantStaysSerializable) {
   for (const cc::EngineInfo& info : cc::Engines()) {
-    if (!info.sharded) continue;
     const bool occ_engine = info.protocol == Protocol::kOcc;
     const bool caching = info.protocol == Protocol::kC2pl ||
                          info.protocol == Protocol::kCbl ||

@@ -126,8 +126,8 @@ TEST(WalDelayTest, ForceDelayAppliesToEveryPessimisticProtocol) {
 // Regression (ISSUE 4 satellite): the aging mechanism under sharding. The
 // restart streak lives in the shared client lifecycle (client_base.cc):
 // it grows on every abort notice — including aborts decided mid-2PC on a
-// remote shard — and resets only at commit, so the g2pl.cc and sharded.cc
-// SendRequest paths read the same value. This pins that an aged client's
+// remote shard — and resets only at commit, so ShardedG2plEngine's
+// SendRequest reads the same value on every shard. This pins that an aged client's
 // streak actually changes victim selection on a 4-shard group, and that the
 // outcome stays serializable and deterministic.
 TEST(ShardedAgingTest, AgingChangesVictimsAndStaysCorrectAcrossShards) {

@@ -2,12 +2,10 @@
 // concurrency, the read penalty, the read-only optimization, aging, and
 // option plumbing.
 
-#include "protocols/g2pl.h"
-
 #include <gtest/gtest.h>
 
 #include "protocols/engine.h"
-#include "protocols/s2pl.h"
+#include "protocols/sharded.h"
 
 namespace gtpl::proto {
 namespace {
@@ -158,10 +156,10 @@ TEST(G2plTest, DelayedAbortNoticeStillCorrect) {
 }
 
 TEST(G2plTest, WindowManagerCountersExposed) {
-  G2plEngine engine(HotItemConfig(Protocol::kG2pl));
+  ShardedG2plEngine engine(HotItemConfig(Protocol::kG2pl));
   const RunResult result = engine.Run();
   ASSERT_FALSE(result.timed_out);
-  EXPECT_EQ(engine.window_manager().windows_dispatched(),
+  EXPECT_EQ(engine.window_manager(0).windows_dispatched(),
             result.windows_dispatched);
   EXPECT_GT(result.windows_dispatched, 0);
   EXPECT_GT(result.mean_forward_list_length, 1.0);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cc/registry.h"
 #include "protocols/config.h"
 #include "protocols/engine.h"
 #include "protocols/metrics.h"
@@ -116,13 +117,14 @@ std::vector<SweepPoint> BuildSweep() {
     points.push_back({Protocol::kS2pl, 15, 200, 10, 0.5, true, false, 0,
                       true, seed, /*jitter=*/80, /*spread=*/0.5});
   }
-  // The other protocols at two contention levels each.
-  for (Protocol protocol : {Protocol::kS2pl, Protocol::kC2pl, Protocol::kCbl,
-                            Protocol::kO2pl}) {
+  // Every other registered engine (g-2PL has the dense section above) at
+  // two contention levels each, so new engines are swept automatically.
+  for (const cc::EngineInfo& info : cc::Engines()) {
+    if (info.protocol == Protocol::kG2pl) continue;
     points.push_back(
-        {protocol, 12, 100, 10, 0.5, true, false, 0, true, 5});
+        {info.protocol, 12, 100, 10, 0.5, true, false, 0, true, 5});
     points.push_back(
-        {protocol, 25, 400, 10, 0.2, true, false, 0, true, 6});
+        {info.protocol, 25, 400, 10, 0.2, true, false, 0, true, 6});
   }
   return points;
 }
