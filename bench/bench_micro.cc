@@ -1,14 +1,17 @@
 // A6: google-benchmark microbenchmarks of the core data structures — the
-// event queue, the strict-2PL lock table, the precedence graph, and a whole
-// small simulation — to keep the substrate's costs visible.
+// event queue, the strict-2PL lock table, the precedence graph, the workload
+// generator's access-set sampling and set-up, and a whole small simulation —
+// to keep the substrate's costs visible.
 
 #include <benchmark/benchmark.h>
 
 #include "core/precedence_graph.h"
 #include "db/lock_table.h"
 #include "protocols/engine.h"
+#include "rng/distributions.h"
 #include "rng/rng.h"
 #include "sim/simulator.h"
+#include "workload/generator.h"
 
 namespace gtpl {
 namespace {
@@ -69,6 +72,44 @@ void BM_LockTableConflictChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2048);
 }
 BENCHMARK(BM_LockTableConflictChurn);
+
+// Set-up cost of one shard's lock table (construction plus teardown) at the
+// A19 item space; every item slot starts idle.
+void BM_LockTableCtor(benchmark::State& state) {
+  const auto items = static_cast<int32_t>(state.range(0));
+  for (auto _ : state) {
+    db::LockTable table(items);
+    benchmark::DoNotOptimize(table);
+  }
+}
+BENCHMARK(BM_LockTableCtor)->Arg(8192);
+
+// One transaction's access set: k = 5 distinct items from the paper's
+// 25-item hot pool and from the A19 item space.
+void BM_SampleDistinct(benchmark::State& state) {
+  const auto n = static_cast<int32_t>(state.range(0));
+  const auto k = static_cast<int32_t>(state.range(1));
+  rng::Rng rng(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng::SampleDistinct(rng, n, k));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SampleDistinct)->Args({25, 5})->Args({8192, 5});
+
+// Set-up cost of one client's generator (construction plus teardown) at the
+// A19 item space, uniform (theta 0) and skewed (theta 0.99, arg x100).
+void BM_WorkloadGeneratorCtor(benchmark::State& state) {
+  workload::WorkloadProfile profile;
+  profile.num_items = 8192;
+  profile.zipf_theta = static_cast<double>(state.range(0)) / 100.0;
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    workload::WorkloadGenerator generator(profile, seed++);
+    benchmark::DoNotOptimize(generator);
+  }
+}
+BENCHMARK(BM_WorkloadGeneratorCtor)->Arg(0)->Arg(99);
 
 void BM_PrecedenceGraphReachability(benchmark::State& state) {
   // A layered DAG of 512 nodes with fan-out 4.

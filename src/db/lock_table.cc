@@ -77,7 +77,7 @@ void LockTable::PromoteWaiters(ItemId item, const GrantCallback& on_grant) {
     const LockRequest& head = locks.waiting.front();
     if (ConflictsWithGranted(locks, head.mode)) break;
     LockRequest granted = head;
-    locks.waiting.pop_front();
+    locks.waiting.erase(locks.waiting.begin());
     locks.granted.push_back(granted);
     held_[granted.txn].push_back(item);
     auto& queue_list = queued_[granted.txn];

@@ -2,7 +2,6 @@
 #define GTPL_DB_LOCK_TABLE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -73,9 +72,13 @@ class LockTable {
   int64_t TotalWaiters() const;
 
  private:
+  /// One per item, and most items are idle: both lists allocate nothing
+  /// while empty (a std::deque would allocate even then). `waiting` is the
+  /// FIFO queue (head at begin()); Request() admits one entry per
+  /// transaction, so it never holds more entries than there are clients.
   struct ItemLocks {
     std::vector<LockRequest> granted;
-    std::deque<LockRequest> waiting;
+    std::vector<LockRequest> waiting;
   };
 
   /// True if `request` conflicts with any entry of `granted`.

@@ -32,8 +32,20 @@ int64_t ThreadPool::tasks_executed() const {
   return executed_;
 }
 
+ThreadPool::CountOnExit::~CountOnExit() {
+  std::lock_guard<std::mutex> lock(pool_->mutex_);
+  ++pool_->executed_;
+}
+
 void ThreadPool::Post(std::function<void()> task) {
   GTPL_CHECK(task != nullptr);
+  Enqueue([this, task = std::move(task)] {
+    const CountOnExit count(this);
+    task();
+  });
+}
+
+void ThreadPool::Enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
@@ -52,11 +64,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++executed_;
-    }
+    task();  // counts itself (CountOnExit)
   }
 }
 

@@ -40,7 +40,9 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Tasks fully executed so far (diagnostic; racy while tasks run).
+  /// Tasks fully executed so far (diagnostic). A task is counted before its
+  /// Submit() future becomes ready: once every future a caller holds is
+  /// ready, the count includes all of those tasks.
   int64_t tasks_executed() const;
 
   /// Enqueues a fire-and-forget task.
@@ -50,13 +52,32 @@ class ThreadPool {
   template <typename F>
   auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    // `count` is destroyed as `fn` returns or throws, before packaged_task
+    // stores the outcome and makes the future ready.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<F>(fn)]() mutable -> R {
+          const CountOnExit count(this);
+          return fn();
+        });
     std::future<R> future = task->get_future();
-    Post([task] { (*task)(); });
+    Enqueue([task] { (*task)(); });
     return future;
   }
 
  private:
+  /// Counts one executed task when it leaves scope, also on a throw.
+  class CountOnExit {
+   public:
+    explicit CountOnExit(ThreadPool* pool) : pool_(pool) {}
+    ~CountOnExit();
+    CountOnExit(const CountOnExit&) = delete;
+    CountOnExit& operator=(const CountOnExit&) = delete;
+
+   private:
+    ThreadPool* pool_;
+  };
+
+  void Enqueue(std::function<void()> task);
   void WorkerLoop();
 
   mutable std::mutex mutex_;

@@ -549,7 +549,11 @@ ShardedG2plEngine::ShardedG2plEngine(const SimConfig& config)
 ShardedG2plEngine::TxnState& ShardedG2plEngine::EnsureTxn(
     TxnId txn, int32_t client_index) {
   auto [it, inserted] = txns_.try_emplace(txn);
-  if (inserted) it->second.client_index = client_index;
+  if (inserted) {
+    GTPL_CHECK(drained_.count(txn) == 0)
+        << "g-2PL state re-created for drained txn " << txn;
+    it->second.client_index = client_index;
+  }
   return it->second;
 }
 
@@ -790,6 +794,7 @@ void ShardedG2plEngine::MaybeGrant(TxnId txn, ItemId item, Obligation& ob) {
 }
 
 void ShardedG2plEngine::TryForward(TxnId txn, ItemId item) {
+  if (drained_.count(txn) > 0) return;
   auto it = obligations_.find(ObKey{txn, item});
   if (it == obligations_.end()) return;
   Obligation& ob = it->second;
@@ -863,14 +868,17 @@ void ShardedG2plEngine::TryForward(TxnId txn, ItemId item) {
 }
 
 void ShardedG2plEngine::CheckDrain(TxnId txn) {
-  TxnState& ts = txns_.at(txn);
-  if (ts.drained || !ts.finished || ts.slots_outstanding != 0) return;
-  ts.drained = true;
+  if (drained_.count(txn) > 0) return;
+  const TxnState& ts = txns_.at(txn);
+  if (!ts.finished || ts.slots_outstanding != 0) return;
   drained_.insert(txn);
   // OnTxnDrained delegates to the shared coordinator, which retires the
   // transaction across every shard; any manager routes there.
   wms_[0]->OnTxnDrained(txn);
   for (ItemId item : ts.slot_items) obligations_.erase(ObKey{txn, item});
+  // Retire the state too, so memory tracks in-flight transactions rather
+  // than run length; drained_ keeps the id for the late-message checks.
+  txns_.erase(txn);
 }
 
 void ShardedG2plEngine::DoCommit(TxnRun& run) {

@@ -237,13 +237,12 @@ class ShardedG2plEngine : public ShardedEngineBase {
  private:
   /// Transaction state that outlives the client's TxnRun: a finished
   /// transaction still occupies forward-list slots until every one of them
-  /// has been forwarded (only then is it *drained* and leaves the
-  /// precedence graph).
+  /// has been forwarded (only then is it *drained*: it leaves the
+  /// precedence graph, and its state is erased).
   struct TxnState {
     int32_t client_index = 0;
     bool finished = false;
     bool committed = false;
-    bool drained = false;
     int32_t slots_outstanding = 0;
     std::vector<ItemId> slot_items;
   };

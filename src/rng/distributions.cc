@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/check.h"
 
@@ -15,14 +16,34 @@ UniformInt::UniformInt(int64_t lo, int64_t hi) : lo_(lo), hi_(hi) {
 std::vector<int32_t> SampleDistinct(Rng& rng, int32_t n, int32_t k) {
   GTPL_CHECK_GE(n, k);
   GTPL_CHECK_GE(k, 0);
-  std::vector<int32_t> pool(n);
-  std::iota(pool.begin(), pool.end(), 0);
+  // Partial Fisher-Yates over the identity pool [0, n): step i swaps pool[i]
+  // with pool[UniformInt(i, n - 1)] and the first k positions are the sample.
+  // The pool stays virtual: `sample` holds positions [0, k), `moved` the
+  // values swapped out to positions >= k (at most one per step); every other
+  // position still holds its own index. O(k^2) time and O(k) memory whatever
+  // n is.
+  std::vector<int32_t> sample(static_cast<size_t>(k));
+  std::iota(sample.begin(), sample.end(), 0);
+  std::vector<std::pair<int32_t, int32_t>> moved;  // (position, value)
+  moved.reserve(static_cast<size_t>(k));
   for (int32_t i = 0; i < k; ++i) {
-    const int64_t j = rng.UniformInt(i, n - 1);
-    std::swap(pool[i], pool[j]);
+    const auto j = static_cast<int32_t>(rng.UniformInt(i, n - 1));
+    int32_t& at_i = sample[static_cast<size_t>(i)];
+    if (j < k) {
+      std::swap(at_i, sample[static_cast<size_t>(j)]);
+      continue;
+    }
+    const auto it =
+        std::find_if(moved.begin(), moved.end(),
+                     [j](const auto& entry) { return entry.first == j; });
+    if (it == moved.end()) {
+      moved.emplace_back(j, at_i);
+      at_i = j;
+    } else {
+      std::swap(at_i, it->second);
+    }
   }
-  pool.resize(k);
-  return pool;
+  return sample;
 }
 
 Zipf::Zipf(int32_t n, double theta) : n_(n), theta_(theta) {

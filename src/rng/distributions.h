@@ -26,7 +26,8 @@ class UniformInt {
 };
 
 /// Samples `k` distinct values from [0, n) via partial Fisher-Yates.
-/// Used to pick a transaction's access set from the hot-item pool.
+/// Used to pick a transaction's access set from the hot-item pool. Costs
+/// O(k^2) time and O(k) memory: the n-item pool is never materialized.
 std::vector<int32_t> SampleDistinct(Rng& rng, int32_t n, int32_t k);
 
 /// Zipf(n, theta) over ranks 1..n mapped to values 0..n-1 (extension beyond

@@ -12,8 +12,7 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile& profile,
     : profile_(profile),
       rng_(seed),
       items_rng_(rng::StreamSeed(seed, rng::SeedStream::kWorkloadItems)),
-      mix_rng_(rng::StreamSeed(seed, rng::SeedStream::kWorkloadMix)),
-      zipf_(profile.num_items, profile.zipf_theta) {
+      mix_rng_(rng::StreamSeed(seed, rng::SeedStream::kWorkloadMix)) {
   GTPL_CHECK_GT(profile.num_items, 0);
   GTPL_CHECK_GE(profile.min_items_per_txn, 1);
   GTPL_CHECK_LE(profile.min_items_per_txn, profile.max_items_per_txn);
@@ -26,6 +25,9 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile& profile,
   GTPL_CHECK_GE(profile.min_idle, 0);
   GTPL_CHECK_GE(profile.repeat_prob, 0.0);
   GTPL_CHECK_LE(profile.repeat_prob, 1.0);
+  if (profile.zipf_theta != 0.0) {
+    zipf_.emplace(profile.num_items, profile.zipf_theta);
+  }
 }
 
 TxnSpec WorkloadGenerator::NextTxn() {
@@ -48,7 +50,7 @@ TxnSpec WorkloadGenerator::NextTxn() {
       // per-transaction count <= 5, so rejection terminates fast.
       std::unordered_set<int32_t> seen;
       while (static_cast<int32_t>(items.size()) < count) {
-        const int32_t item = zipf_.Sample(items_rng());
+        const int32_t item = zipf_->Sample(items_rng());
         if (seen.insert(item).second) items.push_back(item);
       }
     }

@@ -2,6 +2,7 @@
 #define GTPL_WORKLOAD_GENERATOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "rng/distributions.h"
@@ -71,7 +72,9 @@ class WorkloadGenerator {
   rng::Rng rng_;
   rng::Rng items_rng_;
   rng::Rng mix_rng_;
-  rng::Zipf zipf_;
+  /// Built only at zipf_theta != 0 (uniform draws never read it): its CDF is
+  /// num_items doubles per client.
+  std::optional<rng::Zipf> zipf_;
   std::vector<int32_t> last_items_;  // previous txn's items (repeat_prob)
 };
 

@@ -79,14 +79,19 @@ TEST(ThreadPoolTest, TaskMayEnqueueFurtherTasksWithoutDeadlock) {
   EXPECT_EQ(completed.load(), 24);
 }
 
+// A task is counted before its future becomes ready, so the count is exact
+// as soon as every future is. Repeated on one busy pool: a count taken after
+// the future fires loses this race within a few rounds.
 TEST(ThreadPoolTest, CountsExecutedTasks) {
   ThreadPool pool(2);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 10; ++i) {
-    futures.push_back(pool.Submit([] {}));
+  for (int round = 0; round < 1000; ++round) {
+    std::vector<std::future<void>> futures;
+    for (int i = 0; i < 10; ++i) {
+      futures.push_back(pool.Submit([] {}));
+    }
+    for (std::future<void>& f : futures) f.get();
+    ASSERT_EQ(pool.tasks_executed(), 10 * (round + 1)) << "round " << round;
   }
-  for (std::future<void>& f : futures) f.get();
-  EXPECT_EQ(pool.tasks_executed(), 10);
 }
 
 TEST(ResolveJobsTest, ExplicitValueWins) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dense_sample_distinct.h"
 #include "rng/distributions.h"
 
 namespace gtpl::rng {
@@ -149,6 +150,28 @@ TEST(DistributionsTest, SampleDistinctFullPoolIsPermutation) {
 TEST(DistributionsTest, SampleDistinctZero) {
   Rng rng(41);
   EXPECT_TRUE(SampleDistinct(rng, 5, 0).empty());
+}
+
+// SampleDistinct keeps the pool virtual, yet must replay the dense partial
+// Fisher-Yates exactly: the same sample and the same generator state after it
+// (the next draw agrees), from a one-item pool to one far larger than any
+// sample, at every k up to 8 including 0 and n. Small pools are where a step
+// most often lands inside the sample or revisits a swapped-out position.
+TEST(DistributionsTest, SampleDistinctMatchesDenseReference) {
+  for (const int32_t n : {1, 5, 25, 8192, 1 << 20}) {
+    const uint64_t seeds = n <= 8192 ? 500 : 40;  // the reference is O(n)
+    for (int32_t k = 0; k <= std::min(n, 8); ++k) {
+      for (uint64_t seed = 1; seed <= seeds; ++seed) {
+        Rng rng(seed);
+        Rng ref(seed);
+        ASSERT_EQ(SampleDistinct(rng, n, k),
+                  testref::DenseSampleDistinct(ref, n, k))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        ASSERT_EQ(rng.Next64(), ref.Next64())
+            << "n=" << n << " k=" << k << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(DistributionsTest, ZipfThetaZeroIsUniform) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dense_sample_distinct.h"
 #include "workload/txn_spec.h"
 
 namespace gtpl::workload {
@@ -137,25 +138,32 @@ TEST(GeneratorTest, ZipfStillDistinct) {
 // At the paper defaults (zipf 0, repeat 0) every draw must stay on the
 // single legacy stream, in the legacy order: item count, item selection,
 // per-op modes, then whatever think/idle samples the engine interleaves.
-// This replays that order on a raw Rng and demands bit-identical output —
-// the "defaults unchanged" half of the PR 9 stream-split contract.
+// This replays that order on a raw Rng, drawing the items with the dense
+// reference Fisher-Yates (not the SampleDistinct under test), and demands
+// bit-identical output — the "defaults unchanged" half of the stream-split
+// contract. Also at 8192 items, the sharded A19 item space.
 TEST(GeneratorTest, DefaultsReplayTheSingleLegacyStream) {
   const uint64_t seed = 77;
-  WorkloadGenerator gen(PaperProfile(), seed);
-  rng::Rng ref(seed);
-  for (int i = 0; i < 200; ++i) {
-    const TxnSpec spec = gen.NextTxn();
-    const auto count = static_cast<int32_t>(ref.UniformInt(1, 5));
-    const std::vector<int32_t> items = rng::SampleDistinct(ref, 25, count);
-    ASSERT_EQ(spec.ops.size(), items.size());
-    for (size_t j = 0; j < items.size(); ++j) {
-      EXPECT_EQ(spec.ops[j].item, items[j]);
-      const LockMode mode =
-          ref.Bernoulli(0.5) ? LockMode::kShared : LockMode::kExclusive;
-      EXPECT_EQ(spec.ops[j].mode, mode);
+  for (const int32_t num_items : {25, 8192}) {
+    WorkloadProfile profile = PaperProfile();
+    profile.num_items = num_items;
+    WorkloadGenerator gen(profile, seed);
+    rng::Rng ref(seed);
+    for (int i = 0; i < 200; ++i) {
+      const TxnSpec spec = gen.NextTxn();
+      const auto count = static_cast<int32_t>(ref.UniformInt(1, 5));
+      const std::vector<int32_t> items =
+          testref::DenseSampleDistinct(ref, num_items, count);
+      ASSERT_EQ(spec.ops.size(), items.size());
+      for (size_t j = 0; j < items.size(); ++j) {
+        EXPECT_EQ(spec.ops[j].item, items[j]);
+        const LockMode mode =
+            ref.Bernoulli(0.5) ? LockMode::kShared : LockMode::kExclusive;
+        EXPECT_EQ(spec.ops[j].mode, mode);
+      }
+      EXPECT_EQ(gen.SampleThink(), ref.UniformInt(1, 3));
+      EXPECT_EQ(gen.SampleIdle(), ref.UniformInt(2, 10));
     }
-    EXPECT_EQ(gen.SampleThink(), ref.UniformInt(1, 3));
-    EXPECT_EQ(gen.SampleIdle(), ref.UniformInt(2, 10));
   }
 }
 
