@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <string>
 
-#include "net/network.h"
+#include "obs/trace.h"
 #include "protocols/config.h"
 #include "protocols/engine.h"
 
@@ -32,7 +32,7 @@ gtpl::proto::SimConfig ExampleConfig(gtpl::proto::Protocol protocol) {
   config.measured_txns = 3;
   config.warmup_txns = 0;
   config.seed = 7;
-  config.trace = true;
+  config.obs_trace = true;
   config.max_sim_time = 20000;
   return config;
 }
@@ -46,15 +46,18 @@ void RunAndReport(gtpl::proto::Protocol protocol) {
   const gtpl::proto::SimConfig config = ExampleConfig(protocol);
   const gtpl::proto::RunResult result = gtpl::proto::RunSimulation(config);
   std::printf("--- %s ---\n", gtpl::proto::ToString(protocol));
-  const long long base =
-      result.trace.empty() ? 0
-                           : static_cast<long long>(result.trace[0].send_time);
-  for (const gtpl::net::TraceRecord& record : result.trace) {
-    std::printf("  t=%3lld -> t=%3lld  %-8s -> %-8s  %s\n",
-                static_cast<long long>(record.send_time) - base,
-                static_cast<long long>(record.deliver_time) - base,
-                SiteName(record.from).c_str(), SiteName(record.to).c_str(),
-                record.label.c_str());
+  // One line per kMsgSend. Latency is uniform and the link model is off, so
+  // every message lands exactly `latency` after it was sent — including the
+  // last one, still in flight when the run stops.
+  long long base = -1;
+  for (const gtpl::obs::TraceEvent& event : result.obs_trace) {
+    if (event.kind != gtpl::obs::EventKind::kMsgSend) continue;
+    const long long sent = static_cast<long long>(event.time);
+    if (base < 0) base = sent;
+    std::printf("  t=%3lld -> t=%3lld  %-8s -> %-8s  %s\n", sent - base,
+                sent + static_cast<long long>(config.latency) - base,
+                SiteName(event.site).c_str(), SiteName(event.peer).c_str(),
+                event.label.c_str());
   }
   std::printf(
       "%llu messages; mean transaction response %.1f units "

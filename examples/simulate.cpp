@@ -372,6 +372,21 @@ int main(int argc, char** argv) {
                  status.ToString().c_str());
     return 2;
   }
+  // The engine opens a streamed trace only when its run starts, so probe
+  // every file the runs will stream to (the harness's .rep<r> names when
+  // runs > 1) before the first run: an unwritable path is a usage error.
+  if (!flags.config.trace_stream_path.empty()) {
+    for (int32_t rep = 0; rep < flags.runs; ++rep) {
+      const std::string path =
+          flags.runs == 1
+              ? flags.config.trace_stream_path
+              : flags.config.trace_stream_path + ".rep" + std::to_string(rep);
+      if (!std::ofstream(path, std::ios::binary)) {
+        std::fprintf(stderr, "cannot write trace file %s\n", path.c_str());
+        return 2;
+      }
+    }
+  }
 
   std::printf("protocol %s, %d clients, latency %lld (+U[0,%lld], spread "
               "%.2f), %d items, ops %d-%d, pr %.2f, zipf %.2f\n",

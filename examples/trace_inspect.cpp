@@ -294,12 +294,12 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty() && !InspectMetrics(metrics_path)) return 2;
 
   if (check_invariants) {
-    const std::vector<gtpl::proto::ProtocolEvent> protocol_events =
+    const std::vector<gtpl::proto::ProtocolEvent> replayed =
         gtpl::proto::ProtocolEventsFromTrace(events);
     std::string explanation;
-    if (gtpl::proto::CheckProtocolInvariants(protocol_events, &explanation)) {
+    if (gtpl::proto::CheckProtocolInvariants(replayed, &explanation)) {
       std::printf("invariants: OK (%zu protocol events replayed)\n",
-                  protocol_events.size());
+                  replayed.size());
     } else {
       std::printf("invariants: VIOLATED — %s\n", explanation.c_str());
       return 1;

@@ -401,9 +401,8 @@ void LockCcEngine::LeaseServerOnRequest(int32_t shard, TxnId txn,
   lease::AdmitOutcome outcome =
       lease_table_.Admit(txn, client_site, item, mode, simulator().Now());
   if (outcome.granted) {
-    EmitLeaseEvent(obs::EventKind::kLeaseGrant,
-                   proto::ProtocolEventKind::kLeaseGranted, shard, txn,
-                   client_site, item, mode == LockMode::kExclusive);
+    EmitLeaseEvent(obs::EventKind::kLeaseGrant, shard, txn, client_site,
+                   item, mode == LockMode::kExclusive);
     SendLeaseGrant(shard, txn, item, mode, /*revoke_wait=*/0);
     return;
   }
@@ -452,9 +451,8 @@ void LockCcEngine::SendLeaseRevokes(int32_t shard, ItemId item,
                                     TxnId collector) {
   for (SiteId target : targets) {
     ++lease_revokes_;
-    EmitLeaseEvent(obs::EventKind::kLeaseRevoke,
-                   proto::ProtocolEventKind::kLeaseRevoked, shard, collector,
-                   target, item, /*exclusive=*/false);
+    EmitLeaseEvent(obs::EventKind::kLeaseRevoke, shard, collector, target,
+                   item, /*exclusive=*/false);
     network().Send(ServerSiteOf(shard), target, "lease-revoke",
                    [this, shard, target, item, collector] {
                      ClientOnLeaseRevoke(shard, target, item, collector);
@@ -515,9 +513,8 @@ void LockCcEngine::ServerOnLeaseRelease(int32_t shard, SiteId site,
 void LockCcEngine::ApplyLeaseRelease(int32_t shard, SiteId site, ItemId item) {
   if (!lease_table_.Release(site, item)) return;  // crossed with an earlier one
   ++lease_releases_;
-  EmitLeaseEvent(obs::EventKind::kLeaseRelease,
-                 proto::ProtocolEventKind::kLeaseReleased, shard, kInvalidTxn,
-                 site, item, /*exclusive=*/false);
+  EmitLeaseEvent(obs::EventKind::kLeaseRelease, shard, kInvalidTxn, site,
+                 item, /*exclusive=*/false);
   PromoteLeases(shard, item);
 }
 
@@ -525,10 +522,8 @@ void LockCcEngine::PromoteLeases(int32_t shard, ItemId item) {
   lease::PromoteOutcome out = lease_table_.Promote(item, simulator().Now());
   for (const lease::LeaseWaiter& waiter : out.granted) {
     policy_->OnWaiterGranted(waiter.txn);
-    EmitLeaseEvent(obs::EventKind::kLeaseGrant,
-                   proto::ProtocolEventKind::kLeaseGranted, shard, waiter.txn,
-                   waiter.site, item,
-                   waiter.mode == LockMode::kExclusive);
+    EmitLeaseEvent(obs::EventKind::kLeaseGrant, shard, waiter.txn,
+                   waiter.site, item, waiter.mode == LockMode::kExclusive);
     SendLeaseGrant(shard, waiter.txn, item, waiter.mode,
                    simulator().Now() - waiter.enqueued);
   }
@@ -611,29 +606,19 @@ void LockCcEngine::FlushLeasePins(TxnRun& run) {
   }
 }
 
-void LockCcEngine::EmitLeaseEvent(obs::EventKind kind,
-                                  proto::ProtocolEventKind pkind,
-                                  int32_t shard, TxnId txn, SiteId site,
-                                  ItemId item, bool exclusive) {
-  if (tracer().enabled()) {
-    obs::TraceEvent event;
-    event.kind = kind;
-    event.txn = txn;
-    event.site = site;
-    event.item = item;
-    event.shard = shard;
-    event.mode = exclusive ? 1 : 0;
-    event.flag = exclusive;
-    tracer().Emit(std::move(event));
-  }
-  proto::ProtocolEvent pe;
-  pe.kind = pkind;
-  pe.txn = txn;
-  pe.item = item;
-  pe.server = shard;
-  pe.site = site;
-  pe.flag = exclusive;
-  RecordEvent(pe);
+void LockCcEngine::EmitLeaseEvent(obs::EventKind kind, int32_t shard,
+                                  TxnId txn, SiteId site, ItemId item,
+                                  bool exclusive) {
+  if (!tracer().enabled()) return;
+  obs::TraceEvent event;
+  event.kind = kind;
+  event.txn = txn;
+  event.site = site;
+  event.item = item;
+  event.shard = shard;
+  event.mode = exclusive ? 1 : 0;
+  event.flag = exclusive;
+  tracer().Emit(std::move(event));
 }
 
 }  // namespace gtpl::cc

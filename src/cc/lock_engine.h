@@ -137,9 +137,8 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
   void RefreshLeaseWaits(int32_t shard, ItemId item);
   /// Unpins the finished txn's leases and flushes deferred releases.
   void FlushLeasePins(TxnRun& run);
-  void EmitLeaseEvent(obs::EventKind kind, proto::ProtocolEventKind pkind,
-                      int32_t shard, TxnId txn, SiteId site, ItemId item,
-                      bool exclusive);
+  void EmitLeaseEvent(obs::EventKind kind, int32_t shard, TxnId txn,
+                      SiteId site, ItemId item, bool exclusive);
 
   std::vector<std::unique_ptr<db::LockTable>> lock_tables_;
   std::unique_ptr<ConflictPolicy> policy_;

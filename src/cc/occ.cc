@@ -6,8 +6,6 @@
 
 namespace gtpl::cc {
 
-using proto::ProtocolEvent;
-using proto::ProtocolEventKind;
 using proto::RunResult;
 using proto::SimConfig;
 
@@ -117,13 +115,6 @@ void OccEngine::SendValidate(int32_t shard, TxnRun& run, bool multi) {
 void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
                            std::vector<proto::OpRecord> records, bool multi) {
   if (multi) {
-    if (config().record_protocol_events) {
-      ProtocolEvent event;
-      event.kind = ProtocolEventKind::kPrepareArrived;
-      event.txn = txn;
-      event.server = shard;
-      RecordEvent(std::move(event));
-    }
     if (tracer().enabled()) {
       obs::TraceEvent event;
       event.kind = obs::EventKind::kPrepare;
@@ -186,14 +177,6 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
 }
 
 void OccEngine::OnOccVote(TxnId txn, int32_t shard, bool yes) {
-  if (config().record_protocol_events) {
-    ProtocolEvent event;
-    event.kind = ProtocolEventKind::kVoteArrived;
-    event.txn = txn;
-    event.server = shard;
-    event.flag = yes;
-    RecordEvent(std::move(event));
-  }
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kVote;
@@ -238,13 +221,6 @@ void OccEngine::OnOccVote(TxnId txn, int32_t shard, bool yes) {
 }
 
 void OccEngine::OnOccDecision(int32_t shard, TxnId txn) {
-  if (config().record_protocol_events) {
-    ProtocolEvent event;
-    event.kind = ProtocolEventKind::kCommitDecisionArrived;
-    event.txn = txn;
-    event.server = shard;
-    RecordEvent(std::move(event));
-  }
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kDecide;

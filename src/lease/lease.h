@@ -24,6 +24,8 @@ enum class LeaseMode {
   /// network flights (counted as lease_hits); conflicting requests at the
   /// server enqueue and trigger callback revocation (server -> holder
   /// revoke, holder drains the pinned local transaction, then releases).
+  /// Assumes in-order delivery per channel, so SimConfig::Validate()
+  /// rejects it with latency jitter or an unqueued finite-bandwidth link.
   kSticky = 1,
 };
 

@@ -66,18 +66,6 @@ void Network::Send(SiteId from, SiteId to, std::string label,
 
   const SimTime now = simulator_->Now();
   if (link_ == nullptr) {
-    if (tracing_) {
-      TraceRecord record;
-      record.send_time = now;
-      record.deliver_time = now + propagation;
-      record.from = from;
-      record.to = to;
-      record.label = label;
-      record.payload = payload;
-      record.tx_start = now;
-      record.rx_queue_entry = now + propagation;
-      trace_.push_back(std::move(record));
-    }
     if (tracer_ != nullptr && tracer_->enabled()) {
       obs::TraceEvent event;
       event.kind = obs::EventKind::kMsgSend;
@@ -115,19 +103,6 @@ void Network::Send(SiteId from, SiteId to, std::string label,
   stats_.transmission_ticks += static_cast<uint64_t>(service);
   const SimTime first_bit_arrival = tx_start + propagation;
 
-  size_t trace_index = trace_.size();
-  if (tracing_) {
-    TraceRecord record;
-    record.send_time = now;
-    record.deliver_time = first_bit_arrival + service;  // patched on arrival
-    record.from = from;
-    record.to = to;
-    record.label = label;
-    record.payload = payload;
-    record.tx_start = tx_start;
-    record.rx_queue_entry = first_bit_arrival;
-    trace_.push_back(std::move(record));
-  }
   if (tracer_ != nullptr && tracer_->enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kMsgSend;
@@ -142,18 +117,15 @@ void Network::Send(SiteId from, SiteId to, std::string label,
 
   simulator_->ScheduleAt(
       first_bit_arrival,
-      [this, from, to, payload, service, sender_delay, trace_index,
-       send_time = now, tx_start, label = std::move(label),
-       deliver = std::move(on_deliver), traced = tracing_]() mutable {
+      [this, from, to, payload, service, sender_delay, send_time = now,
+       tx_start, label = std::move(label),
+       deliver = std::move(on_deliver)]() mutable {
         const SimTime arrival = simulator_->Now();
         const SimTime deliver_time = link_->AdmitDownlink(to, payload, arrival);
         const SimTime receiver_delay = deliver_time - service - arrival;
         stats_.receiver_queue_delay.Add(static_cast<double>(receiver_delay));
         queue_delay_hist_.Add(
             static_cast<double>(sender_delay + receiver_delay));
-        if (traced && trace_index < trace_.size()) {
-          trace_[trace_index].deliver_time = deliver_time;
-        }
         DeliveryInfo info;
         info.active = true;
         info.send_time = send_time;

@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "net/latency_model.h"
@@ -69,24 +68,6 @@ inline constexpr uint64_t kControlPayload = 1;
 inline constexpr uint64_t kDataPayload = 8;
 inline constexpr uint64_t kFlSlotPayload = 1;
 
-/// Optional per-message trace record, consumed by the quickstart example to
-/// print protocol timelines. Under the link model the record also exposes
-/// the queueing breakdown: the message waits in the sender's uplink queue
-/// during [send_time, tx_start], its first bit reaches the receiver's
-/// downlink queue at rx_queue_entry, and it is fully delivered at
-/// deliver_time. Under pure propagation tx_start == send_time and
-/// rx_queue_entry == deliver_time.
-struct TraceRecord {
-  SimTime send_time = 0;
-  SimTime deliver_time = 0;
-  SiteId from = 0;
-  SiteId to = 0;
-  std::string label;
-  uint64_t payload = 0;
-  SimTime tx_start = 0;        // uplink service start (sender queue exit)
-  SimTime rx_queue_entry = 0;  // first bit at the receiver downlink
-};
-
 /// Message transport over the simulator: Send() schedules the delivery
 /// callback at the destination. Protocol payloads live in the closure, so
 /// the transport is protocol-agnostic.
@@ -106,7 +87,7 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Delivers `on_deliver` at the destination after the model's latency.
-  /// `label` is used only when tracing is enabled; `payload` is the abstract
+  /// `label` is used only when a tracer is enabled; `payload` is the abstract
   /// message size recorded in the stats (default: a control message) and
   /// charged transmission delay under a finite-bandwidth link model.
   void Send(SiteId from, SiteId to, std::string label,
@@ -121,10 +102,6 @@ class Network {
   bool IsServerSite(SiteId site) const {
     return site == kServerSite || (num_clients_ >= 0 && site > num_clients_);
   }
-
-  /// Starts recording TraceRecords (for examples / debugging).
-  void EnableTracing() { tracing_ = true; }
-  const std::vector<TraceRecord>& trace() const { return trace_; }
 
   /// Attaches a structured tracer: every Send emits kMsgSend, every
   /// delivery kMsgDeliver (with the queueing breakdown in d0..d3). The
@@ -160,8 +137,6 @@ class Network {
   NetworkStats stats_;
   stats::Histogram queue_delay_hist_;
   int32_t num_clients_ = -1;  // -1: no layout declared
-  bool tracing_ = false;
-  std::vector<TraceRecord> trace_;
   obs::Tracer* tracer_ = nullptr;
   DeliveryInfo current_delivery_;
 

@@ -784,13 +784,6 @@ class O2plEngine : public ShardedEngineBase {
   void OnCertify(int32_t shard, TxnId txn, SiteId client_site,
                  std::vector<OpRecord> records, bool multi) {
     if (multi) {
-      if (config().record_protocol_events) {
-        ProtocolEvent event;
-        event.kind = ProtocolEventKind::kPrepareArrived;
-        event.txn = txn;
-        event.server = shard;
-        RecordEvent(std::move(event));
-      }
       if (tracer().enabled()) {
         obs::TraceEvent event;
         event.kind = obs::EventKind::kPrepare;
@@ -852,14 +845,6 @@ class O2plEngine : public ShardedEngineBase {
   }
 
   void OnO2plVote(TxnId txn, int32_t shard, bool yes) {
-    if (config().record_protocol_events) {
-      ProtocolEvent event;
-      event.kind = ProtocolEventKind::kVoteArrived;
-      event.txn = txn;
-      event.server = shard;
-      event.flag = yes;
-      RecordEvent(std::move(event));
-    }
     if (tracer().enabled()) {
       obs::TraceEvent event;
       event.kind = obs::EventKind::kVote;
@@ -901,13 +886,6 @@ class O2plEngine : public ShardedEngineBase {
   }
 
   void OnO2plDecision(int32_t shard, TxnId txn) {
-    if (config().record_protocol_events) {
-      ProtocolEvent event;
-      event.kind = ProtocolEventKind::kCommitDecisionArrived;
-      event.txn = txn;
-      event.server = shard;
-      RecordEvent(std::move(event));
-    }
     if (tracer().enabled()) {
       obs::TraceEvent event;
       event.kind = obs::EventKind::kDecide;

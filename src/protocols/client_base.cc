@@ -70,7 +70,6 @@ EngineBase::EngineBase(const SimConfig& config) : config_(config) {
   // Shard servers (sites > num_clients) must count as servers in the
   // message-direction breakdown; harmless when there are none.
   network_->SetSiteLayout(config.num_clients);
-  if (config.trace) network_->EnableTracing();
   tracer_.Attach(&sim_);
   if (config.obs_trace) tracer_.Enable();
   if (!config.trace_stream_path.empty()) {
@@ -150,7 +149,6 @@ RunResult EngineBase::Run() {
   }
   sim_.Run(config_.max_sim_time == 0 ? -1 : config_.max_sim_time);
   result_.timed_out = measured_commits_ < config_.measured_txns;
-  if (config_.trace) result_.trace = network_->trace();
   result_.events = sim_.events_executed() - sampler_fires;
   result_.end_time = sim_.Now();
   result_.network = network_->stats();
@@ -442,12 +440,6 @@ void EngineBase::RegisterMetrics(obs::MetricsRegistry* metrics) {
     net::LinkModel* link = network_->link_model();
     return link == nullptr ? 0 : link->MaxNicBacklog(sim_.Now());
   });
-}
-
-void EngineBase::RecordEvent(ProtocolEvent event) {
-  if (!config_.record_protocol_events) return;
-  event.time = sim_.Now();
-  result_.protocol_events.push_back(std::move(event));
 }
 
 void EngineBase::ServerAbortDecision(TxnId txn, SiteId client_site,

@@ -89,6 +89,17 @@ Status SimConfig::Validate() const {
     return Status::InvalidArgument(
         "cross_traffic_load requires nic_queue and finite link_bandwidth");
   }
+  if (lease.mode == lease::LeaseMode::kSticky &&
+      (latency_jitter != 0 || (link_bandwidth > 0.0 && !nic_queue))) {
+    // Lease callbacks assume each server->client channel delivers in order
+    // (DESIGN.md §14). Jitter reorders any two messages, and at finite
+    // bandwidth without NIC queues a control-sized revoke finishes
+    // transmitting before the data-carrying grant it follows.
+    return Status::InvalidArgument(
+        "lease=sticky requires in-order delivery on every channel: no "
+        "latency_jitter (--jitter), and a finite link_bandwidth "
+        "(--bandwidth) only with nic_queue (--nic-queue)");
+  }
   if (workload.num_items < 1) {
     return Status::InvalidArgument("num_items must be >= 1");
   }
@@ -200,14 +211,8 @@ Status SimConfig::Validate() const {
     }
     // obs_trace is supported: each LP gets its own Tracer and the streams
     // are k-way merged at window barriers into the kernel's deterministic
-    // (time, lp, seq) order (DESIGN.md §16). The legacy per-message network
-    // trace and the invariant event stream remain serial-only.
-    if (trace || record_protocol_events) {
-      return Status::InvalidArgument(
-          "sim_threads > 1 does not record network traces or protocol "
-          "events (the structured obs trace IS supported: --trace merges "
-          "per-LP streams deterministically)");
-    }
+    // (time, lp, seq) order (DESIGN.md §16), so the invariant checkers run
+    // on the merged trace too.
   }
   return Status::Ok();
 }

@@ -121,8 +121,6 @@ struct SimConfig {
   /// Record per-transaction version reads/writes for serializability checks
   /// (tests only; costs memory).
   bool record_history = false;
-  /// Record per-message network trace (examples only).
-  bool trace = false;
   /// Record the structured observability trace (obs/trace.h): protocol
   /// events, lock traffic, 2PC rounds, and message-level queueing detail,
   /// returned in RunResult::obs_trace. Observation-only — never draws
@@ -151,11 +149,6 @@ struct SimConfig {
   /// Observation-only and deterministic at any thread count. 0 (default)
   /// disables sampling.
   SimTime metrics_interval = 0;
-  /// Record the protocol-invariant event stream (window dispatches, reader
-  /// release arrivals, writer update releases, graph audits, 2PC rounds)
-  /// consumed by the checkers in protocols/invariants.h (tests only; costs
-  /// memory, never changes protocol behavior).
-  bool record_protocol_events = false;
 
   /// Simulated delay of a log force at commit/install; 0 keeps the recovery
   /// substrate free so it does not perturb the reproduced numbers.

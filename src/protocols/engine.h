@@ -138,10 +138,6 @@ class EngineBase {
   void ServerAbortDecision(TxnId txn, SiteId client_site,
                            SiteId server_site = kServerSite);
 
-  /// Appends `event` (stamped with the current simulated time) to the run's
-  /// protocol-event stream; no-op unless record_protocol_events is set.
-  void RecordEvent(ProtocolEvent event);
-
   /// Structured observability tracer (obs/trace.h); enabled iff
   /// config.obs_trace. Protocol code emits through it freely — Emit is a
   /// no-op when disabled.

@@ -25,21 +25,7 @@ void Explain(std::string* explanation, std::string text) {
 
 }  // namespace
 
-std::vector<FlEntryRecord> SnapshotForwardList(const core::ForwardList& fl) {
-  std::vector<FlEntryRecord> entries;
-  entries.reserve(static_cast<size_t>(fl.num_entries()));
-  for (int32_t e = 0; e < fl.num_entries(); ++e) {
-    FlEntryRecord record;
-    record.is_read_group = fl.entry(e).is_read_group;
-    for (const core::FlMember& member : fl.entry(e).members) {
-      record.txns.push_back(member.txn);
-    }
-    entries.push_back(std::move(record));
-  }
-  return entries;
-}
-
-std::vector<obs::FlEntrySnapshot> ObsSnapshotForwardList(
+std::vector<obs::FlEntrySnapshot> SnapshotForwardList(
     const core::ForwardList& fl) {
   std::vector<obs::FlEntrySnapshot> entries;
   entries.reserve(static_cast<size_t>(fl.num_entries()));
@@ -108,13 +94,7 @@ std::vector<ProtocolEvent> ProtocolEventsFromTrace(
       pe.site = te.site;
     }
     pe.flag = te.flag;
-    pe.entries.reserve(te.entries.size());
-    for (const obs::FlEntrySnapshot& entry : te.entries) {
-      FlEntryRecord record;
-      record.is_read_group = entry.is_read_group;
-      record.txns = entry.txns;
-      pe.entries.push_back(std::move(record));
-    }
+    pe.entries = te.entries;
     events.push_back(std::move(pe));
   }
   return events;
@@ -183,8 +163,8 @@ bool CheckMr1wDiscipline(const std::vector<ProtocolEvent>& events,
       case ProtocolEventKind::kWindowDispatched:
       case ProtocolEventKind::kWindowExpanded:
         for (size_t e = 1; e < event.entries.size(); ++e) {
-          const FlEntryRecord& entry = event.entries[e];
-          const FlEntryRecord& previous = event.entries[e - 1];
+          const obs::FlEntrySnapshot& entry = event.entries[e];
+          const obs::FlEntrySnapshot& previous = event.entries[e - 1];
           if (entry.is_read_group || !previous.is_read_group) continue;
           for (TxnId writer : entry.txns) {
             expected[{writer, event.item}] =

@@ -45,22 +45,12 @@ enum class ProtocolEventKind : uint8_t {
   kLeaseReleased = 10,
 };
 
-/// One forward-list entry as recorded in a window event.
-struct FlEntryRecord {
-  bool is_read_group = false;
-  std::vector<TxnId> txns;
-
-  bool operator==(const FlEntryRecord& other) const {
-    return is_read_group == other.is_read_group && txns == other.txns;
-  }
-};
-
-/// One entry of the protocol-invariant event stream that engines emit when
-/// SimConfig::record_protocol_events is set. The stream is what the
-/// invariant checkers below consume; it deliberately records protocol
-/// *facts* (dispatch orders, release arrivals, graph audits) rather than
-/// engine internals, so the same checkers apply to the single-server and
-/// sharded engines.
+/// One protocol fact the invariant checkers below consume: the projection
+/// of an observability trace (obs/trace.h) onto dispatch orders, release
+/// arrivals, graph audits, 2PC rounds and lease transitions. It records
+/// protocol *facts* rather than engine internals, so the same checkers
+/// apply at every shard count and to every engine that emits the
+/// corresponding trace events.
 struct ProtocolEvent {
   ProtocolEventKind kind = ProtocolEventKind::kWindowDispatched;
   SimTime time = 0;
@@ -71,7 +61,7 @@ struct ProtocolEvent {
   SiteId site = -1;
   bool flag = false;  // kGraphCheck: acyclic; kVoteArrived: yes;
                       // kLeaseGranted: exclusive
-  std::vector<FlEntryRecord> entries;  // window events only
+  std::vector<obs::FlEntrySnapshot> entries;  // window events only
 
   bool operator==(const ProtocolEvent& other) const {
     return kind == other.kind && time == other.time && txn == other.txn &&
@@ -81,20 +71,16 @@ struct ProtocolEvent {
   }
 };
 
-/// Entry/member snapshot of a forward list, for window events.
-std::vector<FlEntryRecord> SnapshotForwardList(const core::ForwardList& fl);
-
-/// Same snapshot in the observability-trace representation (obs/trace.h).
-std::vector<obs::FlEntrySnapshot> ObsSnapshotForwardList(
+/// Entry/member snapshot of a forward list, for window trace events.
+std::vector<obs::FlEntrySnapshot> SnapshotForwardList(
     const core::ForwardList& fl);
 
 /// Projects a structured observability trace onto the protocol-invariant
-/// event stream: the trace events that mirror ProtocolEvents (window
-/// dispatch/expand, graph audits, reader/writer releases, 2PC rounds)
-/// convert one to one and in order; everything else is dropped. Engines
-/// emit both streams at the same points, so the result equals
-/// RunResult::protocol_events field for field — which lets the checkers
-/// below replay a saved trace file with no live run (trace_inspect
+/// event stream: the trace events with a ProtocolEventKind counterpart
+/// (window dispatch/expand, graph audits, reader/writer releases, 2PC
+/// rounds, lease transitions) convert one to one and in order; everything
+/// else is dropped. The checkers below therefore run on a live run's
+/// RunResult::obs_trace and on a saved trace file alike (trace_inspect
 /// --check-invariants).
 std::vector<ProtocolEvent> ProtocolEventsFromTrace(
     const std::vector<obs::TraceEvent>& trace);

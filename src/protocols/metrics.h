@@ -9,7 +9,6 @@
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "protocols/invariants.h"
 #include "stats/histogram.h"
 #include "stats/welford.h"
 
@@ -210,13 +209,6 @@ struct RunResult {
 
   /// Committed-transaction history (only when record_history was set).
   std::vector<CommittedTxn> history;
-
-  /// Per-message network trace (only when trace was set).
-  std::vector<net::TraceRecord> trace;
-
-  /// Protocol-invariant event stream (only when record_protocol_events was
-  /// set); consumed by the checkers in protocols/invariants.h.
-  std::vector<ProtocolEvent> protocol_events;
 
   /// Structured observability trace (only when obs_trace was set); see
   /// obs/trace.h and DESIGN.md §11. Deterministic: byte-identical across

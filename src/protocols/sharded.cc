@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "net/latency_model.h"
+#include "protocols/invariants.h"
 
 namespace gtpl::proto {
 
@@ -345,13 +346,6 @@ void ShardedEngineBase::OnTxnClosed(const TxnRun& run) {
 
 void ShardedEngineBase::OnPrepareArrived(int32_t shard, TxnId txn,
                                          bool speculative) {
-  if (config().record_protocol_events) {
-    ProtocolEvent event;
-    event.kind = ProtocolEventKind::kPrepareArrived;
-    event.txn = txn;
-    event.server = shard;
-    RecordEvent(std::move(event));
-  }
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kPrepare;
@@ -393,14 +387,6 @@ void ShardedEngineBase::OnPrepareArrived(int32_t shard, TxnId txn,
 }
 
 void ShardedEngineBase::OnVoteArrived(TxnId txn, int32_t shard, bool yes) {
-  if (config().record_protocol_events) {
-    ProtocolEvent event;
-    event.kind = ProtocolEventKind::kVoteArrived;
-    event.txn = txn;
-    event.server = shard;
-    event.flag = yes;
-    RecordEvent(std::move(event));
-  }
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kVote;
@@ -475,13 +461,6 @@ void ShardedEngineBase::FinishVotedCommit(TxnId txn) {
 }
 
 void ShardedEngineBase::OnDecisionArrived(int32_t shard, TxnId txn) {
-  if (config().record_protocol_events) {
-    ProtocolEvent event;
-    event.kind = ProtocolEventKind::kCommitDecisionArrived;
-    event.txn = txn;
-    event.server = shard;
-    RecordEvent(std::move(event));
-  }
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kDecide;
@@ -575,37 +554,20 @@ void ShardedG2plEngine::SendRequest(TxnRun& run) {
 void ShardedG2plEngine::WmDispatch(
     int32_t shard, ItemId item, Version version,
     std::shared_ptr<const core::ForwardList> fl) {
-  if (config().record_protocol_events || tracer().enabled()) {
-    const bool acyclic = coordinator_->graph().IsAcyclic();
-    if (config().record_protocol_events) {
-      ProtocolEvent event;
-      event.kind = ProtocolEventKind::kWindowDispatched;
-      event.item = item;
-      event.server = shard;
-      event.entries = SnapshotForwardList(*fl);
-      RecordEvent(std::move(event));
-      ProtocolEvent audit;
-      audit.kind = ProtocolEventKind::kGraphCheck;
-      audit.item = item;
-      audit.server = shard;
-      audit.flag = acyclic;
-      RecordEvent(std::move(audit));
-    }
-    if (tracer().enabled()) {
-      obs::TraceEvent event;
-      event.kind = obs::EventKind::kWindowDispatch;
-      event.item = item;
-      event.shard = shard;
-      event.payload = static_cast<int64_t>(version);
-      event.entries = ObsSnapshotForwardList(*fl);
-      tracer().Emit(std::move(event));
-      obs::TraceEvent audit;
-      audit.kind = obs::EventKind::kGraphCheck;
-      audit.item = item;
-      audit.shard = shard;
-      audit.flag = acyclic;
-      tracer().Emit(std::move(audit));
-    }
+  if (tracer().enabled()) {
+    obs::TraceEvent event;
+    event.kind = obs::EventKind::kWindowDispatch;
+    event.item = item;
+    event.shard = shard;
+    event.payload = static_cast<int64_t>(version);
+    event.entries = SnapshotForwardList(*fl);
+    tracer().Emit(std::move(event));
+    obs::TraceEvent audit;
+    audit.kind = obs::EventKind::kGraphCheck;
+    audit.item = item;
+    audit.shard = shard;
+    audit.flag = coordinator_->graph().IsAcyclic();
+    tracer().Emit(std::move(audit));
   }
   for (int32_t e = 0; e < fl->num_entries(); ++e) {
     for (const core::FlMember& m : fl->entry(e).members) {
@@ -626,39 +588,21 @@ void ShardedG2plEngine::WmExpand(int32_t shard, ItemId item, Version version,
                                  std::shared_ptr<const core::ForwardList> fl,
                                  TxnId txn, SiteId client_site,
                                  int32_t member_index) {
-  if (config().record_protocol_events || tracer().enabled()) {
-    const bool acyclic = coordinator_->graph().IsAcyclic();
-    if (config().record_protocol_events) {
-      ProtocolEvent event;
-      event.kind = ProtocolEventKind::kWindowExpanded;
-      event.txn = txn;
-      event.item = item;
-      event.server = shard;
-      event.entries = SnapshotForwardList(*fl);
-      RecordEvent(std::move(event));
-      ProtocolEvent audit;
-      audit.kind = ProtocolEventKind::kGraphCheck;
-      audit.item = item;
-      audit.server = shard;
-      audit.flag = acyclic;
-      RecordEvent(std::move(audit));
-    }
-    if (tracer().enabled()) {
-      obs::TraceEvent event;
-      event.kind = obs::EventKind::kWindowExpand;
-      event.txn = txn;
-      event.item = item;
-      event.shard = shard;
-      event.payload = static_cast<int64_t>(version);
-      event.entries = ObsSnapshotForwardList(*fl);
-      tracer().Emit(std::move(event));
-      obs::TraceEvent audit;
-      audit.kind = obs::EventKind::kGraphCheck;
-      audit.item = item;
-      audit.shard = shard;
-      audit.flag = acyclic;
-      tracer().Emit(std::move(audit));
-    }
+  if (tracer().enabled()) {
+    obs::TraceEvent event;
+    event.kind = obs::EventKind::kWindowExpand;
+    event.txn = txn;
+    event.item = item;
+    event.shard = shard;
+    event.payload = static_cast<int64_t>(version);
+    event.entries = SnapshotForwardList(*fl);
+    tracer().Emit(std::move(event));
+    obs::TraceEvent audit;
+    audit.kind = obs::EventKind::kGraphCheck;
+    audit.item = item;
+    audit.shard = shard;
+    audit.flag = coordinator_->graph().IsAcyclic();
+    tracer().Emit(std::move(audit));
   }
   TxnState& ts = EnsureTxn(txn, client_site - 1);
   ++ts.slots_outstanding;
@@ -739,14 +683,6 @@ void ShardedG2plEngine::OnReaderRelease(
     TxnId writer_txn, ItemId item, Version version,
     std::shared_ptr<const core::ForwardList> fl, int32_t writer_entry_index) {
   if (drained_.count(writer_txn) > 0) return;
-  if (config().record_protocol_events) {
-    ProtocolEvent event;
-    event.kind = ProtocolEventKind::kReaderReleaseArrived;
-    event.txn = writer_txn;
-    event.item = item;
-    event.server = ShardOf(item);
-    RecordEvent(std::move(event));
-  }
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kReaderRelease;
@@ -802,14 +738,6 @@ void ShardedG2plEngine::TryForward(TxnId txn, ItemId item) {
   if (ob.forwarded || !ob.data_arrived || !ts.finished) return;
   if (ts.committed && ob.releases_received < ob.releases_needed) return;
   ob.forwarded = true;
-  if (ts.committed && ob.is_writer && config().record_protocol_events) {
-    ProtocolEvent event;
-    event.kind = ProtocolEventKind::kWriterUpdateReleased;
-    event.txn = txn;
-    event.item = item;
-    event.server = ShardOf(item);
-    RecordEvent(std::move(event));
-  }
   if (ts.committed && ob.is_writer && tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kWriterRelease;

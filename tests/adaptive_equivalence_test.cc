@@ -26,9 +26,10 @@ void ExpectSameWelford(const stats::Welford& a, const stats::Welford& b,
 }
 
 /// Field-for-field equality of everything the protocol *does* — metrics,
-/// event counts, traffic, the committed history, and the protocol-event
-/// stream. The adaptive cap telemetry is compared separately (a pinned
-/// controller reports its cap where the static path reports zeros).
+/// event counts, traffic, the committed history, and the whole
+/// observability trace. The adaptive cap telemetry is compared separately
+/// (a pinned controller reports its cap where the static path reports
+/// zeros).
 void ExpectSameBehavior(const RunResult& a, const RunResult& b) {
   ExpectSameWelford(a.response, b.response, "response");
   ExpectSameWelford(a.op_wait, b.op_wait, "op_wait");
@@ -71,21 +72,9 @@ void ExpectSameBehavior(const RunResult& a, const RunResult& b) {
       EXPECT_EQ(x.ops[k].version_written, y.ops[k].version_written);
     }
   }
-  ASSERT_EQ(a.protocol_events.size(), b.protocol_events.size());
-  for (size_t i = 0; i < a.protocol_events.size(); ++i) {
-    const ProtocolEvent& x = a.protocol_events[i];
-    const ProtocolEvent& y = b.protocol_events[i];
-    EXPECT_EQ(x.kind, y.kind) << "event " << i;
-    EXPECT_EQ(x.time, y.time) << "event " << i;
-    EXPECT_EQ(x.txn, y.txn) << "event " << i;
-    EXPECT_EQ(x.item, y.item) << "event " << i;
-    EXPECT_EQ(x.server, y.server) << "event " << i;
-    EXPECT_EQ(x.flag, y.flag) << "event " << i;
-    ASSERT_EQ(x.entries.size(), y.entries.size()) << "event " << i;
-    for (size_t e = 0; e < x.entries.size(); ++e) {
-      EXPECT_EQ(x.entries[e].is_read_group, y.entries[e].is_read_group);
-      EXPECT_EQ(x.entries[e].txns, y.entries[e].txns);
-    }
+  ASSERT_EQ(a.obs_trace.size(), b.obs_trace.size());
+  for (size_t i = 0; i < a.obs_trace.size(); ++i) {
+    ASSERT_TRUE(a.obs_trace[i] == b.obs_trace[i]) << "trace event " << i;
   }
 }
 
@@ -107,7 +96,7 @@ SimConfig BaseConfig(Protocol protocol) {
   config.warmup_txns = 40;
   config.seed = 11;
   config.record_history = true;
-  config.record_protocol_events = true;
+  config.obs_trace = true;
   config.max_sim_time = 2'000'000'000;
   return config;
 }

@@ -2,8 +2,8 @@
 // acceptance): with link_bandwidth = 0 (infinite — the paper's model) the
 // engines must reproduce the pure-propagation results *bit for bit* —
 // every metric, the event counts, the network counters, the committed
-// history, and the protocol-event stream — whatever other options are set.
-// Enabling nic_queue alone must be a complete no-op; only a finite
+// history, and the whole observability trace — whatever other options are
+// set. Enabling nic_queue alone must be a complete no-op; only a finite
 // bandwidth may change anything. This pins the degenerate-case guarantee
 // DESIGN.md §9 promises, across every protocol and the option corners that
 // exercise different code paths.
@@ -75,16 +75,10 @@ void ExpectSameResult(const RunResult& base, const RunResult& linked) {
       EXPECT_EQ(a.ops[k].version_written, b.ops[k].version_written);
     }
   }
-  ASSERT_EQ(base.protocol_events.size(), linked.protocol_events.size());
-  for (size_t i = 0; i < base.protocol_events.size(); ++i) {
-    const ProtocolEvent& a = base.protocol_events[i];
-    const ProtocolEvent& b = linked.protocol_events[i];
-    EXPECT_EQ(a.kind, b.kind) << "event " << i;
-    EXPECT_EQ(a.time, b.time) << "event " << i;
-    EXPECT_EQ(a.txn, b.txn) << "event " << i;
-    EXPECT_EQ(a.item, b.item) << "event " << i;
-    EXPECT_EQ(a.server, b.server) << "event " << i;
-    EXPECT_EQ(a.flag, b.flag) << "event " << i;
+  ASSERT_EQ(base.obs_trace.size(), linked.obs_trace.size());
+  for (size_t i = 0; i < base.obs_trace.size(); ++i) {
+    ASSERT_TRUE(base.obs_trace[i] == linked.obs_trace[i])
+        << "trace event " << i;
   }
 }
 
@@ -98,7 +92,7 @@ SimConfig BaseConfig(Protocol protocol) {
   config.warmup_txns = 40;
   config.seed = 11;
   config.record_history = true;
-  config.record_protocol_events = true;
+  config.obs_trace = true;
   config.max_sim_time = 2'000'000'000;
   return config;
 }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -33,7 +34,7 @@ proto::SimConfig RandomConfig(proto::Protocol protocol, uint64_t seed) {
   config.warmup_txns = 25;
   config.seed = seed;
   config.record_history = true;
-  config.record_protocol_events = true;
+  config.obs_trace = true;
   // Restart-heavy policies (no-wait under write-hot workloads) need more
   // simulated time than the blocking protocols to commit the same count.
   config.max_sim_time = 4'000'000'000;
@@ -43,12 +44,12 @@ proto::SimConfig RandomConfig(proto::Protocol protocol, uint64_t seed) {
 proto::RunResult CheckRun(const proto::SimConfig& config) {
   proto::RunResult result = proto::RunSimulation(config);
   EXPECT_FALSE(result.timed_out);
+  const std::vector<proto::ProtocolEvent> events =
+      proto::ProtocolEventsFromTrace(result.obs_trace);
   std::string why;
-  EXPECT_TRUE(proto::CheckAcyclicity(result.protocol_events, &why)) << why;
-  EXPECT_TRUE(
-      proto::CheckForwardListOrderConsistency(result.protocol_events, &why))
-      << why;
-  EXPECT_TRUE(proto::CheckMr1wDiscipline(result.protocol_events, &why)) << why;
+  EXPECT_TRUE(proto::CheckAcyclicity(events, &why)) << why;
+  EXPECT_TRUE(proto::CheckForwardListOrderConsistency(events, &why)) << why;
+  EXPECT_TRUE(proto::CheckMr1wDiscipline(events, &why)) << why;
   EXPECT_TRUE(proto::HistoryIsSerializable(result.history, &why)) << why;
   return result;
 }
@@ -72,7 +73,7 @@ TEST(CcInvariantsTest, EveryEngineStaysSerializableAcrossShardCounts) {
 
 // Cross-server 2PC must actually engage for every registered engine: under
 // 4 shards each one commits distributed transactions, and the commit rounds
-// appear in the protocol-event stream (prepare before decision, a full
+// appear in the trace's protocol events (prepare before decision, a full
 // round of yes votes per decision).
 TEST(CcInvariantsTest, NewEnginesRunTwoPhaseCommitRounds) {
   for (const EngineInfo& info : Engines()) {
@@ -86,7 +87,8 @@ TEST(CcInvariantsTest, NewEnginesRunTwoPhaseCommitRounds) {
     int64_t prepares = 0;
     int64_t yes_votes = 0;
     int64_t decisions = 0;
-    for (const proto::ProtocolEvent& event : result.protocol_events) {
+    for (const proto::ProtocolEvent& event :
+         proto::ProtocolEventsFromTrace(result.obs_trace)) {
       prepares += event.kind == proto::ProtocolEventKind::kPrepareArrived;
       yes_votes +=
           event.kind == proto::ProtocolEventKind::kVoteArrived && event.flag;

@@ -96,7 +96,7 @@ SimConfig BatteryConfig(Protocol protocol, CommitPath path, uint64_t seed) {
   config.warmup_txns = 15;
   config.seed = seed;
   config.record_history = true;
-  config.record_protocol_events = true;
+  config.obs_trace = true;
   config.max_sim_time = 4'000'000'000;
   return config;
 }
@@ -183,8 +183,10 @@ TEST(CommitPathBatteryTest, EveryEngineTimesEveryVariantStaysSerializable) {
         EXPECT_GT(result.commits, 0);
         std::string why;
         EXPECT_TRUE(HistoryIsSerializable(result.history, &why)) << why;
-        EXPECT_TRUE(CheckAcyclicity(result.protocol_events, &why)) << why;
-        EXPECT_TRUE(CheckMr1wDiscipline(result.protocol_events, &why)) << why;
+        const std::vector<ProtocolEvent> events =
+            ProtocolEventsFromTrace(result.obs_trace);
+        EXPECT_TRUE(CheckAcyclicity(events, &why)) << why;
+        EXPECT_TRUE(CheckMr1wDiscipline(events, &why)) << why;
         CheckCommittedTxns(result, config, occ_engine);
         if (servers > 1) {
           EXPECT_GT(result.cross_server_commits, 0);

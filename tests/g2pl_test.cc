@@ -2,8 +2,11 @@
 // concurrency, the read penalty, the read-only optimization, aging, and
 // option plumbing.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "obs/trace.h"
 #include "protocols/engine.h"
 #include "protocols/sharded.h"
 
@@ -24,6 +27,81 @@ SimConfig HotItemConfig(Protocol protocol) {
   config.seed = 21;
   config.max_sim_time = 1'000'000'000;
   return config;
+}
+
+/// The paper's §3.2 worked example, as examples/quickstart runs it: three
+/// clients each send one exclusive request for the one item at the same
+/// instant; latency 2, processing 1.
+SimConfig WorkedExampleConfig(Protocol protocol) {
+  SimConfig config;
+  config.protocol = protocol;
+  config.num_clients = 3;
+  config.latency = 2;
+  config.workload.num_items = 1;
+  config.workload.min_items_per_txn = 1;
+  config.workload.max_items_per_txn = 1;
+  config.workload.read_prob = 0.0;
+  config.workload.min_think = 1;
+  config.workload.max_think = 1;
+  config.workload.min_idle = 1000;  // one transaction per client
+  config.workload.max_idle = 1000;
+  config.measured_txns = 3;
+  config.warmup_txns = 0;
+  config.seed = 7;
+  config.obs_trace = true;
+  config.max_sim_time = 20000;
+  return config;
+}
+
+/// The run's kMsgSend events, in send order.
+std::vector<obs::TraceEvent> Sends(const RunResult& result) {
+  std::vector<obs::TraceEvent> sends;
+  for (const obs::TraceEvent& event : result.obs_trace) {
+    if (event.kind == obs::EventKind::kMsgSend) sends.push_back(event);
+  }
+  return sends;
+}
+
+// s-2PL routes each hand-off through the server (release, then grant: two
+// hops). g-2PL's first window holds client1 alone (its request finds the
+// item at the server); the second chains client2 -> client3, so that
+// hand-off migrates client to client in one hop. g-2PL sends one message
+// fewer and the last holder finishes two units sooner.
+TEST(G2plTest, PaperWorkedExampleTimeline) {
+  const RunResult s2pl = RunSimulation(WorkedExampleConfig(Protocol::kS2pl));
+  const RunResult g2pl = RunSimulation(WorkedExampleConfig(Protocol::kG2pl));
+  ASSERT_FALSE(s2pl.timed_out);
+  ASSERT_FALSE(g2pl.timed_out);
+
+  EXPECT_EQ(s2pl.network.messages, 9u);
+  EXPECT_EQ(s2pl.response.min(), 5.0);
+  EXPECT_EQ(s2pl.response.mean(), 10.0);
+  EXPECT_EQ(s2pl.response.max(), 15.0);
+  EXPECT_EQ(g2pl.network.messages, 8u);
+  EXPECT_EQ(g2pl.response.min(), 5.0);
+  EXPECT_DOUBLE_EQ(g2pl.response.mean(), 28.0 / 3.0);
+  EXPECT_EQ(g2pl.response.max(), 13.0);
+
+  const std::vector<obs::TraceEvent> s2pl_sends = Sends(s2pl);
+  ASSERT_EQ(s2pl_sends.size(), 9u);
+  for (const obs::TraceEvent& send : s2pl_sends) {
+    EXPECT_TRUE(send.site == kServerSite || send.peer == kServerSite)
+        << send.label << " from client" << send.site << " to client"
+        << send.peer;
+  }
+  const std::vector<obs::TraceEvent> g2pl_sends = Sends(g2pl);
+  ASSERT_EQ(g2pl_sends.size(), 8u);
+  std::vector<obs::TraceEvent> migrations;
+  for (const obs::TraceEvent& send : g2pl_sends) {
+    if (send.site != kServerSite && send.peer != kServerSite) {
+      migrations.push_back(send);
+    }
+  }
+  ASSERT_EQ(migrations.size(), 1u);
+  EXPECT_EQ(migrations[0].site, 2);
+  EXPECT_EQ(migrations[0].peer, 3);
+  EXPECT_EQ(migrations[0].label, "data");
+  EXPECT_EQ(migrations[0].time - g2pl_sends[0].time, 10);
 }
 
 TEST(G2plTest, GroupingHalvesHotItemHandoffCost) {

@@ -38,7 +38,6 @@ proto::SimConfig LeaseConfig(proto::Protocol protocol, uint64_t seed) {
   config.warmup_txns = 20;
   config.seed = seed;
   config.record_history = true;
-  config.record_protocol_events = true;
   config.obs_trace = true;
   config.max_sim_time = 4'000'000'000;
   return config;
@@ -56,7 +55,10 @@ int64_t CountKind(const std::vector<obs::TraceEvent>& trace,
 // The headline sweep: every lease-capable engine x lease mode x shard
 // count, randomized workloads, full invariant battery. The lease-coherence
 // check runs inside CheckProtocolInvariants (a no-op stream under
-// --lease=none, exercised for real under sticky).
+// --lease=none, exercised for real under sticky). Seeds 1-2 run the
+// paper's pure-propagation transport; seed 3 runs a finite-bandwidth link
+// with FIFO NIC queues, the in-order transport sticky leases accept at
+// finite bandwidth.
 TEST(LeaseProtocolTest, EveryEngineStaysSerializableUnderLeases) {
   for (const char* name : kLeaseEngines) {
     const EngineInfo* info = FindEngine(name);
@@ -64,10 +66,14 @@ TEST(LeaseProtocolTest, EveryEngineStaysSerializableUnderLeases) {
     for (const lease::LeaseMode mode :
          {lease::LeaseMode::kNone, lease::LeaseMode::kSticky}) {
       for (int32_t servers : {1, 2, 5, 8}) {
-        for (uint64_t seed = 1; seed <= 2; ++seed) {
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
           proto::SimConfig config = LeaseConfig(info->protocol, seed);
           config.num_servers = servers;
           config.lease.mode = mode;
+          if (seed == 3) {
+            config.link_bandwidth = 0.1;
+            config.nic_queue = true;
+          }
           SCOPED_TRACE(std::string(name) + " lease " +
                        (mode == lease::LeaseMode::kSticky ? "sticky" : "none") +
                        " servers " + std::to_string(servers) + " seed " +
@@ -76,8 +82,8 @@ TEST(LeaseProtocolTest, EveryEngineStaysSerializableUnderLeases) {
           ASSERT_FALSE(result.timed_out);
           EXPECT_GT(result.commits, 0);
           std::string why;
-          EXPECT_TRUE(proto::CheckProtocolInvariants(result.protocol_events,
-                                                     &why))
+          EXPECT_TRUE(proto::CheckProtocolInvariants(
+              proto::ProtocolEventsFromTrace(result.obs_trace), &why))
               << why;
           EXPECT_TRUE(proto::HistoryIsSerializable(result.history, &why))
               << why;
@@ -165,6 +171,41 @@ TEST(LeaseProtocolTest, NonLockEnginesRejectSticky) {
     proto::SimConfig config = LeaseConfig(info->protocol, 1);
     config.lease.mode = lease::LeaseMode::kSticky;
     EXPECT_FALSE(config.Validate().ok()) << name;
+  }
+}
+
+// Config validation: lease callbacks assume in-order delivery per channel,
+// so sticky leases reject the transports that reorder one — latency jitter,
+// and finite bandwidth without NIC queues (a short revoke overtakes the
+// long data-carrying grant it follows). FIFO NIC queues and the fixed
+// per-pair latencies of spread and the server mesh keep order and pass.
+TEST(LeaseProtocolTest, StickyRejectsReorderingTransports) {
+  for (const char* name : kLeaseEngines) {
+    const EngineInfo* info = FindEngine(name);
+    ASSERT_NE(info, nullptr) << name;
+    proto::SimConfig config = LeaseConfig(info->protocol, 1);
+    config.lease.mode = lease::LeaseMode::kSticky;
+    ASSERT_TRUE(config.Validate().ok()) << name;
+
+    proto::SimConfig jitter = config;
+    jitter.latency_jitter = 100;
+    EXPECT_FALSE(jitter.Validate().ok()) << name;
+    proto::SimConfig unqueued = config;
+    unqueued.link_bandwidth = 0.1;
+    EXPECT_FALSE(unqueued.Validate().ok()) << name;
+
+    proto::SimConfig queued = unqueued;
+    queued.nic_queue = true;
+    EXPECT_TRUE(queued.Validate().ok()) << name;
+    proto::SimConfig ordered_wan = config;
+    ordered_wan.latency_spread = 0.5;
+    ordered_wan.server_latency = 10;
+    EXPECT_TRUE(ordered_wan.Validate().ok()) << name;
+    // The same transports stay legal without leases.
+    jitter.lease.mode = lease::LeaseMode::kNone;
+    unqueued.lease.mode = lease::LeaseMode::kNone;
+    EXPECT_TRUE(jitter.Validate().ok()) << name;
+    EXPECT_TRUE(unqueued.Validate().ok()) << name;
   }
 }
 

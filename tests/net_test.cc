@@ -8,10 +8,26 @@
 #include <gtest/gtest.h>
 
 #include "net/latency_model.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 
 namespace gtpl::net {
 namespace {
+
+/// The kMsgDeliver events of `tracer`, in delivery order.
+std::vector<obs::TraceEvent> Deliveries(const obs::Tracer& tracer) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& event : tracer.events()) {
+    if (event.kind == obs::EventKind::kMsgDeliver) out.push_back(event);
+  }
+  return out;
+}
+
+/// Send time of a delivered message: delivery minus its four delay
+/// components (sender queue, propagation, receiver queue, transmission).
+SimTime SendTime(const obs::TraceEvent& deliver) {
+  return deliver.time - deliver.d0 - deliver.d1 - deliver.d2 - deliver.d3;
+}
 
 TEST(UniformLatencyTest, SameForEveryPair) {
   UniformLatency model(250);
@@ -70,28 +86,38 @@ TEST(NetworkTest, CountsMessagesByDirection) {
   EXPECT_EQ(net.stats().client_to_client, 2u);
 }
 
-TEST(NetworkTest, TracingRecordsTimeline) {
+TEST(NetworkTest, DeliverEventsRecordTimeline) {
   sim::Simulator sim;
+  obs::Tracer tracer;
+  tracer.Attach(&sim);
+  tracer.Enable();
   Network net(&sim, std::make_unique<UniformLatency>(10));
-  net.EnableTracing();
+  net.SetTracer(&tracer);
   net.Send(1, 2, "hop", [&] {
     net.Send(2, 0, "back", [] {});
   });
   sim.Run();
-  ASSERT_EQ(net.trace().size(), 2u);
-  EXPECT_EQ(net.trace()[0].send_time, 0);
-  EXPECT_EQ(net.trace()[0].deliver_time, 10);
-  EXPECT_EQ(net.trace()[0].label, "hop");
-  EXPECT_EQ(net.trace()[1].send_time, 10);
-  EXPECT_EQ(net.trace()[1].deliver_time, 20);
+  const std::vector<obs::TraceEvent> delivered = Deliveries(tracer);
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(SendTime(delivered[0]), 0);
+  EXPECT_EQ(delivered[0].time, 10);
+  EXPECT_EQ(delivered[0].label, "hop");
+  EXPECT_EQ(delivered[0].site, 2);
+  EXPECT_EQ(delivered[0].peer, 1);
+  EXPECT_EQ(SendTime(delivered[1]), 10);
+  EXPECT_EQ(delivered[1].time, 20);
+  EXPECT_EQ(delivered[1].label, "back");
 }
 
-TEST(NetworkTest, NoTraceWhenDisabled) {
+TEST(NetworkTest, NoTraceWhenTracerDisabled) {
   sim::Simulator sim;
+  obs::Tracer tracer;
+  tracer.Attach(&sim);
   Network net(&sim, std::make_unique<UniformLatency>(10));
+  net.SetTracer(&tracer);
   net.Send(1, 2, "hop", [] {});
   sim.Run();
-  EXPECT_TRUE(net.trace().empty());
+  EXPECT_TRUE(tracer.events().empty());
 }
 
 TEST(NetworkTest, SameTickMessagesDeliverInSendOrder) {
@@ -142,43 +168,61 @@ TEST(NetworkTest, SiteLayoutClassifiesShardServerTraffic) {
   EXPECT_EQ(net.stats().client_to_client, 1u);
 }
 
-TEST(NetworkTest, TraceRecordsPayloadAndDegenerateQueueTimes) {
+TEST(NetworkTest, DeliverEventCarriesPayloadAndDegenerateQueueTimes) {
   sim::Simulator sim;
+  obs::Tracer tracer;
+  tracer.Attach(&sim);
+  tracer.Enable();
   Network net(&sim, std::make_unique<UniformLatency>(10));
-  net.EnableTracing();
+  net.SetTracer(&tracer);
   net.Send(1, 0, "req", [] {}, kControlPayload + kDataPayload);
   sim.Run();
-  ASSERT_EQ(net.trace().size(), 1u);
-  const TraceRecord& record = net.trace()[0];
-  EXPECT_EQ(record.payload, kControlPayload + kDataPayload);
-  // Pure propagation: no sender queueing (tx starts at send time) and no
-  // receiver queueing (first bit and delivery coincide).
-  EXPECT_EQ(record.tx_start, record.send_time);
-  EXPECT_EQ(record.rx_queue_entry, record.deliver_time);
+  const std::vector<obs::TraceEvent> delivered = Deliveries(tracer);
+  ASSERT_EQ(delivered.size(), 1u);
+  const obs::TraceEvent& event = delivered[0];
+  EXPECT_EQ(event.payload,
+            static_cast<int64_t>(kControlPayload + kDataPayload));
+  // Pure propagation: no sender queueing (tx starts at send time), no
+  // receiver queueing and no transmission (first bit and delivery
+  // coincide); the whole flight is propagation.
+  EXPECT_EQ(event.d0, 0);
+  EXPECT_EQ(event.d1, 10);
+  EXPECT_EQ(event.d2, 0);
+  EXPECT_EQ(event.d3, 0);
 }
 
-TEST(NetworkTest, LinkTraceSeparatesQueueEntryFromDelivery) {
+TEST(NetworkTest, LinkDeliverEventsSeparateQueueingFromTransmission) {
   sim::Simulator sim;
+  obs::Tracer tracer;
+  tracer.Attach(&sim);
+  tracer.Enable();
   LinkConfig link;
   link.bandwidth = 1.0;  // payload 8 -> 8 ticks of transmission
   link.nic_queue = true;
   Network net(&sim, std::make_unique<UniformLatency>(10), link);
-  net.EnableTracing();
+  net.SetTracer(&tracer);
   // Two same-tick sends from one site: b waits behind a in the uplink.
   net.Send(1, 0, "a", [] {}, 8);
   net.Send(1, 0, "b", [] {}, 8);
   sim.Run();
-  ASSERT_EQ(net.trace().size(), 2u);
-  const TraceRecord& a = net.trace()[0];
-  EXPECT_EQ(a.send_time, 0);
-  EXPECT_EQ(a.tx_start, 0);
-  EXPECT_EQ(a.rx_queue_entry, 10);  // first bit after propagation
-  EXPECT_EQ(a.deliver_time, 18);    // + transmission at the downlink
-  const TraceRecord& b = net.trace()[1];
-  EXPECT_EQ(b.send_time, 0);
-  EXPECT_EQ(b.tx_start, 8);         // queued behind a's transmission
-  EXPECT_EQ(b.rx_queue_entry, 18);
-  EXPECT_EQ(b.deliver_time, 26);
+  const std::vector<obs::TraceEvent> delivered = Deliveries(tracer);
+  ASSERT_EQ(delivered.size(), 2u);
+  const obs::TraceEvent& a = delivered[0];
+  EXPECT_EQ(a.label, "a");
+  EXPECT_EQ(SendTime(a), 0);
+  EXPECT_EQ(a.d0, 0);    // transmits at once
+  EXPECT_EQ(a.d1, 10);   // first bit at the downlink after propagation
+  EXPECT_EQ(a.d2, 0);    // downlink idle on arrival
+  EXPECT_EQ(a.d3, 8);    // + transmission at the downlink
+  EXPECT_EQ(a.time, 18);
+  const obs::TraceEvent& b = delivered[1];
+  EXPECT_EQ(b.label, "b");
+  EXPECT_EQ(SendTime(b), 0);
+  EXPECT_EQ(b.d0, 8);    // queued behind a's transmission
+  EXPECT_EQ(b.d1, 10);   // first bit at t = 18, as a's last bit leaves
+  EXPECT_EQ(b.d2, 0);
+  EXPECT_EQ(b.d3, 8);
+  EXPECT_EQ(b.time, 26);
   EXPECT_EQ(net.stats().sender_queue_delay.count(), 2);
   EXPECT_EQ(net.stats().sender_queue_delay.max(), 8.0);
   EXPECT_EQ(net.stats().transmission_ticks, 16u);

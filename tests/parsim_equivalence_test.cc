@@ -236,17 +236,10 @@ TEST(ParsimValidateTest, RejectsEverythingOutsideTheSubset) {
   EXPECT_FALSE(instant.Validate().ok());
 
   // The obs trace works at any thread count (per-LP tracers merged at
-  // barriers — DESIGN.md §16); the legacy network trace and the protocol
-  // event recorder remain serial-engine-only.
+  // barriers — DESIGN.md §16).
   SimConfig traced = ParsimConfig(Protocol::kNoWait, 2, 2);
   traced.obs_trace = true;
   EXPECT_TRUE(traced.Validate().ok());
-  SimConfig net_trace = ParsimConfig(Protocol::kNoWait, 2, 2);
-  net_trace.trace = true;
-  EXPECT_FALSE(net_trace.Validate().ok());
-  SimConfig events = ParsimConfig(Protocol::kNoWait, 2, 2);
-  events.record_protocol_events = true;
-  EXPECT_FALSE(events.Validate().ok());
 
   // Every rejection is threads-gated: the same configs pass at 1 thread.
   SimConfig serial = ParsimConfig(Protocol::kS2pl, 2, 1);

@@ -7,6 +7,9 @@
 // themselves are also exercised on synthetic violating streams, so a
 // regression in the checkers cannot silently hollow out the suite.
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "protocols/engine.h"
@@ -29,7 +32,7 @@ SimConfig RandomConfig(Protocol protocol, uint64_t seed) {
   config.warmup_txns = 25;
   config.seed = seed;
   config.record_history = true;
-  config.record_protocol_events = true;
+  config.obs_trace = true;
   config.max_sim_time = 2'000'000'000;
   return config;
 }
@@ -37,11 +40,12 @@ SimConfig RandomConfig(Protocol protocol, uint64_t seed) {
 void CheckRun(const SimConfig& config) {
   const RunResult result = RunSimulation(config);
   ASSERT_FALSE(result.timed_out);
+  const std::vector<ProtocolEvent> events =
+      ProtocolEventsFromTrace(result.obs_trace);
   std::string why;
-  EXPECT_TRUE(CheckAcyclicity(result.protocol_events, &why)) << why;
-  EXPECT_TRUE(CheckForwardListOrderConsistency(result.protocol_events, &why))
-      << why;
-  EXPECT_TRUE(CheckMr1wDiscipline(result.protocol_events, &why)) << why;
+  EXPECT_TRUE(CheckAcyclicity(events, &why)) << why;
+  EXPECT_TRUE(CheckForwardListOrderConsistency(events, &why)) << why;
+  EXPECT_TRUE(CheckMr1wDiscipline(events, &why)) << why;
   EXPECT_TRUE(HistoryIsSerializable(result.history, &why)) << why;
 }
 
@@ -92,9 +96,11 @@ TEST(ShardingInvariantsTest, Mr1wDisciplineIsExercised) {
     config.workload.read_prob = 0.6;
     const RunResult result = RunSimulation(config);
     ASSERT_FALSE(result.timed_out);
+    const std::vector<ProtocolEvent> events =
+        ProtocolEventsFromTrace(result.obs_trace);
     int64_t reader_releases = 0;
     int64_t writer_releases = 0;
-    for (const ProtocolEvent& event : result.protocol_events) {
+    for (const ProtocolEvent& event : events) {
       reader_releases +=
           event.kind == ProtocolEventKind::kReaderReleaseArrived;
       writer_releases +=
@@ -103,7 +109,7 @@ TEST(ShardingInvariantsTest, Mr1wDisciplineIsExercised) {
     EXPECT_GT(reader_releases, 0) << "servers " << servers;
     EXPECT_GT(writer_releases, 0) << "servers " << servers;
     std::string why;
-    EXPECT_TRUE(CheckMr1wDiscipline(result.protocol_events, &why)) << why;
+    EXPECT_TRUE(CheckMr1wDiscipline(events, &why)) << why;
   }
 }
 
@@ -121,7 +127,8 @@ TEST(ShardingInvariantsTest, TwoPhaseCommitRoundsAreRecorded) {
     int64_t prepares = 0;
     int64_t yes_votes = 0;
     int64_t decisions = 0;
-    for (const ProtocolEvent& event : result.protocol_events) {
+    for (const ProtocolEvent& event :
+         ProtocolEventsFromTrace(result.obs_trace)) {
       prepares += event.kind == ProtocolEventKind::kPrepareArrived;
       yes_votes +=
           event.kind == ProtocolEventKind::kVoteArrived && event.flag;
@@ -138,7 +145,8 @@ TEST(ShardingInvariantsTest, TwoPhaseCommitRoundsAreRecorded) {
 // Checker self-tests on synthetic streams
 // ---------------------------------------------------------------------------
 
-ProtocolEvent Window(ItemId item, std::vector<FlEntryRecord> entries) {
+ProtocolEvent Window(ItemId item,
+                     std::vector<obs::FlEntrySnapshot> entries) {
   ProtocolEvent event;
   event.kind = ProtocolEventKind::kWindowDispatched;
   event.item = item;
