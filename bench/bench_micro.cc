@@ -31,6 +31,36 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
 
+// Steady state, as a running simulator sees the queue: N events pending,
+// then each iteration pops the earliest, runs it, and pushes one at
+// now + delay. Each callback captures 32 bytes, past std::function's
+// inline buffer, like the engines' closures.
+void BM_EventQueueHold(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  rng::Rng rng(1);
+  std::vector<SimTime> delays(4096);
+  for (SimTime& delay : delays) delay = rng.UniformInt(0, 1000);
+  sim::EventQueue queue;
+  uint64_t seq = 0;
+  auto push = [&queue, &seq](SimTime time) {
+    const int64_t a = static_cast<int64_t>(seq);
+    const int64_t b = time;
+    const int64_t c = a ^ b;
+    const int64_t d = a + b;
+    queue.Push(time, seq++,
+               [a, b, c, d] { benchmark::DoNotOptimize(a + b + c + d); });
+  };
+  for (int64_t i = 0; i < n; ++i) push(delays[static_cast<size_t>(i) % 4096]);
+  size_t next = 0;
+  for (auto _ : state) {
+    sim::Event event = queue.Pop();
+    event.action();
+    push(event.time + delays[next++ % 4096]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1024)->Arg(16384);
+
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   const int64_t n = state.range(0);
   for (auto _ : state) {

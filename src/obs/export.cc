@@ -1,6 +1,6 @@
 #include "obs/export.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -83,16 +83,14 @@ class LineParser {
     return true;
   }
 
-  bool Int(int64_t* out) {
-    size_t end = pos_;
-    if (end < text_.size() && text_[end] == '-') ++end;
-    while (end < text_.size() && std::isdigit(
-               static_cast<unsigned char>(text_[end]))) {
-      ++end;
-    }
-    if (end == pos_) return false;
-    *out = std::stoll(text_.substr(pos_, end - pos_));
-    pos_ = end;
+  /// A decimal integer that fits `T`; out-of-range values are rejected.
+  template <typename T>
+  bool Int(T* out) {
+    const char* first = text_.data() + pos_;
+    const auto [end, ec] =
+        std::from_chars(first, text_.data() + text_.size(), *out);
+    if (ec != std::errc()) return false;
+    pos_ += static_cast<size_t>(end - first);
     return true;
   }
 
@@ -108,9 +106,16 @@ class LineParser {
           case 'n': c = '\n'; break;
           case 't': c = '\t'; break;
           case 'u': {
+            // Exactly four hex digits naming one byte: the writer escapes
+            // only control characters.
             if (pos_ + 4 > text_.size()) return false;
-            c = static_cast<char>(
-                std::stoi(text_.substr(pos_, 4), nullptr, 16));
+            const char* first = text_.data() + pos_;
+            unsigned code = 0;
+            const auto [end, ec] = std::from_chars(first, first + 4, code, 16);
+            if (ec != std::errc() || end != first + 4 || code > 0xff) {
+              return false;
+            }
+            c = static_cast<char>(code);
             pos_ += 4;
             break;
           }
@@ -132,22 +137,44 @@ class LineParser {
   size_t pos_ = 0;
 };
 
+/// The optional `,"fl":[...]` forward-list snapshot of a window event.
+bool ParseFl(LineParser* p, TraceEvent* e) {
+  if (!p->Literal(",\"fl\":[")) return false;
+  while (!p->Peek(']')) {
+    FlEntrySnapshot entry;
+    int64_t rg = 0;
+    if (!p->Literal("{\"rg\":") || !p->Int(&rg)) return false;
+    entry.is_read_group = rg != 0;
+    if (!p->Literal(",\"txns\":[")) return false;
+    while (!p->Peek(']')) {
+      TxnId txn = 0;
+      if (!p->Int(&txn)) return false;
+      entry.txns.push_back(txn);
+      if (p->Peek(',')) p->Literal(",");
+    }
+    if (!p->Literal("]}")) return false;
+    e->entries.push_back(std::move(entry));
+    if (p->Peek(',')) p->Literal(",");
+  }
+  return p->Literal("]");
+}
+
 bool ParseLine(const std::string& line, TraceEvent* e, std::string* error) {
   LineParser p(line);
   int64_t v = 0;
   std::string kind_name;
   const bool header =
-      p.Literal("{\"seq\":") && p.Int(&v) && ((e->seq = static_cast<uint64_t>(v)), true) &&
-      p.Literal(",\"t\":") && p.Int(&v) && ((e->time = v), true) &&
+      p.Literal("{\"seq\":") && p.Int(&e->seq) &&
+      p.Literal(",\"t\":") && p.Int(&e->time) &&
       p.Literal(",\"kind\":") && p.QuotedString(&kind_name) &&
-      p.Literal(",\"txn\":") && p.Int(&v) && ((e->txn = v), true) &&
-      p.Literal(",\"site\":") && p.Int(&v) && ((e->site = static_cast<SiteId>(v)), true) &&
-      p.Literal(",\"peer\":") && p.Int(&v) && ((e->peer = static_cast<SiteId>(v)), true) &&
-      p.Literal(",\"item\":") && p.Int(&v) && ((e->item = static_cast<ItemId>(v)), true) &&
-      p.Literal(",\"shard\":") && p.Int(&v) && ((e->shard = static_cast<int32_t>(v)), true) &&
-      p.Literal(",\"mode\":") && p.Int(&v) && ((e->mode = static_cast<int32_t>(v)), true) &&
+      p.Literal(",\"txn\":") && p.Int(&e->txn) &&
+      p.Literal(",\"site\":") && p.Int(&e->site) &&
+      p.Literal(",\"peer\":") && p.Int(&e->peer) &&
+      p.Literal(",\"item\":") && p.Int(&e->item) &&
+      p.Literal(",\"shard\":") && p.Int(&e->shard) &&
+      p.Literal(",\"mode\":") && p.Int(&e->mode) &&
       p.Literal(",\"flag\":") && p.Int(&v) && ((e->flag = v != 0), true) &&
-      p.Literal(",\"payload\":") && p.Int(&v) && ((e->payload = v), true) &&
+      p.Literal(",\"payload\":") && p.Int(&e->payload) &&
       p.Literal(",\"d0\":") && p.Int(&e->d0) &&
       p.Literal(",\"d1\":") && p.Int(&e->d1) &&
       p.Literal(",\"d2\":") && p.Int(&e->d2) &&
@@ -158,27 +185,9 @@ bool ParseLine(const std::string& line, TraceEvent* e, std::string* error) {
     if (error != nullptr) *error = "malformed event line: " + line;
     return false;
   }
-  if (p.Peek(',')) {
-    if (!p.Literal(",\"fl\":[")) {
-      if (error != nullptr) *error = "malformed fl array: " + line;
-      return false;
-    }
-    while (!p.Peek(']')) {
-      FlEntrySnapshot entry;
-      if (!p.Literal("{\"rg\":") || !p.Int(&v)) return false;
-      entry.is_read_group = v != 0;
-      if (!p.Literal(",\"txns\":[")) return false;
-      while (!p.Peek(']')) {
-        int64_t txn = 0;
-        if (!p.Int(&txn)) return false;
-        entry.txns.push_back(txn);
-        if (p.Peek(',')) p.Literal(",");
-      }
-      if (!p.Literal("]}")) return false;
-      e->entries.push_back(std::move(entry));
-      if (p.Peek(',')) p.Literal(",");
-    }
-    if (!p.Literal("]")) return false;
+  if (p.Peek(',') && !ParseFl(&p, e)) {
+    if (error != nullptr) *error = "malformed fl array: " + line;
+    return false;
   }
   if (!p.Literal("}") || !p.Done()) {
     if (error != nullptr) *error = "trailing garbage: " + line;

@@ -384,7 +384,9 @@ void EngineBase::FinalizeCommit(TxnRun& run) {
       gc.updates.emplace_back(record.item, record.version_written);
     }
   }
-  gc_queues_[static_cast<size_t>(run.client_index)].push_back(std::move(gc));
+  auto& queue = gc_queues_[static_cast<size_t>(run.client_index)];
+  if (queue.empty()) gc_pending_clients_.push_back(run.client_index);
+  queue.push_back(std::move(gc));
   DoCommit(run);
   OnTxnClosed(run);
   if (measured_commits_ >= config_.measured_txns) {
@@ -401,7 +403,10 @@ void EngineBase::MaybeGcClientLogs() {
     server_wal_->Force(server_wal_->next_lsn() - 1);
     server_wal_->TruncateThrough(server_wal_->durable_lsn());
   }
-  for (size_t i = 0; i < clients_.size(); ++i) {
+  // Only clients with pending commits are visited. Each visit touches only
+  // that client's queue and log, so the visiting order is free.
+  for (size_t k = 0; k < gc_pending_clients_.size();) {
+    const auto i = static_cast<size_t>(gc_pending_clients_[k]);
     auto& queue = gc_queues_[i];
     db::WriteAheadLog& wal = *clients_[i].wal;
     while (!queue.empty()) {
@@ -417,6 +422,12 @@ void EngineBase::MaybeGcClientLogs() {
       wal.Force(front.lsn);
       wal.TruncateThrough(front.lsn);
       queue.pop_front();
+    }
+    if (queue.empty()) {
+      gc_pending_clients_[k] = gc_pending_clients_.back();
+      gc_pending_clients_.pop_back();
+    } else {
+      ++k;
     }
   }
 }

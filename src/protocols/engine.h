@@ -206,6 +206,7 @@ class EngineBase {
   std::unique_ptr<db::WriteAheadLog> server_wal_;
   std::vector<ClientState> clients_;
   std::vector<std::deque<PendingGc>> gc_queues_;  // one per client
+  std::vector<int32_t> gc_pending_clients_;  // clients with non-empty queues
   std::unordered_map<TxnId, int32_t> txn_client_;  // active txns only
   TxnId next_txn_id_ = 1;
   int64_t measured_commits_ = 0;

@@ -12,45 +12,55 @@ void EventQueue::Push(SimTime time, uint64_t seq, std::function<void()> action) 
       << "duplicate event seq " << seq
       << " breaks the (time, seq) determinism tiebreak";
 #endif
-  heap_.push_back(Event{time, seq, std::move(action)});
-  SiftUp(heap_.size() - 1);
+  uint32_t slot = static_cast<uint32_t>(actions_.size());
+  if (free_slots_.empty()) {
+    actions_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    actions_[slot] = std::move(action);
+  }
+  const Key key{time, seq, slot};
+  // Sift up: move parents down into the hole until the key fits.
+  size_t hole = heap_.size();
+  heap_.emplace_back();
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 2;
+    if (!Before(key, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = key;
 }
 
 Event EventQueue::Pop() {
   GTPL_CHECK(!heap_.empty());
-  Event top = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
+  const Key top = heap_.front();
+  Event event{top.time, top.seq, std::exchange(actions_[top.slot], nullptr)};
+  free_slots_.push_back(top.slot);
+  // Sift down: move the smaller child up into the hole until the last key
+  // fits there.
+  const Key last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
-  return top;
+  const size_t n = heap_.size();
+  if (n > 0) {
+    size_t hole = 0;
+    while (true) {
+      size_t child = 2 * hole + 1;
+      if (child >= n) break;
+      if (child + 1 < n && Before(heap_[child + 1], heap_[child])) ++child;
+      if (!Before(heap_[child], last)) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = last;
+  }
+  return event;
 }
 
 SimTime EventQueue::PeekTime() const {
   GTPL_CHECK(!heap_.empty());
   return heap_.front().time;
-}
-
-void EventQueue::SiftUp(size_t i) {
-  while (i > 0) {
-    size_t parent = (i - 1) / 2;
-    if (!Before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void EventQueue::SiftDown(size_t i) {
-  const size_t n = heap_.size();
-  while (true) {
-    size_t left = 2 * i + 1;
-    size_t right = left + 1;
-    size_t smallest = i;
-    if (left < n && Before(heap_[left], heap_[smallest])) smallest = left;
-    if (right < n && Before(heap_[right], heap_[smallest])) smallest = right;
-    if (smallest == i) break;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
-  }
 }
 
 }  // namespace gtpl::sim

@@ -24,9 +24,12 @@ struct Event {
 
 /// Binary min-heap of events ordered by (time, seq).
 ///
-/// A hand-rolled heap rather than std::priority_queue so that (a) Pop can
-/// move the std::function out instead of copying, and (b) the container can
-/// be cleared and reserved explicitly between runs.
+/// The heap holds only compact {time, seq, slot} keys; each callback stays
+/// put in a slot array until its event is popped, and freed slots are
+/// reused. A sift therefore moves 24-byte keys into a hole instead of
+/// swapping std::functions. Hand-rolled rather than std::priority_queue so
+/// that Pop can move the callback out and the arrays can be cleared and
+/// reserved explicitly between runs.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -48,19 +51,31 @@ class EventQueue {
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
-  void Clear() { heap_.clear(); }
-  void Reserve(size_t n) { heap_.reserve(n); }
+  void Clear() {
+    heap_.clear();
+    actions_.clear();
+    free_slots_.clear();
+  }
+  void Reserve(size_t n) {
+    heap_.reserve(n);
+    actions_.reserve(n);
+  }
 
  private:
-  static bool Before(const Event& a, const Event& b) {
+  struct Key {
+    SimTime time = 0;
+    uint64_t seq = 0;
+    uint32_t slot = 0;  // index into actions_
+  };
+
+  static bool Before(const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 
-  void SiftUp(size_t i);
-  void SiftDown(size_t i);
-
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
+  std::vector<std::function<void()>> actions_;  // by slot; empty when free
+  std::vector<uint32_t> free_slots_;
 #ifndef NDEBUG
   std::unordered_set<uint64_t> seen_seqs_;  // per-lifetime uniqueness check
 #endif

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -206,6 +207,58 @@ TEST(ExportTest, JsonlRejectsBadEscape) {
   std::string error;
   EXPECT_FALSE(ReadJsonl(in, &parsed, &error));
   EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+}
+
+// Numbers that do not fit the field they are read into. Each must fail the
+// line with a diagnostic, not throw out of the reader.
+TEST(ExportTest, JsonlRejectsOutOfRangeNumbers) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"seq\":0,", "\"seq\":99999999999999999999,"},
+      {"\"seq\":0,", "\"seq\":-1,"},
+      {"\"t\":5,", "\"t\":9223372036854775808,"},
+      {"\"site\":-1,", "\"site\":2147483648,"},
+      {"\"item\":-1,", "\"item\":-2147483649,"},
+      {"\"mode\":-1,", "\"mode\":4294967295,"},
+      {"\"d4\":0,", "\"d4\":-,"},
+  };
+  for (const auto& [from, to] : cases) {
+    std::string line = Line(5, 0);
+    const size_t at = line.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    line.replace(at, from.size(), to);
+    std::istringstream in(line);
+    std::vector<TraceEvent> parsed;
+    std::string error;
+    EXPECT_FALSE(ReadJsonl(in, &parsed, &error)) << to;
+    EXPECT_NE(error.find("line 1"), std::string::npos) << to << ": " << error;
+  }
+}
+
+// A \u escape is exactly four hex digits naming one byte.
+TEST(ExportTest, JsonlRejectsNonHexEscape) {
+  for (const char* escape :
+       {"\\uZZZZ", "\\u00g1", "\\u+041", "\\u-041", "\\u 041", "\\u0141"}) {
+    std::string line = Line(5, 0);
+    const std::string needle = "\"label\":\"\"";
+    const size_t at = line.find(needle);
+    ASSERT_NE(at, std::string::npos);
+    line.replace(at, needle.size(),
+                 std::string("\"label\":\"") + escape + "\"");
+    std::istringstream in(line);
+    std::vector<TraceEvent> parsed;
+    std::string error;
+    EXPECT_FALSE(ReadJsonl(in, &parsed, &error)) << escape;
+    EXPECT_NE(error.find("line 1"), std::string::npos)
+        << escape << ": " << error;
+  }
+  // The writer's own escape of a control byte still reads back.
+  TraceEvent event;
+  event.label = "a\x1f";
+  std::istringstream in(ToJsonl({event}));
+  std::vector<TraceEvent> parsed;
+  std::string error;
+  ASSERT_TRUE(ReadJsonl(in, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.at(0).label, "a\x1f");
 }
 
 TEST(ExportTest, JsonlIsOneObjectPerLine) {

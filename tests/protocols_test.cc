@@ -3,8 +3,12 @@
 
 #include "protocols/engine.h"
 
+#include <iterator>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "cc/registry.h"
 #include "protocols/config.h"
 #include "protocols/metrics.h"
 
@@ -146,6 +150,56 @@ TEST_P(EveryProtocolTest, ClientLogsAreGarbageCollected) {
   EXPECT_GT(result.wal_appends, 0);
   EXPECT_LT(result.wal_retained, result.wal_appends / 4)
       << "client WALs are not being truncated";
+}
+
+// Exact WAL counters of a many-client run on every registered engine. A
+// client's log is forced and truncated in the MaybeGcClientLogs call that
+// first finds its oldest pending commit permanent; doing it in any other
+// call moves wal_forces or wal_retained, which no golden pins.
+TEST(ClientLogGcTest, CountersArePinnedOnEveryEngine) {
+  struct Pinned {
+    const char* engine;
+    int32_t servers;
+    int64_t appends;
+    int64_t forces;
+    int64_t retained;
+  };
+  static const Pinned kPinned[] = {
+      {"s2pl", 1, 17903, 9471, 355},      {"g2pl", 1, 11885, 3300, 707},
+      {"c2pl", 1, 17903, 9471, 355},      {"cbl", 1, 17652, 9394, 350},
+      {"o2pl", 1, 22986, 8053, 1562},     {"nowait", 1, 29517, 7047, 1898},
+      {"waitdie", 1, 30100, 7755, 2095},  {"woundwait", 1, 19615, 9080, 613},
+      {"occ", 1, 26431, 8315, 1627},      {"ordered", 1, 19757, 8201, 731},
+      {"s2pl", 4, 31257, 17838, 387},     {"g2pl", 4, 24808, 13144, 754},
+      {"c2pl", 4, 31147, 17787, 356},     {"cbl", 4, 31185, 17325, 342},
+      {"o2pl", 4, 44618, 21165, 2452},    {"nowait", 4, 38365, 11514, 2057},
+      {"waitdie", 4, 41391, 13232, 2143}, {"woundwait", 4, 31605, 16840, 512},
+      {"occ", 4, 46491, 21420, 2345},     {"ordered", 4, 30194, 14973, 703},
+  };
+  ASSERT_EQ(std::size(kPinned), 2 * cc::Engines().size())
+      << "pin every registered engine at 1 and 4 servers";
+  for (const Pinned& pinned : kPinned) {
+    const cc::EngineInfo* info = cc::FindEngine(pinned.engine);
+    ASSERT_NE(info, nullptr) << pinned.engine;
+    SimConfig config;
+    config.protocol = info->protocol;
+    config.num_clients = 300;
+    config.num_servers = pinned.servers;
+    config.latency = 50;
+    config.workload.num_items = 500;
+    config.workload.read_prob = 0.3;
+    config.measured_txns = 3000;
+    config.warmup_txns = 300;
+    config.seed = 5;
+    config.max_sim_time = 20'000'000'000;
+    const RunResult result = RunSimulation(config);
+    const std::string what =
+        std::string(pinned.engine) + " x " + std::to_string(pinned.servers);
+    ASSERT_FALSE(result.timed_out) << what;
+    EXPECT_EQ(result.wal_appends, pinned.appends) << what;
+    EXPECT_EQ(result.wal_forces, pinned.forces) << what;
+    EXPECT_EQ(result.wal_retained, pinned.retained) << what;
+  }
 }
 
 TEST(PaperShapeTest, G2plBeatsS2plOnUpdateWorkloadInWan) {

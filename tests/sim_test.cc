@@ -2,6 +2,10 @@
 
 #include "sim/simulator.h"
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,6 +49,52 @@ TEST(EventQueueTest, SizeAndClear) {
   EXPECT_EQ(queue.size(), 2u);
   queue.Clear();
   EXPECT_TRUE(queue.empty());
+}
+
+// Differential test against a sorted reference. Seeded random pushes and
+// pops interleave while the heap grows to a few thousand events and
+// drains again, with many same-tick ties; each round ends by clearing a
+// non-empty queue, and the next round reuses it. Every pop must return the
+// reference's earliest (time, seq) and run the callback pushed with that
+// seq, so a freed slot that hands back a stale callback, or a sift that
+// breaks (time, seq) order, fails here.
+TEST(EventQueueTest, MatchesSortedReferenceUnderInterleaving) {
+  std::mt19937_64 rng(20240917);
+  EventQueue queue;
+  uint64_t next_seq = 0;  // unique across the queue's lifetime
+  SimTime now = 0;
+  uint64_t fired = 0;
+  size_t max_size = 0;
+  for (int round = 0; round < 3; ++round) {
+    std::multiset<std::pair<SimTime, uint64_t>> reference;
+    for (int op = 0; op < 40'000; ++op) {
+      // Alternate 8000-op phases that mostly push and mostly pop.
+      const uint64_t push_pct = (op / 8000) % 2 == 0 ? 70 : 30;
+      if (reference.empty() || rng() % 100 < push_pct) {
+        const SimTime time = now + static_cast<SimTime>(rng() % 8);
+        const uint64_t seq = next_seq++;
+        queue.Push(time, seq, [&fired, seq] { fired = seq; });
+        reference.emplace(time, seq);
+      } else {
+        ASSERT_EQ(queue.PeekTime(), reference.begin()->first);
+        Event event = queue.Pop();
+        const auto [want_time, want_seq] = *reference.begin();
+        reference.erase(reference.begin());
+        ASSERT_EQ(event.time, want_time) << "round " << round << " op " << op;
+        ASSERT_EQ(event.seq, want_seq) << "round " << round << " op " << op;
+        event.action();
+        ASSERT_EQ(fired, want_seq) << "callback of another event";
+        now = event.time;
+      }
+      ASSERT_EQ(queue.size(), reference.size());
+      max_size = std::max(max_size, queue.size());
+    }
+    ASSERT_FALSE(queue.empty());
+    queue.Clear();
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.size(), 0u);
+  }
+  EXPECT_GE(max_size, 2000u);
 }
 
 TEST(SimulatorTest, ClockAdvancesToEventTimes) {
