@@ -17,6 +17,9 @@ LockCcEngine::LockCcEngine(const SimConfig& config,
       policy_(std::move(policy)),
       traits_(traits),
       sticky_(config.lease.mode == lease::LeaseMode::kSticky) {
+  if (traits_.cache_data) {
+    data_caches_.resize(static_cast<size_t>(config.num_clients));
+  }
   lock_tables_.reserve(static_cast<size_t>(config.num_servers));
   for (int32_t shard = 0; shard < config.num_servers; ++shard) {
     lock_tables_.push_back(
@@ -84,8 +87,15 @@ void LockCcEngine::SendGrant(int32_t shard, TxnId txn, ItemId item,
   TxnRun* run = FindRun(txn);
   if (run == nullptr) return;  // finished in the meantime (nothing to ship)
   const Version version = store().VersionOf(item);
+  bool cached = false;
+  if (traits_.cache_data) {
+    const auto& cache = data_caches_[static_cast<size_t>(run->client_index)];
+    auto it = cache.find(item);
+    cached = it != cache.end() && it->second == version;
+  }
   network().Send(
-      ServerSiteOf(shard), run->site(), "grant+data",
+      ServerSiteOf(shard), run->site(),
+      cached ? "grant(validate)" : "grant+data",
       [this, txn, item, version] {
         TxnRun* target = FindRun(txn);
         if (target == nullptr || target->finished || target->doomed) {
@@ -94,12 +104,12 @@ void LockCcEngine::SendGrant(int32_t shard, TxnId txn, ItemId item,
         GTPL_CHECK_EQ(target->op().item, item);
         OpGranted(*target, version);
       },
-      net::kControlPayload + net::kDataPayload);
+      cached ? net::kControlPayload
+             : net::kControlPayload + net::kDataPayload);
 }
 
 void LockCcEngine::AbortTxn(TxnId victim) {
   GTPL_CHECK(server_aborted_.insert(victim).second);
-  ++policy_aborts_;
   policy_->OnTxnFinished(victim);
   // The victim's locks are dropped on every shard at decision time (the
   // instantaneous coordination plane; see the determinism contract).
@@ -165,8 +175,13 @@ void LockCcEngine::DoCommit(TxnRun& run) {
   for (const proto::OpRecord& record : run.records) {
     const size_t shard = static_cast<size_t>(ShardOf(record.item));
     touched[shard] = true;
-    if (record.mode == LockMode::kExclusive) {
+    const bool write = record.mode == LockMode::kExclusive;
+    if (write) {
       updates_by[shard].push_back(Update{record.item, record.version_written});
+    }
+    if (traits_.cache_data) {
+      data_caches_[static_cast<size_t>(run.client_index)][record.item] =
+          write ? record.version_written : record.version_read;
     }
   }
   const TxnId txn = run.id;
@@ -276,7 +291,14 @@ void LockCcEngine::ReleaseShardEarly(int32_t shard, TxnId txn) {
 
 void LockCcEngine::OnClientAborted(TxnRun& run) {
   // Server state was already cleaned on every shard at decision time; the
-  // client still has to drop its pins so deferred revokes can drain.
+  // client still has to drop its pins so deferred revokes can drain, and
+  // its locally updated copies, which are dirty.
+  if (traits_.cache_data) {
+    auto& cache = data_caches_[static_cast<size_t>(run.client_index)];
+    for (const proto::OpRecord& record : run.records) {
+      if (record.mode == LockMode::kExclusive) cache.erase(record.item);
+    }
+  }
   if (sticky_) FlushLeasePins(run);
 }
 

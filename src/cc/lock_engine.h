@@ -25,6 +25,12 @@ struct LockEngineTraits {
   /// request, and a transaction at its commit point has none (DESIGN.md
   /// §12). Saves one WAN round of lock-hold time per cross-server commit.
   bool release_at_prepare = false;
+  /// Clients cache committed data across transactions (c-2PL): a grant
+  /// whose item the requester already caches at the current version
+  /// travels as a control-only "grant(validate)" instead of "grant+data".
+  /// Every lock is still taken per transaction, so this saves payload
+  /// bytes, never rounds.
+  bool cache_data = false;
 };
 
 /// Generic lock-based engine: FIFO strict-2PL lock tables (one per shard),
@@ -50,8 +56,6 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
   LockCcEngine(const proto::SimConfig& config,
                std::unique_ptr<ConflictPolicy> policy,
                LockEngineTraits traits = {});
-
-  int64_t policy_aborts() const { return policy_aborts_; }
 
   // PolicyHost:
   void AbortTxn(TxnId victim) override;
@@ -152,7 +156,8 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
   // Shard whose blocked request the policy is currently resolving; abort
   // decisions are attributed to its server site.
   int32_t current_shard_ = 0;
-  int64_t policy_aborts_ = 0;
+  // Per-client committed versions (cache_data only; empty otherwise).
+  std::vector<std::unordered_map<ItemId, Version>> data_caches_;
 
   // Sticky-lease state (empty/unused under --lease=none).
   bool sticky_ = false;

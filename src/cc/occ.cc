@@ -6,22 +6,35 @@
 
 namespace gtpl::cc {
 
-using proto::RunResult;
 using proto::SimConfig;
 
-OccEngine::OccEngine(const SimConfig& config)
+OccEngine::OccEngine(const SimConfig& config, bool cache_data)
     : ShardedEngineBase(config),
       reserved_(static_cast<size_t>(config.num_servers)),
-      prepared_(static_cast<size_t>(config.num_servers)) {}
+      prepared_(static_cast<size_t>(config.num_servers)),
+      cache_data_(cache_data) {
+  if (cache_data_) {
+    caches_.resize(static_cast<size_t>(config.num_clients));
+    copy_sets_.resize(static_cast<size_t>(config.workload.num_items));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Read phase: one lock-free request/data round per operation
 // ---------------------------------------------------------------------------
 
 void OccEngine::SendRequest(TxnRun& run) {
+  const workload::Operation op = run.op();
+  if (cache_data_) {
+    const auto& cache = caches_[static_cast<size_t>(run.client_index)];
+    auto cached = cache.find(op.item);
+    if (cached != cache.end()) {
+      OpGranted(run, cached->second);  // optimistic local access
+      return;
+    }
+  }
   const TxnId txn = run.id;
   const SiteId site = run.site();
-  const workload::Operation op = run.op();
   const int32_t shard = ShardOf(op.item);
   network().Send(site, ServerSiteOf(shard), "read-request",
                  [this, shard, txn, site, op] {
@@ -31,10 +44,10 @@ void OccEngine::SendRequest(TxnRun& run) {
 
 void OccEngine::OnRead(int32_t shard, TxnId txn, SiteId client_site,
                        ItemId item, LockMode mode) {
-  (void)client_site;
   NoteRequestAtServer(txn, item, mode, shard);
   TxnRun* run = FindRun(txn);
   if (run == nullptr) return;
+  if (cache_data_) copy_sets_[static_cast<size_t>(item)].insert(client_site);
   const Version version = store().VersionOf(item);
   network().Send(
       ServerSiteOf(shard), run->site(), "data",
@@ -44,6 +57,9 @@ void OccEngine::OnRead(int32_t shard, TxnId txn, SiteId client_site,
           return;
         }
         GTPL_CHECK_EQ(target->op().item, item);
+        if (cache_data_) {
+          caches_[static_cast<size_t>(target->client_index)][item] = version;
+        }
         OpGranted(*target, version);
       },
       net::kControlPayload + net::kDataPayload);
@@ -139,15 +155,12 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
   const bool ok = alive && ValidateOnShard(shard, records);
   if (!multi) {
     if (!ok) {
-      if (alive) {
-        ++validation_failures_;
-        ServerAbortDecision(txn, run->site(), ServerSiteOf(shard));
-      }
+      if (alive) ServerAbortDecision(txn, run->site(), ServerSiteOf(shard));
       return;
     }
     // Validate + install are atomic at the server: the validation instant
     // is the serialization point, then the commit-ok closes the round.
-    InstallOnShard(txn, records);
+    InstallOnShard(shard, txn, client_site, records);
     network().Send(ServerSiteOf(shard), client_site, "commit-ok",
                    [this, txn] {
                      TxnRun* target = FindRun(txn);
@@ -167,7 +180,6 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
                                             kInvalidItem, 0);
     server_wal().Force(lsn);
   } else if (alive) {
-    ++validation_failures_;
     ServerAbortDecision(txn, run->site(), ServerSiteOf(shard));
   }
   // client_site was captured at send time: the vote must be deliverable
@@ -235,7 +247,9 @@ void OccEngine::OnOccDecision(int32_t shard, TxnId txn) {
   GTPL_CHECK(it != shard_prepared.end()) << "decision for unprepared txn";
   const std::vector<proto::OpRecord> records = std::move(it->second);
   shard_prepared.erase(it);
-  InstallOnShard(txn, records);
+  TxnRun* run = FindRun(txn);
+  InstallOnShard(shard, txn, run != nullptr ? run->site() : kInvalidSite,
+                 records);
   ClearReservations(shard, records);
 }
 
@@ -292,7 +306,8 @@ void OccEngine::ClearReservations(
   }
 }
 
-void OccEngine::InstallOnShard(TxnId txn,
+void OccEngine::InstallOnShard(int32_t shard, TxnId txn,
+                               SiteId committer_site,
                                const std::vector<proto::OpRecord>& records) {
   for (const proto::OpRecord& record : records) {
     if (record.mode != LockMode::kExclusive) continue;
@@ -300,6 +315,17 @@ void OccEngine::InstallOnShard(TxnId txn,
     const int64_t lsn = server_wal().Append(
         db::LogRecordKind::kInstall, txn, record.item, record.version_written);
     server_wal().Force(lsn);
+    if (!cache_data_) continue;
+    auto& copies = copy_sets_[static_cast<size_t>(record.item)];
+    for (SiteId other : copies) {
+      if (other == committer_site) continue;
+      network().Send(ServerSiteOf(shard), other, "invalidate",
+                     [this, other, item = record.item] {
+                       caches_[static_cast<size_t>(other - 1)].erase(item);
+                     });
+    }
+    copies.clear();
+    if (committer_site != kInvalidSite) copies.insert(committer_site);
   }
   MaybeGcClientLogs();
 }
@@ -308,9 +334,26 @@ void OccEngine::InstallOnShard(TxnId txn,
 // Client-side hooks
 // ---------------------------------------------------------------------------
 
-void OccEngine::DoCommit(TxnRun& run) { (void)run; }
+void OccEngine::DoCommit(TxnRun& run) {
+  if (!cache_data_) return;
+  auto& cache = caches_[static_cast<size_t>(run.client_index)];
+  for (const proto::OpRecord& record : run.records) {
+    if (record.mode == LockMode::kExclusive) {
+      cache[record.item] = record.version_written;
+    }
+  }
+}
 
 void OccEngine::OnClientAborted(TxnRun& run) {
+  if (cache_data_) {
+    // Stale reads caused the failure; evict everything the txn touched,
+    // and the item of the op in flight, so the retry fetches fresh copies.
+    auto& cache = caches_[static_cast<size_t>(run.client_index)];
+    for (const proto::OpRecord& record : run.records) cache.erase(record.item);
+    if (!run.LastOp() || run.records.size() < run.spec.ops.size()) {
+      cache.erase(run.op().item);
+    }
+  }
   votes_.erase(run.id);
   std::vector<int32_t> participants = ParticipantsOf(run);
   if (participants.size() <= 1) return;  // nothing was reserved
@@ -342,10 +385,6 @@ void OccEngine::OnCommitDecision(int32_t shard, TxnId txn) {
   (void)shard;
   (void)txn;
   GTPL_CHECK(false) << "OCC overrides StartCommit; base 2PC is unreachable";
-}
-
-void OccEngine::FillProtocolMetrics(RunResult* result) {
-  ShardedEngineBase::FillProtocolMetrics(result);
 }
 
 }  // namespace gtpl::cc

@@ -2,6 +2,7 @@
 #define GTPL_CC_OCC_H_
 
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "protocols/sharded.h"
@@ -31,19 +32,25 @@ namespace gtpl::cc {
 /// on top of the pessimistic engines' commit path, the classic OCC
 /// trade: no waiting during the read phase, paid for with validation
 /// latency and restarts under contention.
+///
+/// With `cache_data` (O2PL, optimistic 2PL) clients also cache committed
+/// data across transactions: an access to a cached item is served locally
+/// with no round, a miss is the ordinary read round and fills the cache,
+/// and each server tracks which sites copied an item (its copy set). An
+/// installed write sends "invalidate" to every other holder and leaves the
+/// committer as the only one. A stale local read is caught by the same
+/// backward validation and costs a restart, never a wrong commit.
 class OccEngine : public proto::ShardedEngineBase {
  public:
-  explicit OccEngine(const proto::SimConfig& config);
-
-  int64_t validation_failures() const { return validation_failures_; }
+  explicit OccEngine(const proto::SimConfig& config, bool cache_data = false);
 
  protected:
   void SendRequest(TxnRun& run) override;
   /// Installs happened at validation (single shard) or decision time (2PC);
-  /// nothing travels at local-commit time.
+  /// nothing travels at local-commit time. With a cache, the client keeps
+  /// the versions it wrote.
   void DoCommit(TxnRun& run) override;
   void OnClientAborted(TxnRun& run) override;
-  void FillProtocolMetrics(proto::RunResult* result) override;
   /// Certification commit: overrides the base 2PC entirely. Votes are
   /// decided by validation (data-dependent), so the geo-aware commit paths
   /// do not apply: cross-server commits always run the classic two-flight
@@ -86,13 +93,21 @@ class OccEngine : public proto::ShardedEngineBase {
                const std::vector<proto::OpRecord>& records);
   void ClearReservations(int32_t shard,
                          const std::vector<proto::OpRecord>& records);
-  void InstallOnShard(TxnId txn, const std::vector<proto::OpRecord>& records);
+  /// Installs the validated writes on `shard`. With a cache, each write
+  /// also invalidates every copy except `committer_site`'s (kInvalidSite
+  /// when the committer's run is already gone: no copy survives).
+  void InstallOnShard(int32_t shard, TxnId txn, SiteId committer_site,
+                      const std::vector<proto::OpRecord>& records);
 
   std::vector<std::unordered_map<ItemId, Slot>> reserved_;   // per shard
   std::vector<std::unordered_map<TxnId, std::vector<proto::OpRecord>>>
       prepared_;                                             // per shard
   std::unordered_map<TxnId, VoteCtx> votes_;
-  int64_t validation_failures_ = 0;
+
+  // Client data cache (cache_data only; both empty otherwise).
+  bool cache_data_ = false;
+  std::vector<std::unordered_map<ItemId, Version>> caches_;  // per client
+  std::vector<std::unordered_set<SiteId>> copy_sets_;         // per item
 };
 
 }  // namespace gtpl::cc

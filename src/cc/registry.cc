@@ -6,7 +6,7 @@
 #include "cc/occ.h"
 #include "cc/policy.h"
 #include "common/check.h"
-#include "protocols/caching.h"
+#include "protocols/cbl.h"
 #include "protocols/parsim.h"
 #include "protocols/sharded.h"
 
@@ -30,8 +30,13 @@ std::unique_ptr<EngineBase> MakeG2pl(const SimConfig& config) {
   return std::make_unique<proto::ShardedG2plEngine>(config);
 }
 
-std::unique_ptr<EngineBase> MakeCaching(const SimConfig& config) {
-  return proto::MakeCachingEngine(config);
+// Caching 2PL: s-2PL plus a client data cache. Every access still takes a
+// per-transaction lock; a grant the client's cached copy satisfies ships no
+// data (saves payload bytes, never rounds).
+std::unique_ptr<EngineBase> MakeC2pl(const SimConfig& config) {
+  LockEngineTraits traits;
+  traits.cache_data = true;
+  return std::make_unique<LockCcEngine>(config, MakeDetectPolicy(), traits);
 }
 
 std::unique_ptr<EngineBase> MakeNoWait(const SimConfig& config) {
@@ -50,6 +55,12 @@ std::unique_ptr<EngineBase> MakeOcc(const SimConfig& config) {
   return std::make_unique<OccEngine>(config);
 }
 
+// Optimistic 2PL: OCC plus a client data cache (cached accesses cost no
+// round) and per-item copy sets that installed writes invalidate.
+std::unique_ptr<EngineBase> MakeO2pl(const SimConfig& config) {
+  return std::make_unique<OccEngine>(config, /*cache_data=*/true);
+}
+
 std::unique_ptr<EngineBase> MakeOrdered(const SimConfig& config) {
   LockEngineTraits traits;
   traits.release_at_prepare = true;
@@ -64,11 +75,11 @@ const std::vector<EngineInfo>& Engines() {
        Protocol::kS2pl, MakeS2pl},
       {"g2pl", "group 2PL with forward lists (paper contribution)",
        Protocol::kG2pl, MakeG2pl},
-      {"c2pl", "caching 2PL: locks+data cached across txns",
-       Protocol::kC2pl, MakeCaching},
-      {"cbl", "callback locking", Protocol::kCbl, MakeCaching},
-      {"o2pl", "optimistic 2PL (deferred write intentions)",
-       Protocol::kO2pl, MakeCaching},
+      {"c2pl", "caching 2PL: s-2PL plus a client data cache",
+       Protocol::kC2pl, MakeC2pl},
+      {"cbl", "callback locking", Protocol::kCbl, proto::MakeCblEngine},
+      {"o2pl", "optimistic 2PL: OCC plus a client data cache",
+       Protocol::kO2pl, MakeO2pl},
       {"nowait", "no-wait 2PL: blocked requests abort the requester",
        Protocol::kNoWait, MakeNoWait},
       {"waitdie", "wait-die 2PL: wait for younger only, die on older",

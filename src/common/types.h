@@ -26,6 +26,7 @@ using Version = int64_t;
 using SiteId = int32_t;
 
 inline constexpr SiteId kServerSite = 0;
+inline constexpr SiteId kInvalidSite = -1;
 inline constexpr TxnId kInvalidTxn = -1;
 inline constexpr ItemId kInvalidItem = -1;
 

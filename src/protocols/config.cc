@@ -49,10 +49,9 @@ Status SimConfig::Validate() const {
     return Status::InvalidArgument("num_servers must be <= num_items");
   }
   if (num_servers > 1 && commit_path != CommitPath::kClassic &&
-      (protocol == Protocol::kC2pl || protocol == Protocol::kCbl ||
-       protocol == Protocol::kO2pl)) {
+      protocol == Protocol::kCbl) {
     return Status::InvalidArgument(
-        "the caching protocols support only the classic commit path");
+        "cbl supports only the classic commit path across servers");
   }
   if (lease.mode == lease::LeaseMode::kSticky &&
       protocol != Protocol::kS2pl && protocol != Protocol::kNoWait &&

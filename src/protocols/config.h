@@ -19,9 +19,9 @@ namespace gtpl::proto {
 enum class Protocol {
   kS2pl = 0,     // server-based strict 2PL (paper baseline)
   kG2pl = 1,     // group 2PL (paper contribution)
-  kC2pl = 2,     // caching 2PL: locks+data cached across txns (extension)
+  kC2pl = 2,     // caching 2PL: s-2PL plus a client data cache (extension)
   kCbl = 3,      // callback locking (extension)
-  kO2pl = 4,     // optimistic 2PL (extension)
+  kO2pl = 4,     // optimistic 2PL: OCC plus a client data cache (extension)
   kNoWait = 5,   // no-wait 2PL: blocked requests abort the requester
   kWaitDie = 6,  // wait-die 2PL: wait for younger only, die on older
   kOcc = 7,      // optimistic CC, backward validation at commit

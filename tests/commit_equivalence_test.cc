@@ -90,12 +90,9 @@ TEST(CommitEquivalenceTest, EveryVariantInertOnSingleServer) {
 // not statistically close: the same run, event for event.
 TEST(CommitEquivalenceTest, CoordIsExactlyClassicUnderUniformLatency) {
   for (const cc::EngineInfo& info : cc::Engines()) {
-    // The caching engines only admit the classic path under sharding
-    // (Validate() rejects kCoord for them), so there is nothing to compare.
-    if (info.protocol == Protocol::kC2pl || info.protocol == Protocol::kCbl ||
-        info.protocol == Protocol::kO2pl) {
-      continue;
-    }
+    // CBL only admits the classic path under sharding (Validate() rejects
+    // kCoord for it), so there is nothing to compare.
+    if (info.protocol == Protocol::kCbl) continue;
     const RunResult classic = RunSimulation(BaseConfig(info.protocol, 4));
     SimConfig config = BaseConfig(info.protocol, 4);
     config.commit_path = CommitPath::kCoord;

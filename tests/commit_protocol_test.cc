@@ -163,15 +163,17 @@ void CheckCommittedTxns(const RunResult& result, const SimConfig& config,
 
 TEST(CommitPathBatteryTest, EveryEngineTimesEveryVariantStaysSerializable) {
   for (const cc::EngineInfo& info : cc::Engines()) {
-    const bool occ_engine = info.protocol == Protocol::kOcc;
-    const bool caching = info.protocol == Protocol::kC2pl ||
-                         info.protocol == Protocol::kCbl ||
-                         info.protocol == Protocol::kO2pl;
+    // O2PL is OCC plus a client cache: the same certification commit.
+    const bool occ_engine = info.protocol == Protocol::kOcc ||
+                            info.protocol == Protocol::kO2pl;
     for (const CommitPathInfo& path : CommitPaths()) {
-      // The caching engines support only the classic commit path under
-      // sharding (Validate() enforces it); the other variants assume the
+      // CBL supports only the classic commit path under sharding
+      // (Validate() enforces it); the other variants assume the
       // lock-engine commit promise.
-      if (caching && path.path != CommitPath::kClassic) continue;
+      if (info.protocol == Protocol::kCbl &&
+          path.path != CommitPath::kClassic) {
+        continue;
+      }
       for (int32_t servers : {1, 2, 4, 8}) {
         SimConfig config = BatteryConfig(info.protocol, path.path,
                                          /*seed=*/servers);

@@ -57,6 +57,23 @@ TEST(ConfigTest, RejectsZeroMeasuredTxns) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
+TEST(ConfigTest, OnlyCblIsConfinedToTheClassicCommitPath) {
+  // c-2PL and O2PL run on the lock engine and the OCC certifier and inherit
+  // their commit paths; CBL's own engine runs only the classic 2PC.
+  SimConfig config;
+  config.num_servers = 2;
+  config.commit_path = CommitPath::kEarly;
+  config.protocol = Protocol::kCbl;
+  EXPECT_FALSE(config.Validate().ok());
+  config.num_servers = 1;
+  EXPECT_TRUE(config.Validate().ok());
+  config.num_servers = 2;
+  for (Protocol protocol : {Protocol::kC2pl, Protocol::kO2pl}) {
+    config.protocol = protocol;
+    EXPECT_TRUE(config.Validate().ok()) << ToString(protocol);
+  }
+}
+
 TEST(ConfigTest, ProtocolNames) {
   EXPECT_STREQ(ToString(Protocol::kS2pl), "s-2PL");
   EXPECT_STREQ(ToString(Protocol::kG2pl), "g-2PL");

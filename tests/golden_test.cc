@@ -242,12 +242,10 @@ TEST(GoldenTest, AdaptiveWindowGrid) {
   CompareOrUpdate("adaptive.golden", table.ToCsv());
 }
 
-TEST(GoldenTest, CcZooGrid) {
-  // Shrunk version of bench_ext_cczoo's grid: the four new cc engines over
-  // latency x server count. Pins the initial behavior of each engine the
-  // same way fig2_4_latency.golden pins the legacy protocols — any later
-  // change to a policy or to the shared lock-engine path that shifts a
-  // metric of any point fails here.
+// The cc-engine grid: `protocols` over latency x server count, rendered
+// with the same columns for every engine and compared against `golden`.
+void CheckCcGrid(const std::vector<proto::Protocol>& protocols,
+                 const std::string& golden) {
   std::vector<proto::SimConfig> points;
   struct Row {
     proto::Protocol protocol;
@@ -255,9 +253,7 @@ TEST(GoldenTest, CcZooGrid) {
     int32_t servers;
   };
   std::vector<Row> rows;
-  for (proto::Protocol protocol :
-       {proto::Protocol::kNoWait, proto::Protocol::kWaitDie,
-        proto::Protocol::kOcc, proto::Protocol::kOrdered}) {
+  for (proto::Protocol protocol : protocols) {
     for (SimTime latency : {1, 250}) {
       for (int32_t servers : {1, 2}) {
         proto::SimConfig config = TinyBaseConfig();
@@ -288,7 +284,27 @@ TEST(GoldenTest, CcZooGrid) {
                   Fmt(point.mean_commit_phase, 3),
                   Fmt(point.response_p99, 3)});
   }
-  CompareOrUpdate("cczoo.golden", table.ToCsv());
+  CompareOrUpdate(golden, table.ToCsv());
+}
+
+TEST(GoldenTest, CcZooGrid) {
+  // Shrunk version of bench_ext_cczoo's grid: the four new cc engines over
+  // latency x server count. Pins the initial behavior of each engine the
+  // same way fig2_4_latency.golden pins the legacy protocols — any later
+  // change to a policy or to the shared lock-engine path that shifts a
+  // metric of any point fails here.
+  CheckCcGrid({proto::Protocol::kNoWait, proto::Protocol::kWaitDie,
+               proto::Protocol::kOcc, proto::Protocol::kOrdered},
+              "cczoo.golden");
+}
+
+TEST(GoldenTest, CachingGrid) {
+  // The client-caching engines on the same grid. CBL is its own engine;
+  // O2PL is OCC plus a client data cache, whose metrics at the default
+  // transport must not move with the certifier it shares. c-2PL is pinned
+  // against s-2PL event for event by caching_test.
+  CheckCcGrid({proto::Protocol::kCbl, proto::Protocol::kO2pl},
+              "caching.golden");
 }
 
 TEST(GoldenTest, CommitPathGrid) {
