@@ -2,7 +2,9 @@
 // (Figures 2-4) and the sharding bench, rendered to fixed-precision metric
 // tables and diffed against checked-in expectations. Catches silent
 // protocol drift — a change that flips any metric of any grid point fails
-// here even if every invariant still holds.
+// here even if every invariant still holds. trace_digest.golden goes one
+// level finer: the JSONL trace and metrics-CSV digests of the serial
+// engines, so a same-bytes refactor is checked event for event.
 //
 // To regenerate after an *intended* protocol change:
 //   GTPL_UPDATE_GOLDEN=1 ./build/tests/golden_test
@@ -20,7 +22,10 @@
 #include "cc/registry.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "protocols/config.h"
+#include "protocols/engine.h"
 
 namespace gtpl::harness {
 namespace {
@@ -376,6 +381,107 @@ TEST(GoldenTest, CommitPathGrid) {
                   Fmt(point.fallback_pct, 3)});
   }
   CompareOrUpdate("commit.golden", table.ToCsv());
+}
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const unsigned char byte : bytes) {
+    hash ^= byte;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::string Hex64(uint64_t value) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
+TEST(GoldenTest, SerialTraceDigests) {
+  // Byte-level pin of the serial engines: per config, the trace event count
+  // and FNV-1a-64 of its JSONL export, plus the digest of the time-series
+  // metrics CSV. The metric grids above pin averages; this pins every
+  // message, vote and release, so a refactor that claims "same bytes" is
+  // checked event for event. Rows: every registered engine at 1 and 4
+  // servers (classic commit), each non-classic commit path on a fast server
+  // mesh, sticky leases, and a NIC-queued finite-bandwidth link.
+  struct Row {
+    std::string name;
+    proto::SimConfig config;
+    bool metrics = true;
+  };
+  const auto base = [](proto::Protocol protocol, int32_t servers) {
+    proto::SimConfig config = TinyBaseConfig();
+    config.protocol = protocol;
+    config.num_servers = servers;
+    config.num_clients = 16;
+    config.workload.num_items = 40;
+    config.latency = 100;
+    config.measured_txns = 150;
+    config.warmup_txns = 15;
+    config.seed = 7;
+    config.obs_trace = true;
+    return config;
+  };
+  std::vector<Row> rows;
+  for (const cc::EngineInfo& engine : cc::Engines()) {
+    const bool occ = engine.protocol == proto::Protocol::kOcc ||
+                     engine.protocol == proto::Protocol::kO2pl;
+    for (int32_t servers : {1, 4}) {
+      rows.push_back({std::string(engine.name) + "/servers=" +
+                          std::to_string(servers),
+                      base(engine.protocol, servers), !occ});
+    }
+  }
+  for (proto::Protocol protocol :
+       {proto::Protocol::kS2pl, proto::Protocol::kOrdered,
+        proto::Protocol::kOcc}) {
+    for (proto::CommitPath path :
+         {proto::CommitPath::kEarly, proto::CommitPath::kFastPath,
+          proto::CommitPath::kCoord}) {
+      proto::SimConfig config = base(protocol, 4);
+      config.commit_path = path;
+      config.server_latency = 10;
+      rows.push_back({cc::EngineFor(protocol).name + std::string("/commit=") +
+                          proto::ToString(path) + "/srvlat=10",
+                      config, protocol != proto::Protocol::kOcc});
+    }
+  }
+  for (proto::Protocol protocol :
+       {proto::Protocol::kS2pl, proto::Protocol::kOrdered}) {
+    proto::SimConfig config = base(protocol, 4);
+    config.lease.mode = lease::LeaseMode::kSticky;
+    std::string name = cc::EngineFor(protocol).name +
+                       std::string("/servers=4/lease=sticky");
+    if (protocol == proto::Protocol::kOrdered) {
+      config.commit_path = proto::CommitPath::kCoord;
+      config.server_latency = 10;
+      name += "/commit=coord/srvlat=10";
+    }
+    rows.push_back({name, config, true});
+  }
+  {
+    proto::SimConfig config = base(proto::Protocol::kWoundWait, 4);
+    config.link_bandwidth = 0.5;
+    config.nic_queue = true;
+    rows.push_back({"woundwait/servers=4/bw=0.5/nic-queue", config, true});
+  }
+  std::string fresh = "row,events,trace_fnv1a64,metrics_fnv1a64\n";
+  for (Row& row : rows) {
+    if (row.metrics) row.config.metrics_interval = 500;
+    const proto::RunResult result = proto::RunSimulation(row.config);
+    EXPECT_FALSE(result.timed_out) << row.name;
+    const std::string metrics =
+        row.metrics ? Hex64(Fnv1a64(obs::MetricsToCsv(result.metric_names,
+                                                      result.metrics)))
+                    : "-";
+    fresh += row.name + "," + std::to_string(result.obs_trace.size()) + "," +
+             Hex64(Fnv1a64(obs::ToJsonl(result.obs_trace))) + "," + metrics +
+             "\n";
+  }
+  CompareOrUpdate("trace_digest.golden", fresh);
 }
 
 }  // namespace
