@@ -13,7 +13,7 @@ using proto::SimConfig;
 LockCcEngine::LockCcEngine(const SimConfig& config,
                            std::unique_ptr<ConflictPolicy> policy,
                            LockEngineTraits traits)
-    : ShardedEngineBase(config),
+    : EngineBase(config),
       policy_(std::move(policy)),
       traits_(traits),
       sticky_(config.lease.mode == lease::LeaseMode::kSticky) {
@@ -70,7 +70,7 @@ void LockCcEngine::ServerOnRequest(int32_t shard, TxnId txn,
   db::LockTable& table = *lock_tables_[static_cast<size_t>(shard)];
   const db::LockResult outcome = table.Request(txn, item, mode);
   if (outcome == db::LockResult::kGranted) {
-    SendGrant(shard, txn, item, mode);
+    SendGrant(shard, txn, item);
     return;
   }
   // Blocked: the policy resolves the conflict on the *global* coordination
@@ -81,9 +81,7 @@ void LockCcEngine::ServerOnRequest(int32_t shard, TxnId txn,
   policy_->OnBlocked(txn, item, table.Blockers(txn, item), *this);
 }
 
-void LockCcEngine::SendGrant(int32_t shard, TxnId txn, ItemId item,
-                             LockMode mode) {
-  (void)mode;
+void LockCcEngine::SendGrant(int32_t shard, TxnId txn, ItemId item) {
   TxnRun* run = FindRun(txn);
   if (run == nullptr) return;  // finished in the meantime (nothing to ship)
   const Version version = store().VersionOf(item);
@@ -108,6 +106,14 @@ void LockCcEngine::SendGrant(int32_t shard, TxnId txn, ItemId item,
              : net::kControlPayload + net::kDataPayload);
 }
 
+void LockCcEngine::ReleaseLocks(int32_t shard, TxnId txn) {
+  lock_tables_[static_cast<size_t>(shard)]->ReleaseAll(
+      txn, [this, shard](TxnId granted, ItemId item, LockMode) {
+        policy_->OnWaiterGranted(granted);
+        SendGrant(shard, granted, item);
+      });
+}
+
 void LockCcEngine::AbortTxn(TxnId victim) {
   GTPL_CHECK(server_aborted_.insert(victim).second);
   policy_->OnTxnFinished(victim);
@@ -122,11 +128,7 @@ void LockCcEngine::AbortTxn(TxnId victim) {
     }
   } else {
     for (int32_t shard = 0; shard < num_servers(); ++shard) {
-      lock_tables_[static_cast<size_t>(shard)]->ReleaseAll(
-          victim, [this, shard](TxnId txn, ItemId item, LockMode mode) {
-            policy_->OnWaiterGranted(txn);
-            SendGrant(shard, txn, item, mode);
-          });
+      ReleaseLocks(shard, victim);
     }
   }
   TxnRun* run = FindRun(victim);
@@ -160,60 +162,65 @@ bool LockCcEngine::Woundable(TxnId txn) {
 }
 
 void LockCcEngine::DoCommit(TxnRun& run) {
-  if (sticky_) {
-    DoCommitSticky(run);
-    return;
-  }
   // One release message per participant shard, carrying that shard's
   // updates (these releases are the effective phase two of a cross-server
   // commit; single-shard transactions send exactly the one message the
-  // single-server engine sends). Shards that already released at prepare
-  // time (release_at_prepare) are skipped — they have nothing left to do.
-  std::vector<std::vector<Update>> updates_by(
-      static_cast<size_t>(num_servers()));
-  std::vector<bool> touched(static_cast<size_t>(num_servers()), false);
+  // single-server engine sends). Under sticky leases only written shards
+  // get one — a read lease simply stays, and the lease carries no data, so
+  // the server copy stays authoritative — and the client's lease cache
+  // takes the new versions so later local transactions read this site's
+  // own writes. Shards that already released ahead of this message
+  // (run.released_shards) have nothing left to do.
+  const size_t shards = static_cast<size_t>(num_servers());
+  std::vector<std::vector<Update>> updates_by(shards);
+  std::vector<bool> release(shards, false);
+  const auto client = static_cast<size_t>(run.client_index);
   for (const proto::OpRecord& record : run.records) {
     const size_t shard = static_cast<size_t>(ShardOf(record.item));
-    touched[shard] = true;
     const bool write = record.mode == LockMode::kExclusive;
     if (write) {
       updates_by[shard].push_back(Update{record.item, record.version_written});
+      if (sticky_) {
+        lease_caches_[client].UpdateVersion(record.item,
+                                            record.version_written);
+      }
     }
+    release[shard] = release[shard] || write || !sticky_;
     if (traits_.cache_data) {
-      data_caches_[static_cast<size_t>(run.client_index)][record.item] =
+      data_caches_[client][record.item] =
           write ? record.version_written : record.version_read;
     }
   }
-  const TxnId txn = run.id;
-  auto early = early_released_.find(txn);
-  if (early != early_released_.end()) {
-    for (int32_t shard : early->second) {
-      touched[static_cast<size_t>(shard)] = false;
-    }
-    early_released_.erase(early);
+  for (int32_t shard : run.released_shards) {
+    release[static_cast<size_t>(shard)] = false;
   }
-  int32_t participants = 0;
-  for (const bool t : touched) participants += t ? 1 : 0;
+  const TxnId txn = run.id;
+  const auto participants =
+      static_cast<int32_t>(std::count(release.begin(), release.end(), true));
   if (participants == 0) {
-    // Every shard released at prepare; the txn already left the server
-    // plane, and its installs are all permanent — client log can truncate.
+    // Every shard released early; the txn already left the server plane,
+    // and its installs are all permanent — client log can truncate.
     policy_->OnTxnFinished(txn);
     MaybeGcClientLogs();
-    return;
+  } else {
+    pending_releases_[txn] = participants;
+    for (int32_t shard = 0; shard < num_servers(); ++shard) {
+      if (!release[static_cast<size_t>(shard)]) continue;
+      std::vector<Update>& updates = updates_by[static_cast<size_t>(shard)];
+      const uint64_t payload =
+          net::kControlPayload + net::kDataPayload * updates.size();
+      network().Send(
+          run.site(), ServerSiteOf(shard), "release",
+          [this, shard, txn, updates = std::move(updates)] {
+            ServerOnRelease(shard, txn, updates);
+          },
+          payload);
+    }
   }
-  pending_releases_[txn] = participants;
-  for (int32_t shard = 0; shard < num_servers(); ++shard) {
-    if (!touched[static_cast<size_t>(shard)]) continue;
-    std::vector<Update>& updates = updates_by[static_cast<size_t>(shard)];
-    const uint64_t payload =
-        net::kControlPayload + net::kDataPayload * updates.size();
-    network().Send(
-        run.site(), ServerSiteOf(shard), "release",
-        [this, shard, txn, updates = std::move(updates)] {
-          ServerOnRelease(shard, txn, updates);
-        },
-        payload);
-  }
+  // Deferred revoke releases leave only now, *after* the installs: same-tick
+  // FIFO delivery plus the server-side version fence guarantee the next
+  // holder is granted the committed version, never a stale one.
+  if (sticky_) FlushLeasePins(run);
 }
 
 void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
@@ -230,10 +237,7 @@ void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
     tracer().Emit(std::move(event));
   }
   for (const Update& update : updates) {
-    store().Install(update.item, update.version);
-    const int64_t lsn = server_wal().Append(db::LogRecordKind::kInstall, txn,
-                                            update.item, update.version);
-    server_wal().Force(lsn);
+    InstallAtServer(txn, update.item, update.version);
   }
   MaybeGcClientLogs();
   // The transaction leaves the policy's books only once its last shard
@@ -252,16 +256,11 @@ void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
     }
     return;
   }
-  lock_tables_[static_cast<size_t>(shard)]->ReleaseAll(
-      txn, [this, shard](TxnId granted, ItemId item, LockMode mode) {
-        policy_->OnWaiterGranted(granted);
-        SendGrant(shard, granted, item, mode);
-      });
+  ReleaseLocks(shard, txn);
 }
 
-void LockCcEngine::ReleaseShardEarly(int32_t shard, TxnId txn) {
-  TxnRun* run = FindRun(txn);
-  GTPL_CHECK(run != nullptr) << "prepare for a txn without a run";
+void LockCcEngine::ReleaseShardEarly(int32_t shard, TxnRun& run) {
+  const TxnId txn = run.id;
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kLockRelease;
@@ -271,22 +270,15 @@ void LockCcEngine::ReleaseShardEarly(int32_t shard, TxnId txn) {
     event.label = "early-release";
     tracer().Emit(std::move(event));
   }
-  for (const proto::OpRecord& record : run->records) {
+  for (const proto::OpRecord& record : run.records) {
     if (ShardOf(record.item) != shard) continue;
     if (record.mode != LockMode::kExclusive) continue;
-    store().Install(record.item, record.version_written);
-    const int64_t lsn = server_wal().Append(
-        db::LogRecordKind::kInstall, txn, record.item, record.version_written);
-    server_wal().Force(lsn);
+    InstallAtServer(txn, record.item, record.version_written);
     if (sticky_) ServerInstalledItem(shard, record.item);
   }
-  early_released_[txn].push_back(shard);
+  run.released_shards.push_back(shard);
   if (sticky_) return;  // the leases outlive the txn; nothing to promote
-  lock_tables_[static_cast<size_t>(shard)]->ReleaseAll(
-      txn, [this, shard](TxnId granted, ItemId item, LockMode mode) {
-        policy_->OnWaiterGranted(granted);
-        SendGrant(shard, granted, item, mode);
-      });
+  ReleaseLocks(shard, txn);
 }
 
 void LockCcEngine::OnClientAborted(TxnRun& run) {
@@ -309,7 +301,9 @@ bool LockCcEngine::ShardVote(int32_t shard, TxnId txn, bool speculative) {
   // ordered-release variant cashes it in immediately. A speculative vote
   // (kEarly) only means "not aborted so far" — no release on its strength.
   if (traits_.release_at_prepare && !speculative) {
-    ReleaseShardEarly(shard, txn);
+    TxnRun* run = FindRun(txn);
+    GTPL_CHECK(run != nullptr) << "prepare for a txn without a run";
+    ReleaseShardEarly(shard, *run);
   }
   return true;
 }
@@ -321,27 +315,23 @@ void LockCcEngine::OnCommitDecision(int32_t shard, TxnId txn) {
   // shard ahead of the client's ack-delayed DoCommit — cash it in now for
   // the lock-hold reduction, unless the shard already released at prepare
   // time or the client's commit beat this message.
-  if (!RemoteCoordinated(txn)) return;
   TxnRun* run = FindRun(txn);
-  if (run == nullptr || run->finished) return;
-  auto early = early_released_.find(txn);
-  if (early != early_released_.end() &&
-      std::find(early->second.begin(), early->second.end(), shard) !=
-          early->second.end()) {
+  if (run == nullptr || run->finished || !run->decided_remotely) return;
+  const std::vector<int32_t>& released = run->released_shards;
+  if (std::find(released.begin(), released.end(), shard) != released.end()) {
     return;
   }
-  ReleaseShardEarly(shard, txn);
+  ReleaseShardEarly(shard, *run);
 }
 
 void LockCcEngine::FillProtocolMetrics(RunResult* result) {
-  ShardedEngineBase::FillProtocolMetrics(result);
   result->lease_hits = lease_hits_;
   result->lease_revokes = lease_revokes_;
   result->lease_releases = lease_releases_;
 }
 
 void LockCcEngine::RegisterMetrics(obs::MetricsRegistry* metrics) {
-  ShardedEngineBase::RegisterMetrics(metrics);
+  EngineBase::RegisterMetrics(metrics);
   // Per-shard lock-table occupancy; under sticky leases the lock tables sit
   // idle and the lease table/caches carry the contention state instead.
   for (int32_t s = 0; s < static_cast<int32_t>(lock_tables_.size()); ++s) {
@@ -366,56 +356,6 @@ void LockCcEngine::RegisterMetrics(obs::MetricsRegistry* metrics) {
 }
 
 // --- sticky-lease machinery (DESIGN.md §14) ------------------------------
-
-void LockCcEngine::DoCommitSticky(TxnRun& run) {
-  lease::LeaseCache& cache =
-      lease_caches_[static_cast<size_t>(run.client_index)];
-  // The lease carries no data back: every committed write still ships to
-  // its shard in the normal release/install message, so the server copy
-  // stays authoritative for the next grant. The client cache's version is
-  // bumped here so later local transactions read this site's own writes.
-  // Read-only shards need no message at all — the read lease simply stays.
-  std::vector<std::vector<Update>> updates_by(
-      static_cast<size_t>(num_servers()));
-  for (const proto::OpRecord& record : run.records) {
-    if (record.mode != LockMode::kExclusive) continue;
-    cache.UpdateVersion(record.item, record.version_written);
-    updates_by[static_cast<size_t>(ShardOf(record.item))].push_back(
-        Update{record.item, record.version_written});
-  }
-  const TxnId txn = run.id;
-  auto early = early_released_.find(txn);
-  if (early != early_released_.end()) {
-    for (int32_t shard : early->second) {
-      updates_by[static_cast<size_t>(shard)].clear();  // installed at prepare
-    }
-    early_released_.erase(early);
-  }
-  int32_t participants = 0;
-  for (const auto& updates : updates_by) participants += updates.empty() ? 0 : 1;
-  if (participants == 0) {
-    policy_->OnTxnFinished(txn);
-    MaybeGcClientLogs();
-  } else {
-    pending_releases_[txn] = participants;
-    for (int32_t shard = 0; shard < num_servers(); ++shard) {
-      std::vector<Update>& updates = updates_by[static_cast<size_t>(shard)];
-      if (updates.empty()) continue;
-      const uint64_t payload =
-          net::kControlPayload + net::kDataPayload * updates.size();
-      network().Send(
-          run.site(), ServerSiteOf(shard), "release",
-          [this, shard, txn, updates = std::move(updates)] {
-            ServerOnRelease(shard, txn, updates);
-          },
-          payload);
-    }
-  }
-  // Deferred revoke releases leave only now, *after* the installs: same-tick
-  // FIFO delivery plus the server-side version fence guarantee the next
-  // holder is granted the committed version, never a stale one.
-  FlushLeasePins(run);
-}
 
 void LockCcEngine::LeaseServerOnRequest(int32_t shard, TxnId txn,
                                         SiteId client_site, ItemId item,

@@ -10,7 +10,7 @@
 #include "db/lock_table.h"
 #include "lease/lease_cache.h"
 #include "lease/lease_table.h"
-#include "protocols/sharded.h"
+#include "protocols/engine.h"
 
 namespace gtpl::cc {
 
@@ -34,7 +34,7 @@ struct LockEngineTraits {
 };
 
 /// Generic lock-based engine: FIFO strict-2PL lock tables (one per shard),
-/// client-coordinated 2PC via ShardedEngineBase, and a pluggable
+/// the base's cross-server commit paths (EngineBase), and a pluggable
 /// ConflictPolicy deciding what happens when a request blocks. The message
 /// sequences are ported verbatim from the pre-refactor sharded s-2PL engine
 /// — with MakeDetectPolicy this class *is* that engine, bit for bit (the
@@ -51,7 +51,7 @@ struct LockEngineTraits {
 /// MPL-1 pin; across sites it is the lease itself, so strict 2PL per
 /// transaction is preserved. --lease=none leaves every message of the
 /// legacy engine untouched (the lease equivalence battery pins this).
-class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
+class LockCcEngine : public proto::EngineBase, public PolicyHost {
  public:
   LockCcEngine(const proto::SimConfig& config,
                std::unique_ptr<ConflictPolicy> policy,
@@ -89,16 +89,14 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
   void ServerOnRequest(int32_t shard, TxnId txn, SiteId client_site,
                        ItemId item, LockMode mode);
   void ServerOnRelease(int32_t shard, TxnId txn, std::vector<Update> updates);
-  void SendGrant(int32_t shard, TxnId txn, ItemId item, LockMode mode);
+  void SendGrant(int32_t shard, TxnId txn, ItemId item);
+  /// Drops `txn`'s locks on `shard` and grants the waiters they unblock.
+  void ReleaseLocks(int32_t shard, TxnId txn);
   /// Install + release on `shard` ahead of the client's release message:
   /// at prepare time (release_at_prepare) or at decision arrival (kCoord).
-  void ReleaseShardEarly(int32_t shard, TxnId txn);
+  void ReleaseShardEarly(int32_t shard, TxnRun& run);
 
   // --- sticky-lease machinery (inert under --lease=none) ---------------
-  /// Commit under leases: ship writes to their shards (the lease carries no
-  /// data; the server copy stays authoritative), then flush deferred
-  /// revoke releases.
-  void DoCommitSticky(TxnRun& run);
   /// Server admission for a request that missed the client's lease cache.
   void LeaseServerOnRequest(int32_t shard, TxnId txn, SiteId client_site,
                             ItemId item, LockMode mode);
@@ -151,8 +149,6 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
   // Release messages still in flight per committing txn; the policy learns
   // the txn finished when the count reaches zero.
   std::unordered_map<TxnId, int32_t> pending_releases_;
-  // Shards that already installed + released at prepare time, per txn.
-  std::unordered_map<TxnId, std::vector<int32_t>> early_released_;
   // Shard whose blocked request the policy is currently resolving; abort
   // decisions are attributed to its server site.
   int32_t current_shard_ = 0;

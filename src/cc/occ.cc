@@ -9,7 +9,7 @@ namespace gtpl::cc {
 using proto::SimConfig;
 
 OccEngine::OccEngine(const SimConfig& config, bool cache_data)
-    : ShardedEngineBase(config),
+    : EngineBase(config),
       reserved_(static_cast<size_t>(config.num_servers)),
       prepared_(static_cast<size_t>(config.num_servers)),
       cache_data_(cache_data) {
@@ -72,40 +72,19 @@ void OccEngine::OnRead(int32_t shard, TxnId txn, SiteId client_site,
 void OccEngine::StartCommit(TxnRun& run) {
   GTPL_CHECK(!run.finished);
   GTPL_CHECK(!run.doomed);
-  const TxnId txn = run.id;
   std::vector<int32_t> participants = ParticipantsOf(run);
   if (participants.size() <= 1) {
     GTPL_CHECK_EQ(participants.size(), 1u);
     SendValidate(participants[0], run, /*multi=*/false);
     return;
   }
-  // Phase one, as in ShardedEngineBase::StartCommit: the coordinator
-  // (client) forces its prepare record, then the validates fan out.
-  ClientState& client = ClientAt(run.client_index);
-  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, txn,
-                                         kInvalidItem, 0);
-  const SimTime force_delay = client.wal->Force(lsn);
-  VoteCtx ctx;
-  ctx.votes_pending = static_cast<int32_t>(participants.size());
-  ctx.prepares_pending = static_cast<int32_t>(participants.size());
-  ctx.participants = participants;
-  votes_[txn] = std::move(ctx);
-  auto send_validates = [this, txn, participants = std::move(participants)] {
-    TxnRun* current = FindRun(txn);
-    if (current == nullptr || current->finished || current->doomed) {
-      votes_.erase(txn);
-      return;
-    }
-    votes_.at(txn).sent_time = simulator().Now();
-    for (int32_t shard : participants) {
-      SendValidate(shard, *current, /*multi=*/true);
-    }
-  };
-  if (force_delay > 0) {
-    simulator().Schedule(force_delay, std::move(send_validates));
-  } else {
-    send_validates();
-  }
+  StartClassic(run, std::move(participants),
+               /*fallback=*/config().commit_path !=
+                   proto::CommitPath::kClassic);
+}
+
+void OccEngine::SendPrepare(int32_t shard, TxnRun& run) {
+  SendValidate(shard, run, /*multi=*/true);
 }
 
 void OccEngine::SendValidate(int32_t shard, TxnRun& run, bool multi) {
@@ -130,6 +109,7 @@ void OccEngine::SendValidate(int32_t shard, TxnRun& run, bool multi) {
 
 void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
                            std::vector<proto::OpRecord> records, bool multi) {
+  TxnRun* run = FindRun(txn);
   if (multi) {
     if (tracer().enabled()) {
       obs::TraceEvent event;
@@ -139,18 +119,8 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
       event.site = ServerSiteOf(shard);
       tracer().Emit(std::move(event));
     }
-    auto vote_it = votes_.find(txn);
-    if (vote_it != votes_.end() &&
-        --vote_it->second.prepares_pending == 0) {
-      // Last validate of the fan-out landed: close the prepare sub-span.
-      TxnRun* owner = FindRun(txn);
-      if (owner != nullptr && !owner->finished) {
-        owner->span.commit_prepare =
-            simulator().Now() - vote_it->second.sent_time;
-      }
-    }
+    if (run != nullptr) PrepareLanded(*run);
   }
-  TxnRun* run = FindRun(txn);
   const bool alive = run != nullptr && !run->finished && !run->doomed;
   const bool ok = alive && ValidateOnShard(shard, records);
   if (!multi) {
@@ -168,7 +138,7 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
                          target->doomed) {
                        return;
                      }
-                     EngineBase::StartCommit(*target);
+                     CommitLocally(*target);
                    });
     return;
   }
@@ -185,72 +155,7 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
   // client_site was captured at send time: the vote must be deliverable
   // even when the run is already gone (it is dropped at tally time).
   network().Send(ServerSiteOf(shard), client_site, "vote",
-                 [this, txn, shard, ok] { OnOccVote(txn, shard, ok); });
-}
-
-void OccEngine::OnOccVote(TxnId txn, int32_t shard, bool yes) {
-  if (tracer().enabled()) {
-    obs::TraceEvent event;
-    event.kind = obs::EventKind::kVote;
-    event.txn = txn;
-    event.shard = shard;
-    event.flag = yes;
-    tracer().Emit(std::move(event));
-  }
-  auto it = votes_.find(txn);
-  if (it == votes_.end()) return;
-  VoteCtx& ctx = it->second;
-  ctx.all_yes = ctx.all_yes && yes;
-  if (--ctx.votes_pending > 0) return;
-  const bool all_yes = ctx.all_yes;
-  const SimTime sent_time = ctx.sent_time;
-  const std::vector<int32_t> participants = std::move(ctx.participants);
-  votes_.erase(it);
-  TxnRun* run = FindRun(txn);
-  if (run == nullptr || run->finished || run->doomed) return;
-  if (!all_yes) {
-    // A no vote came with the voting shard's abort decision, which doomed
-    // the run instantly — unreachable in practice; kept as a safety net.
-    return;
-  }
-  run->span.commit_vote =
-      simulator().Now() - sent_time - run->span.commit_prepare;
-  run->commit_flights = 2;
-  if (measuring()) {
-    ++cross_server_commits_;
-    commit_participants_.Add(static_cast<double>(participants.size()));
-    if (config().commit_path != proto::CommitPath::kClassic) {
-      ++commit_path_fallbacks_;
-    }
-  }
-  const SiteId from = run->site();
-  for (int32_t participant : participants) {
-    network().Send(
-        from, ServerSiteOf(participant), "commit-decision",
-        [this, participant, txn] { OnOccDecision(participant, txn); });
-  }
-  EngineBase::StartCommit(*run);
-}
-
-void OccEngine::OnOccDecision(int32_t shard, TxnId txn) {
-  if (tracer().enabled()) {
-    obs::TraceEvent event;
-    event.kind = obs::EventKind::kDecide;
-    event.txn = txn;
-    event.shard = shard;
-    event.site = ServerSiteOf(shard);
-    tracer().Emit(std::move(event));
-  }
-  server_wal().Append(db::LogRecordKind::kCommit, txn, kInvalidItem, 0);
-  auto& shard_prepared = prepared_[static_cast<size_t>(shard)];
-  auto it = shard_prepared.find(txn);
-  GTPL_CHECK(it != shard_prepared.end()) << "decision for unprepared txn";
-  const std::vector<proto::OpRecord> records = std::move(it->second);
-  shard_prepared.erase(it);
-  TxnRun* run = FindRun(txn);
-  InstallOnShard(shard, txn, run != nullptr ? run->site() : kInvalidSite,
-                 records);
-  ClearReservations(shard, records);
+                 [this, txn, shard, ok] { OnVoteArrived(txn, shard, ok); });
 }
 
 // ---------------------------------------------------------------------------
@@ -311,10 +216,7 @@ void OccEngine::InstallOnShard(int32_t shard, TxnId txn,
                                const std::vector<proto::OpRecord>& records) {
   for (const proto::OpRecord& record : records) {
     if (record.mode != LockMode::kExclusive) continue;
-    store().Install(record.item, record.version_written);
-    const int64_t lsn = server_wal().Append(
-        db::LogRecordKind::kInstall, txn, record.item, record.version_written);
-    server_wal().Force(lsn);
+    InstallAtServer(txn, record.item, record.version_written);
     if (!cache_data_) continue;
     auto& copies = copy_sets_[static_cast<size_t>(record.item)];
     for (SiteId other : copies) {
@@ -354,7 +256,6 @@ void OccEngine::OnClientAborted(TxnRun& run) {
       cache.erase(run.op().item);
     }
   }
-  votes_.erase(run.id);
   std::vector<int32_t> participants = ParticipantsOf(run);
   if (participants.size() <= 1) return;  // nothing was reserved
   // Shards that voted yes before the failing shard doomed the transaction
@@ -377,14 +278,20 @@ bool OccEngine::ShardVote(int32_t shard, TxnId txn, bool speculative) {
   (void)shard;
   (void)txn;
   (void)speculative;
-  GTPL_CHECK(false) << "OCC overrides StartCommit; base 2PC is unreachable";
+  GTPL_CHECK(false) << "OCC votes in OnValidate; ShardVote is unreachable";
   return false;
 }
 
 void OccEngine::OnCommitDecision(int32_t shard, TxnId txn) {
-  (void)shard;
-  (void)txn;
-  GTPL_CHECK(false) << "OCC overrides StartCommit; base 2PC is unreachable";
+  auto& shard_prepared = prepared_[static_cast<size_t>(shard)];
+  auto it = shard_prepared.find(txn);
+  GTPL_CHECK(it != shard_prepared.end()) << "decision for unprepared txn";
+  const std::vector<proto::OpRecord> records = std::move(it->second);
+  shard_prepared.erase(it);
+  TxnRun* run = FindRun(txn);
+  InstallOnShard(shard, txn, run != nullptr ? run->site() : kInvalidSite,
+                 records);
+  ClearReservations(shard, records);
 }
 
 }  // namespace gtpl::cc

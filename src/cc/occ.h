@@ -5,7 +5,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "protocols/sharded.h"
+#include "protocols/engine.h"
 
 namespace gtpl::cc {
 
@@ -20,9 +20,9 @@ namespace gtpl::cc {
 /// and a single-shard transaction installs its writes atomically with the
 /// validation, so the validation instant is the serialization point.
 ///
-/// Cross-server commits reuse the 2PC message pattern (prepare == validate
-/// carrying the shard's slice of the read/write set, vote, decision), but
-/// with validation instead of a lock-state check: a yes vote *reserves* the
+/// Cross-server commits run the base's kClassic round (EngineBase) with a
+/// validate as the prepare, carrying the shard's slice of the read/write
+/// set, and validation instead of a lock-state check: a yes vote *reserves* the
 /// validated items — later validations touching them in a conflicting mode
 /// vote no — and parks the shard's write slice server-side, so the decision
 /// message is control-only. Reservations are cleared by the decision
@@ -40,7 +40,7 @@ namespace gtpl::cc {
 /// installed write sends "invalidate" to every other holder and leaves the
 /// committer as the only one. A stale local read is caught by the same
 /// backward validation and costs a restart, never a wrong commit.
-class OccEngine : public proto::ShardedEngineBase {
+class OccEngine : public proto::EngineBase {
  public:
   explicit OccEngine(const proto::SimConfig& config, bool cache_data = false);
 
@@ -51,17 +51,20 @@ class OccEngine : public proto::ShardedEngineBase {
   /// the versions it wrote.
   void DoCommit(TxnRun& run) override;
   void OnClientAborted(TxnRun& run) override;
-  /// Certification commit: overrides the base 2PC entirely. Votes are
-  /// decided by validation (data-dependent), so the geo-aware commit paths
-  /// do not apply: cross-server commits always run the classic two-flight
-  /// pattern and count commit_path_fallbacks when another path was asked.
+  /// Certification commit: a single shard validates and installs in one
+  /// round; across shards the votes are decided by validation
+  /// (data-dependent), so the geo-aware commit paths do not apply: every
+  /// path runs kClassic and counts commit_path_fallbacks.
   void StartCommit(TxnRun& run) override;
   /// kEarly's speculative prepares would route into the unreachable
   /// ShardVote below; OCC opts out (part of the classic fallback).
   void PreRequestHook(TxnRun& run) override { (void)run; }
+  /// kClassic's prepare is a validate (OnValidate votes, not ShardVote).
+  void SendPrepare(int32_t shard, TxnRun& run) override;
   bool ShardVote(int32_t shard, TxnId txn, bool speculative)
-      override;                                             // unreachable
-  void OnCommitDecision(int32_t shard, TxnId txn) override; // unreachable
+      override;  // unreachable
+  /// Installs the shard's parked write slice and clears its reservations.
+  void OnCommitDecision(int32_t shard, TxnId txn) override;
 
  private:
   /// Validation locks held between a yes vote and the decision/abort.
@@ -69,23 +72,12 @@ class OccEngine : public proto::ShardedEngineBase {
     int32_t readers = 0;
     TxnId writer = kInvalidTxn;
   };
-  struct VoteCtx {
-    int32_t votes_pending = 0;
-    bool all_yes = true;
-    std::vector<int32_t> participants;
-    /// Fan-out instant and validates still in flight — mirrors the base
-    /// CommitCtx so OCC reports the same per-round commit sub-spans.
-    SimTime sent_time = 0;
-    int32_t prepares_pending = 0;
-  };
 
   void OnRead(int32_t shard, TxnId txn, SiteId client_site, ItemId item,
               LockMode mode);
   void SendValidate(int32_t shard, TxnRun& run, bool multi);
   void OnValidate(int32_t shard, TxnId txn, SiteId client_site,
                   std::vector<proto::OpRecord> records, bool multi);
-  void OnOccVote(TxnId txn, int32_t shard, bool yes);
-  void OnOccDecision(int32_t shard, TxnId txn);
 
   bool ValidateOnShard(int32_t shard,
                        const std::vector<proto::OpRecord>& records);
@@ -102,7 +94,6 @@ class OccEngine : public proto::ShardedEngineBase {
   std::vector<std::unordered_map<ItemId, Slot>> reserved_;   // per shard
   std::vector<std::unordered_map<TxnId, std::vector<proto::OpRecord>>>
       prepared_;                                             // per shard
-  std::unordered_map<TxnId, VoteCtx> votes_;
 
   // Client data cache (cache_data only; both empty otherwise).
   bool cache_data_ = false;

@@ -102,11 +102,6 @@ bool LeaseCache::Has(ItemId item) const {
   return entries_.find(item) != entries_.end();
 }
 
-bool LeaseCache::RevokePending(ItemId item) const {
-  auto it = entries_.find(item);
-  return it != entries_.end() && it->second.revoke_pending;
-}
-
 Version LeaseCache::VersionOf(ItemId item) const {
   auto it = entries_.find(item);
   return it == entries_.end() ? 0 : it->second.version;

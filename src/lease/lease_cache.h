@@ -62,7 +62,6 @@ class LeaseCache {
   std::vector<ItemId> PinnedItems(TxnId txn) const;
 
   bool Has(ItemId item) const;
-  bool RevokePending(ItemId item) const;
   /// Cached version of `item`, or 0 when absent — the release fence: the
   /// newest version this site committed (or was granted) for the item.
   Version VersionOf(ItemId item) const;

@@ -71,7 +71,6 @@ AdmitOutcome LeaseTable::Admit(TxnId txn, SiteId site, ItemId item,
                                LockMode mode, SimTime now) {
   AdmitOutcome out;
   ItemLease& entry = items_[item];
-  const bool revoke_pending = SortedContains(entry.revokes, site);
   if (entry.queue.empty() && entry.revokes.empty() &&
       CompatibleWithHolders(entry, site, mode)) {
     AddHolder(entry, site, mode);
@@ -82,7 +81,6 @@ AdmitOutcome LeaseTable::Admit(TxnId txn, SiteId site, ItemId item,
   // else; a holder with a *sufficient* untouched lease (client expired it
   // locally, or the request raced a release) gets a refresh only via the
   // grant path above, so here it waits its turn too.
-  (void)revoke_pending;
   for (const LeaseWaiter& w : entry.queue) {
     GTPL_CHECK(w.txn != txn);   // one outstanding op per transaction
     GTPL_CHECK(w.site != site);  // MPL 1: one transaction per site
@@ -156,14 +154,6 @@ std::vector<ItemId> LeaseTable::RemoveTxn(TxnId txn) {
   return affected;
 }
 
-bool LeaseTable::Holds(SiteId site, ItemId item, LockMode mode) const {
-  auto it = items_.find(item);
-  if (it == items_.end()) return false;
-  const ItemLease& entry = it->second;
-  if (entry.writer == site) return true;
-  return mode == LockMode::kShared && SortedContains(entry.readers, site);
-}
-
 std::vector<SiteId> LeaseTable::ConflictingHolders(SiteId site, ItemId item,
                                                    LockMode mode) const {
   std::vector<SiteId> out;
@@ -189,11 +179,6 @@ std::vector<TxnId> LeaseTable::QueuedAhead(TxnId txn, ItemId item) const {
     out.push_back(w.txn);
   }
   return out;
-}
-
-bool LeaseTable::RevokeOutstanding(SiteId site, ItemId item) const {
-  auto it = items_.find(item);
-  return it != items_.end() && SortedContains(it->second.revokes, site);
 }
 
 std::vector<SiteId> LeaseTable::RevokedSites(ItemId item) const {

@@ -73,9 +73,6 @@ class LeaseTable {
   /// it waited on, each of which the caller should Promote.
   std::vector<ItemId> RemoveTxn(TxnId txn);
 
-  /// True iff `site` holds a lease on `item` sufficient for `mode`.
-  bool Holds(SiteId site, ItemId item, LockMode mode) const;
-
   /// Holder sites whose lease conflicts with `mode` requested by `site`
   /// (excluding `site` itself), in deterministic (sorted) order.
   std::vector<SiteId> ConflictingHolders(SiteId site, ItemId item,
@@ -83,9 +80,6 @@ class LeaseTable {
 
   /// Transactions queued ahead of `txn` on `item`.
   std::vector<TxnId> QueuedAhead(TxnId txn, ItemId item) const;
-
-  /// True iff a revoke to `site` on `item` is outstanding.
-  bool RevokeOutstanding(SiteId site, ItemId item) const;
 
   /// Sites with an outstanding revoke on `item`, sorted. Every waiter on
   /// the item waits for all of them (no grant while a revoke is out), so

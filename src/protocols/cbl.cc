@@ -8,7 +8,7 @@
 // a client data cache, and O2PL is OCC plus a client data cache and
 // invalidation.
 //
-// CBL runs under sharding (ShardedEngineBase): the per-item protocol state
+// CBL runs under sharding (EngineBase's routing): the per-item protocol state
 // lives at the owning shard's server site, while the coordination plane
 // (waits-for graph, abort decisions) stays global and instantaneous like
 // every other engine (DESIGN.md §8). Cross-server commits run the classic
@@ -25,15 +25,14 @@
 
 #include "common/check.h"
 #include "db/waits_for_graph.h"
-#include "protocols/sharded.h"
 
 namespace gtpl::proto {
 namespace {
 
-class CblEngine : public ShardedEngineBase {
+class CblEngine : public EngineBase {
  public:
   explicit CblEngine(const SimConfig& config)
-      : ShardedEngineBase(config),
+      : EngineBase(config),
         items_(static_cast<size_t>(config.workload.num_items)),
         clients_cbl_(static_cast<size_t>(config.num_clients)) {}
 
@@ -333,10 +332,7 @@ class CblEngine : public ShardedEngineBase {
       tracer().Emit(std::move(event));
     }
     for (const auto& [item, version] : updates) {
-      store().Install(item, version);
-      const int64_t lsn = server_wal().Append(db::LogRecordKind::kInstall,
-                                              txn, item, version);
-      server_wal().Force(lsn);
+      InstallAtServer(txn, item, version);
       ItemCbl& it = items_[static_cast<size_t>(item)];
       GTPL_CHECK_EQ(it.x_holder, txn);
       it.x_holder = kInvalidTxn;

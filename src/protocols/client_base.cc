@@ -1,4 +1,6 @@
-// Client-side transaction lifecycle shared by every protocol engine.
+// EngineBase: the client-side transaction lifecycle and the item routing
+// shared by every serial protocol engine (the commit paths are in
+// commit.cc).
 
 #include <algorithm>
 #include <string>
@@ -12,6 +14,9 @@ namespace gtpl::proto {
 
 EngineBase::EngineBase(const SimConfig& config) : config_(config) {
   GTPL_CHECK(config.Validate().ok()) << config.Validate().ToString();
+  items_per_shard_ =
+      (config.workload.num_items + config.num_servers - 1) /
+      config.num_servers;
   std::unique_ptr<net::LatencyModel> latency_model;
   if (config.latency_jitter == 0 && config.latency_spread == 0.0 &&
       config.server_latency < 0) {
@@ -106,18 +111,39 @@ EngineBase::EngineBase(const SimConfig& config) : config_(config) {
   }
 }
 
-EngineBase::ClientState& EngineBase::ClientOfSite(SiteId site) {
-  GTPL_CHECK_GE(site, 1);
-  GTPL_CHECK_LE(static_cast<size_t>(site), clients_.size());
-  return clients_[static_cast<size_t>(site - 1)];
-}
-
 EngineBase::TxnRun* EngineBase::FindRun(TxnId txn) {
   auto it = txn_client_.find(txn);
   if (it == txn_client_.end()) return nullptr;
   TxnRun* run = clients_[static_cast<size_t>(it->second)].current.get();
   if (run == nullptr || run->id != txn) return nullptr;
   return run;
+}
+
+int32_t EngineBase::ShardOf(ItemId item) const {
+  if (config_.shard_routing == ShardRouting::kRange) {
+    return std::min(item / items_per_shard_, num_servers() - 1);
+  }
+  return item % num_servers();
+}
+
+std::vector<int32_t> EngineBase::ParticipantsOf(const TxnRun& run) const {
+  std::vector<int32_t> shards;
+  for (const workload::Operation& op : run.spec.ops) {
+    shards.push_back(ShardOf(op.item));
+  }
+  std::sort(shards.begin(), shards.end());
+  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+  return shards;
+}
+
+std::vector<int32_t> EngineBase::WriteShardsOf(const TxnRun& run) const {
+  std::vector<int32_t> shards;
+  for (const workload::Operation& op : run.spec.ops) {
+    if (op.mode == LockMode::kExclusive) shards.push_back(ShardOf(op.item));
+  }
+  std::sort(shards.begin(), shards.end());
+  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+  return shards;
 }
 
 RunResult EngineBase::Run() {
@@ -289,7 +315,7 @@ void EngineBase::FinishOp(TxnRun& run) {
   IssueRequest(run);
 }
 
-void EngineBase::StartCommit(TxnRun& run) {
+void EngineBase::CommitLocally(TxnRun& run) {
   GTPL_CHECK(!run.finished);
   GTPL_CHECK(!run.doomed);
   ClientState& client = clients_[static_cast<size_t>(run.client_index)];
@@ -388,12 +414,18 @@ void EngineBase::FinalizeCommit(TxnRun& run) {
   if (queue.empty()) gc_pending_clients_.push_back(run.client_index);
   queue.push_back(std::move(gc));
   DoCommit(run);
-  OnTxnClosed(run);
   if (measured_commits_ >= config_.measured_txns) {
     sim_.Stop();
     return;
   }
   ScheduleNextTxn(client);
+}
+
+void EngineBase::InstallAtServer(TxnId txn, ItemId item, Version version) {
+  store_->Install(item, version);
+  const int64_t lsn =
+      server_wal_->Append(db::LogRecordKind::kInstall, txn, item, version);
+  server_wal_->Force(lsn);
 }
 
 void EngineBase::MaybeGcClientLogs() {
@@ -450,6 +482,15 @@ void EngineBase::RegisterMetrics(obs::MetricsRegistry* metrics) {
   metrics->Register("nic_backlog", -1, [this] {
     net::LinkModel* link = network_->link_model();
     return link == nullptr ? 0 : link->MaxNicBacklog(sim_.Now());
+  });
+  // Cross-server commits with votes outstanding (TxnRun::commit).
+  metrics->Register("inflight_2pc", -1, [this] {
+    int64_t inflight = 0;
+    for (const ClientState& client : clients_) {
+      const TxnRun* run = client.current.get();
+      if (run != nullptr && !run->finished && run->commit) ++inflight;
+    }
+    return inflight;
   });
 }
 
@@ -519,7 +560,6 @@ void EngineBase::AbortNoticeArrived(TxnId txn, int32_t client_index) {
   client.wal->Append(db::LogRecordKind::kAbort, txn, kInvalidItem, 0);
   ++client.restart_streak;
   OnClientAborted(*run);
-  OnTxnClosed(*run);
   ScheduleNextTxn(client);
 }
 

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -22,14 +24,58 @@
 
 namespace gtpl::proto {
 
-/// Shared client-side machinery of every protocol engine: the per-client
-/// transaction lifecycle of the paper's system model (idle U[2,10] -> new
-/// transaction -> sequential operations with think U[1,3] after each grant
-/// -> commit; aborted transactions are *replaced* by fresh ones), plus
-/// metrics, warmup handling, and the stop condition.
+/// The one base of every serial protocol engine. It owns:
+///  - the per-client transaction lifecycle of the paper's system model
+///    (idle U[2,10] -> new transaction -> sequential operations with think
+///    U[1,3] after each grant -> commit; aborted transactions are
+///    *replaced* by fresh ones), plus metrics, warmup and the stop
+///    condition;
+///  - routing: the item space is partitioned across `num_servers`
+///    simulated data servers by hash or range (ROADMAP's sharding item),
+///    and each request goes to the owning server's site, so every data
+///    round pays the WAN latency of net::LatencyModel;
+///  - the commit paths. A transaction confined to one shard commits
+///    locally (CommitLocally: forced commit record, then DoCommit), so
+///    `num_servers == 1` is the paper's single-server model with no extra
+///    message. One that touched several servers runs the configured
+///    protocols/commit.h path (DESIGN.md §13):
+///     - kClassic, client-coordinated 2PC: the client forces a prepare
+///       record, fans `prepare` to every participant *in parallel* (one
+///       max-RTT, not sum-RTT), collects votes, and on unanimous yes sends
+///       the decision and commits locally — two extra WAN flights;
+///     - kEarly piggybacks a *speculative* prepare on the last operation
+///       touching each shard (PreRequestHook), so the vote overlaps the
+///       rest of the execution. Sound because a vote only says "this shard
+///       has not aborted the transaction", abort decisions doom a run
+///       instantly, and the commit point re-checks !doomed. A speculative
+///       vote is no commit promise: it never triggers release-at-prepare
+///       (ShardVote's `speculative` flag);
+///     - kFastPath commits a transaction whose writes land on one shard
+///       with no prepare/vote round: the forced commit record is the
+///       commit point and the ordinary release/forward messages carry the
+///       decision (the read-only shards still hold their locks);
+///     - kCoord picks, per transaction, the client or the server of the
+///       write-heaviest participant as coordinator, from the static latency
+///       matrix (LatencyModel::BaseLatency, never the jitter stream). A
+///       remote coordinator adds handoff and ack legs to the response but
+///       delivers the decision to participants sooner, which pays when the
+///       server mesh is much faster than the WAN (config().server_latency).
+///    A certification engine (OCC) overrides StartCommit, runs kClassic
+///    for every configured path and counts commit_path_fallbacks.
 ///
-/// Protocol subclasses implement how requests, commits, and abort cleanup
-/// translate into messages and server state.
+/// A live commit's state rides on its TxnRun (TxnRun::commit, ::early,
+/// ::decided_remotely, ::released_shards) and counts as gone once the run
+/// is finished; state that must outlive the run (an engine's server-side
+/// abort set, g-2PL's forward-list slots) stays keyed by TxnId in the
+/// engine.
+///
+/// Determinism contract (DESIGN.md §8): the servers' *coordination plane*
+/// (shared precedence graph / waits-for graph, abort decisions) is modeled
+/// as instantaneous, like the paper's zero-cost server reordering; only the
+/// data and commit paths pay latency.
+///
+/// Protocol subclasses implement how requests, local commits, votes and
+/// abort cleanup translate into messages and server state.
 class EngineBase {
  public:
   explicit EngineBase(const SimConfig& config);
@@ -44,7 +90,54 @@ class EngineBase {
   net::Network& network() { return *network_; }
   sim::Simulator& simulator() { return sim_; }
 
+  int32_t num_servers() const { return config_.num_servers; }
+
+  /// Shard owning `item`, by the configured routing.
+  int32_t ShardOf(ItemId item) const;
+
+  /// Site id of shard `shard`'s server: shard 0 keeps kServerSite, extra
+  /// shard k >= 1 lives at site num_clients + k.
+  SiteId ServerSiteOf(int32_t shard) const {
+    return shard == 0 ? kServerSite
+                      : static_cast<SiteId>(num_clients() + shard);
+  }
+
  protected:
+  /// A cross-server commit with votes outstanding: built when the commit
+  /// path starts its vote round, dropped when the last vote is tallied or
+  /// the run dies first.
+  struct CommitCtx {
+    int32_t votes_pending = 0;
+    bool all_yes = true;
+    std::vector<int32_t> participants;
+    /// When the prepare fan-out (or vote wait, for kEarly) actually began —
+    /// after the coordinator's WAL force. Anchors the commit sub-spans.
+    SimTime sent_time = 0;
+    /// Non-speculative prepares still in flight; hits 0 when the last one
+    /// arrives, closing the span.commit_prepare sub-span.
+    int32_t prepares_pending = 0;
+    /// Blocking one-way WAN flights this commit path charges the client's
+    /// response time (written to TxnRun::commit_flights on completion).
+    int32_t flights = 2;
+    /// Where participants address their votes: the client site (classic,
+    /// early) or the coordinator server's site (coord).
+    SiteId vote_site = 0;
+    /// Coordinating shard under kCoord with a remote choice; -1 otherwise.
+    int32_t coord_shard = -1;
+    /// kClassic ran although another path was configured (certification).
+    bool fallback = false;
+  };
+
+  /// kEarly state, built on the run's first request.
+  struct EarlyCtx {
+    bool active = false;  // cross-server txn: speculative prepares flow
+    /// shard -> index of the last op touching it (send point).
+    std::unordered_map<int32_t, size_t> last_touch;
+    /// Shards whose speculative yes votes are already home.
+    std::unordered_set<int32_t> votes;
+    int32_t prepares_sent = 0;
+  };
+
   /// One in-flight transaction at a client.
   struct TxnRun {
     TxnId id = kInvalidTxn;
@@ -79,6 +172,16 @@ class EngineBase {
     /// Blocking one-way WAN flights the commit phase paid: -1 until a
     /// cross-server 2PC path sets it (single-shard commits keep -1).
     int32_t commit_flights = -1;
+    /// Cross-server commit with votes outstanding (see CommitCtx).
+    std::optional<CommitCtx> commit;
+    /// kEarly only: built on the first request.
+    std::optional<EarlyCtx> early;
+    /// kCoord: the decision fanned out from a remote coordinator, so lock
+    /// engines release at its arrival, ahead of the ack-delayed DoCommit.
+    bool decided_remotely = false;
+    /// Shards that installed and released ahead of the client's release
+    /// message (release_at_prepare, or a remote kCoord decision).
+    std::vector<int32_t> released_shards;
 
     SiteId site() const { return client_index + 1; }
     const workload::Operation& op() const { return spec.ops[current_op]; }
@@ -100,26 +203,35 @@ class EngineBase {
   virtual void DoCommit(TxnRun& run) = 0;
   /// The abort notice reached the client: protocol-specific cleanup.
   virtual void OnClientAborted(TxnRun& run) = 0;
+  /// Participant `shard`'s vote on committing `txn`, computed when the
+  /// prepare message arrives at the server. `speculative` marks kEarly
+  /// prepares sent before the commit point: the vote is advisory ("not
+  /// aborted so far"), so engines must NOT take commit-promise actions on
+  /// it (e.g. release-at-prepare).
+  virtual bool ShardVote(int32_t shard, TxnId txn, bool speculative) = 0;
+  /// The commit decision arrived at participant `shard` (phase two); the
+  /// base already logged it to the server WAL and recorded the event.
+  virtual void OnCommitDecision(int32_t shard, TxnId txn) = 0;
   /// Copy protocol-specific counters into the result.
   virtual void FillProtocolMetrics(RunResult* result) { (void)result; }
   /// The last operation's think time elapsed: begin committing. The default
-  /// forces the client WAL and finalizes immediately (pessimistic
-  /// protocols); optimistic protocols override to run certification and
-  /// call FinalizeCommit / ServerAbortDecision asynchronously.
+  /// commits a single-shard transaction locally and runs the configured
+  /// commit path across servers; a certification engine overrides it and
+  /// calls CommitLocally / ServerAbortDecision asynchronously.
   virtual void StartCommit(TxnRun& run);
   /// Called just before SendRequest for every operation (first and
-  /// subsequent). Default no-op; the kEarly commit path piggybacks
-  /// speculative prepares on the last operation touching each shard here.
-  virtual void PreRequestHook(TxnRun& run) { (void)run; }
-  /// The run ended (committed or the abort notice arrived): drop any
-  /// per-transaction bookkeeping. Default no-op.
-  virtual void OnTxnClosed(const TxnRun& run) { (void)run; }
+  /// subsequent). The default piggybacks kEarly's speculative prepare on
+  /// the last operation touching each shard.
+  virtual void PreRequestHook(TxnRun& run);
+  /// Sends the kClassic prepare for `run` to participant `shard`; a
+  /// certification engine sends its validation request instead.
+  virtual void SendPrepare(int32_t shard, TxnRun& run);
   /// Register this engine's time-series gauges with the metrics registry
   /// (obs/metrics.h; called once before the run when metrics_interval > 0).
   /// The base registers the engine-global series — active transactions,
-  /// cumulative commits/aborts, NIC backlog; overrides call the parent
-  /// first, then add their own (lock tables, lease state, in-flight 2PC),
-  /// so the series order is the class hierarchy's registration order and
+  /// cumulative commits/aborts, NIC backlog, in-flight 2PC; overrides call
+  /// the parent first, then add their own (lock tables, lease state), so
+  /// the series order is the class hierarchy's registration order and
   /// identical across runs. Probes must be read-only.
   virtual void RegisterMetrics(obs::MetricsRegistry* metrics);
 
@@ -155,8 +267,6 @@ class EngineBase {
   /// the access, then issue the next request or commit.
   void OpGranted(TxnRun& run, Version version_read);
 
-  /// Client whose site id is `site`.
-  ClientState& ClientOfSite(SiteId site);
   ClientState& ClientAt(int32_t index) { return clients_[index]; }
   int32_t num_clients() const { return static_cast<int32_t>(clients_.size()); }
 
@@ -171,10 +281,40 @@ class EngineBase {
     return result_.total_commits >= config_.warmup_txns;
   }
 
+  /// Distinct shards `run`'s operations touch, ascending.
+  std::vector<int32_t> ParticipantsOf(const TxnRun& run) const;
+
+  /// Distinct shards `run` *writes*, ascending (kFastPath eligibility and
+  /// the kCoord write-heaviest choice both key off the spec's write set,
+  /// which is static — tests recompute it from the spec).
+  std::vector<int32_t> WriteShardsOf(const TxnRun& run) const;
+
+  /// The client's local commit: forces the commit record to the client
+  /// WAL, then FinalizeCommit. Every commit path ends here.
+  void CommitLocally(TxnRun& run);
+
   /// Records the commit (metrics, history), emits DoCommit, and schedules
-  /// the client's next transaction. Callable asynchronously by protocols
-  /// whose commit point is decided at the server (certification).
+  /// the client's next transaction.
   void FinalizeCommit(TxnRun& run);
+
+  /// kClassic from the coordinator's side: force the prepare record, then
+  /// SendPrepare to every participant. `fallback` marks a certification
+  /// commit standing in for another configured path.
+  void StartClassic(TxnRun& run, std::vector<int32_t> participants,
+                    bool fallback = false);
+
+  /// A non-speculative prepare reached its participant: counts it against
+  /// the live commit context of `run`, whose last prepare closes the
+  /// span.commit_prepare sub-span. Returns where the vote goes: the
+  /// context's vote site, or the client once the context is gone.
+  SiteId PrepareLanded(TxnRun& run);
+
+  /// Participant `shard`'s vote on `txn` reached the vote site.
+  void OnVoteArrived(TxnId txn, int32_t shard, bool yes);
+
+  /// Installs `version` of `item` at its server and forces the install
+  /// record to the server WAL — the durability step of every commit path.
+  void InstallAtServer(TxnId txn, ItemId item, Version version);
 
   /// Client-log garbage collection (the paper's recovery assumption: "each
   /// site uses WAL and garbage collects its log once the data are made
@@ -189,6 +329,27 @@ class EngineBase {
   void FinishOp(TxnRun& run);
   void AbortNoticeArrived(TxnId txn, int32_t client_index);
 
+  // --- commit paths (protocols/commit.cc) ------------------------------
+  void StartEarly(TxnRun& run, std::vector<int32_t> participants);
+  void StartFastPath(TxnRun& run, const std::vector<int32_t>& participants);
+  void StartCoord(TxnRun& run, std::vector<int32_t> participants,
+                  int32_t coord_shard);
+  /// kCoord's placement decision: the write-heaviest participant's shard if
+  /// coordinating there beats the client on (response cost, lock-hold lag),
+  /// else -1 for the client. Deterministic: consults only BaseLatency.
+  int32_t ChooseCoordinator(const TxnRun& run,
+                            const std::vector<int32_t>& participants);
+  void OnPrepareArrived(int32_t shard, TxnId txn, bool speculative);
+  void OnDecisionArrived(int32_t shard, TxnId txn);
+  /// kCoord: the client's handoff reached the coordinator server; it fans
+  /// the prepares (its own shard prepares locally, votes inline).
+  void OnHandoffArrived(int32_t coord_shard, TxnId txn);
+  /// kCoord: the coordinator's commit ack reached the client.
+  void OnAckArrived(TxnId txn);
+  /// All votes are in: drop the context, fan the decisions, finish the
+  /// commit (or send the ack leg when a remote coordinator ran the rounds).
+  void FinishVotedCommit(TxnRun& run);
+
   /// One committed transaction's log footprint awaiting permanence.
   struct PendingGc {
     int64_t lsn = 0;  // client log prefix covered by this transaction
@@ -196,6 +357,7 @@ class EngineBase {
   };
 
   SimConfig config_;
+  int32_t items_per_shard_ = 1;  // range routing stride
   sim::Simulator sim_;
   obs::Tracer tracer_;
   /// Streaming trace sink (trace_stream_path only; the tracer then streams

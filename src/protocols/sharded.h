@@ -13,195 +13,6 @@
 
 namespace gtpl::proto {
 
-/// Multi-server extension of the paper's model (ROADMAP's sharding item):
-/// the item space is partitioned across `num_servers` simulated data
-/// servers by hash or range, each server owning the per-item protocol state
-/// for its shard. Clients still run one transaction at a time; each request
-/// is routed to the owning server's site, so every data round is charged
-/// the configured WAN latency by net::LatencyModel.
-///
-/// Commits that touched more than one server run a client-coordinated
-/// two-phase commit: the client forces a prepare record, fans `prepare` to
-/// every participant *in parallel* (all sends leave at the same simulated
-/// instant, so the prepare phase costs max-RTT, not sum-RTT), collects
-/// votes, and on unanimous yes sends the commit decision (then commits
-/// locally as usual). Both rounds travel through the simulated network, so
-/// a cross-server commit pays two extra latency rounds — the cost the
-/// sharding bench quantifies. Transactions confined to one shard skip the
-/// protocol entirely, so `num_servers == 1` is the paper's single-server
-/// model: no 2PC, no extra messages (the golden tables pin its results).
-///
-/// That two-flight protocol is CommitPath::kClassic. The geo-aware commit
-/// paths (protocols/commit.h, DESIGN.md §13) rework it per
-/// config().commit_path:
-///  - kEarly piggybacks a *speculative* prepare on the last operation that
-///    touches each shard (PreRequestHook), overlapping the prepare/vote
-///    round with the remaining execution; the commit point then blocks
-///    only on votes not yet home (zero flights under pure propagation).
-///    Sound because a vote is exactly "this shard has not aborted the
-///    transaction", abort decisions doom a run instantly, and the
-///    coordinator re-checks !doomed at the commit point — a stale yes vote
-///    can never resurrect a doomed transaction. Speculative prepares do
-///    NOT trigger release-at-prepare (the vote is not yet a commit
-///    promise); see ShardVote's `speculative` flag.
-///  - kFastPath commits transactions whose writes land on a single shard
-///    without any prepare/vote round: the client's forced commit record is
-///    the commit point and the engine's ordinary release/forward messages
-///    carry the (implicit) decision — the read-only shards still hold
-///    their locks, so the piggybacked validation cannot fail for a
-///    non-doomed transaction (ServerOnRelease checks this).
-///  - kCoord picks, per transaction, between the client and the server
-///    co-located with the write-heaviest participant as coordinator, from
-///    the static latency matrix (LatencyModel::BaseLatency, never the
-///    jitter stream). A remote coordinator pays handoff + ack legs on the
-///    client's response but delivers the decision to participants sooner
-///    (lock-hold reduction), the right trade when the server mesh is much
-///    faster than the WAN (config().server_latency).
-/// Engines that override StartCommit with their own certification commit
-/// (OCC) fall back to kClassic and count commit_path_fallbacks.
-///
-/// Determinism contract (DESIGN.md §8): the servers' *coordination plane*
-/// (shared precedence graph / waits-for graph, abort decisions) is modeled
-/// as instantaneous, like the paper's zero-cost server reordering; only the
-/// data and commit paths pay latency.
-class ShardedEngineBase : public EngineBase {
- public:
-  explicit ShardedEngineBase(const SimConfig& config);
-
-  int32_t num_servers() const { return config().num_servers; }
-
-  /// Shard owning `item`, by the configured routing.
-  int32_t ShardOf(ItemId item) const;
-
-  /// Site id of shard `shard`'s server: shard 0 keeps kServerSite, extra
-  /// shard k >= 1 lives at site num_clients + k.
-  SiteId ServerSiteOf(int32_t shard) const {
-    return shard == 0 ? kServerSite
-                      : static_cast<SiteId>(num_clients() + shard);
-  }
-
- protected:
-  /// Distinct shards `run`'s operations touch, ascending.
-  std::vector<int32_t> ParticipantsOf(const TxnRun& run) const;
-
-  /// Distinct shards `run` *writes*, ascending (kFastPath eligibility and
-  /// the kCoord write-heaviest choice both key off the spec's write set,
-  /// which is static — tests recompute it from the spec).
-  std::vector<int32_t> WriteShardsOf(const TxnRun& run) const;
-
-  /// Commit entry point: single-shard transactions fall through to
-  /// EngineBase::StartCommit; cross-server ones run the configured commit
-  /// path (classic/early/fastpath/coord — see the class comment).
-  void StartCommit(TxnRun& run) override;
-
-  /// kEarly: piggyback a speculative prepare when the current op is the
-  /// last one touching its shard (and the txn is cross-server).
-  void PreRequestHook(TxnRun& run) override;
-
-  /// Drop the commit/early contexts of a closed run (stale speculative
-  /// votes must not leak into the client's next transaction, which reuses
-  /// no txn id but the maps are keyed per txn and cleaned here).
-  void OnTxnClosed(const TxnRun& run) override;
-
-  /// Participant `shard`'s vote on committing `txn`, computed when the
-  /// prepare message arrives at the server. `speculative` marks kEarly
-  /// prepares sent before the commit point: the vote is advisory ("not
-  /// aborted so far"), so engines must NOT take commit-promise actions on
-  /// it (e.g. release-at-prepare).
-  virtual bool ShardVote(int32_t shard, TxnId txn, bool speculative) = 0;
-
-  /// The commit decision arrived at participant `shard` (phase two); the
-  /// base already logged it to the server WAL and recorded the event.
-  virtual void OnCommitDecision(int32_t shard, TxnId txn) = 0;
-
-  /// Copies the commit-path counters (cross_server_commits, participants,
-  /// sub-path tallies) into the result; subclasses override-and-call.
-  void FillProtocolMetrics(RunResult* result) override;
-
-  /// Adds the 2PC coordinator gauge (commits with votes outstanding);
-  /// subclasses override-and-call.
-  void RegisterMetrics(obs::MetricsRegistry* metrics) override;
-
-  /// Whether `txn`'s commit decision was issued by a remote coordinator
-  /// (kCoord): lock engines then release at decision arrival, ahead of the
-  /// client's ack-delayed DoCommit. Cleared when the run closes.
-  bool RemoteCoordinated(TxnId txn) const;
-
-  /// Cross-server commit counters (copied out by FillProtocolMetrics).
-  int64_t cross_server_commits_ = 0;
-  stats::Welford commit_participants_;
-  int64_t fastpath_commits_ = 0;
-  int64_t early_prepares_ = 0;
-  int64_t coord_remote_commits_ = 0;
-  /// Cross-server commits that ran kClassic although another path was
-  /// configured (OCC's certification commit increments this).
-  int64_t commit_path_fallbacks_ = 0;
-
- private:
-  struct CommitCtx {
-    int32_t votes_pending = 0;
-    bool all_yes = true;
-    std::vector<int32_t> participants;
-    /// When the prepare fan-out (or vote wait, for kEarly) actually began —
-    /// after the coordinator's WAL force. Anchors the commit sub-spans.
-    SimTime sent_time = 0;
-    /// Non-speculative prepares still in flight; hits 0 when the last one
-    /// arrives, closing the span.commit_prepare sub-span.
-    int32_t prepares_pending = 0;
-    /// Blocking one-way WAN flights this commit path charges the client's
-    /// response time (written to TxnRun::commit_flights on completion).
-    int32_t flights = 2;
-    /// Where participants address their votes: the client site (classic,
-    /// early) or the coordinator server's site (coord).
-    SiteId vote_site = 0;
-    /// Coordinating shard under kCoord with a remote choice; -1 otherwise.
-    int32_t coord_shard = -1;
-  };
-
-  /// kEarly per-txn state, built lazily on the first request.
-  struct EarlyCtx {
-    bool active = false;  // cross-server txn: speculative prepares flow
-    /// shard -> index of the last op touching it (send point).
-    std::unordered_map<int32_t, size_t> last_touch;
-    /// Shards whose speculative yes votes are already home.
-    std::unordered_set<int32_t> votes;
-    int32_t prepares_sent = 0;
-  };
-
-  // The classic two-flight path, verbatim; also the fallback body for
-  // fastpath (multi-write-shard txns) and coord (client-side choice).
-  void StartClassic(TxnRun& run, std::vector<int32_t> participants);
-  void StartEarly(TxnRun& run, std::vector<int32_t> participants);
-  void StartFastPath(TxnRun& run, const std::vector<int32_t>& participants);
-  void StartCoord(TxnRun& run, std::vector<int32_t> participants,
-                  int32_t coord_shard);
-
-  /// kCoord's placement decision: the write-heaviest participant's shard if
-  /// coordinating there beats the client on (response cost, lock-hold lag),
-  /// else -1 for the client. Deterministic: consults only BaseLatency.
-  int32_t ChooseCoordinator(const TxnRun& run,
-                            const std::vector<int32_t>& participants);
-
-  void OnPrepareArrived(int32_t shard, TxnId txn, bool speculative);
-  void OnVoteArrived(TxnId txn, int32_t shard, bool yes);
-  void OnDecisionArrived(int32_t shard, TxnId txn);
-  /// kCoord: the client's handoff reached the coordinator server; it fans
-  /// the prepares (its own shard prepares locally, votes inline).
-  void OnHandoffArrived(int32_t coord_shard, TxnId txn);
-  /// kCoord: the coordinator's commit ack reached the client.
-  void OnAckArrived(TxnId txn);
-  /// All votes are in: erase the ctx, fan the decisions, finish the commit
-  /// (or send the ack leg when a remote coordinator ran the rounds).
-  void FinishVotedCommit(TxnId txn);
-
-  int32_t items_per_shard_ = 1;  // range routing stride
-  std::unordered_map<TxnId, CommitCtx> commits_;
-  std::unordered_map<TxnId, EarlyCtx> early_;
-  /// Txns whose decisions fanned out from a remote coordinator and whose
-  /// runs have not closed yet (RemoteCoordinated).
-  std::unordered_set<TxnId> remote_decided_;
-};
-
 /// Group two-phase locking (paper §3), the only g-2PL engine: the server
 /// collects requests into forward lists; data items migrate client to
 /// client along the list, fusing each lock release with the next grant;
@@ -217,7 +28,7 @@ class ShardedEngineBase : public EngineBase {
 /// forward list: receive the data, process it if the transaction is alive,
 /// and forward it downstream at commit — or pass it through unchanged after
 /// an abort); only the request/return endpoints differ per item.
-class ShardedG2plEngine : public ShardedEngineBase {
+class ShardedG2plEngine : public EngineBase {
  public:
   explicit ShardedG2plEngine(const SimConfig& config);
 
@@ -301,10 +112,6 @@ class ShardedG2plEngine : public ShardedEngineBase {
   std::unordered_map<ObKey, Obligation, ObKeyHash> obligations_;
   std::unordered_set<TxnId> drained_;
 };
-
-// (s-2PL is cc::LockCcEngine with the detection policy — the generic lock
-// engine in cc/lock_engine.h — so the no-wait / wait-die / ordered variants
-// share its sharding and 2PC machinery.)
 
 }  // namespace gtpl::proto
 

@@ -326,6 +326,28 @@ TEST(MetricsSeriesTest, SerialSeriesShapes) {
   }
 }
 
+TEST(MetricsSeriesTest, InflightTwoPcCountsCertificationCommits) {
+  // inflight_2pc counts runs whose cross-server vote round is open, so
+  // OCC's validate round must show up exactly like a lock engine's
+  // prepare round.
+  for (proto::Protocol protocol :
+       {proto::Protocol::kOcc, proto::Protocol::kO2pl,
+        proto::Protocol::kS2pl}) {
+    proto::SimConfig config = SmallConfig(protocol, 4);
+    config.metrics_interval = 50;
+    const proto::RunResult result = proto::RunSimulation(config);
+    int64_t nonzero = 0;
+    for (const MetricRow& row : result.metrics) {
+      if (result.metric_names[static_cast<size_t>(row.series)] ==
+              "inflight_2pc" &&
+          row.value > 0) {
+        ++nonzero;
+      }
+    }
+    EXPECT_GT(nonzero, 0) << cc::EngineFor(protocol).name;
+  }
+}
+
 TEST(MetricsSeriesTest, CsvRoundTripAndJsonlShape) {
   MetricsRegistry registry;
   int64_t value = 3;
