@@ -276,7 +276,6 @@ class EngineBase {
   const SimConfig& config() const { return config_; }
   db::DataStore& store() { return *store_; }
   db::WriteAheadLog& server_wal() { return *server_wal_; }
-  RunResult& result() { return result_; }
   bool measuring() const {
     return result_.total_commits >= config_.warmup_txns;
   }
@@ -284,18 +283,9 @@ class EngineBase {
   /// Distinct shards `run`'s operations touch, ascending.
   std::vector<int32_t> ParticipantsOf(const TxnRun& run) const;
 
-  /// Distinct shards `run` *writes*, ascending (kFastPath eligibility and
-  /// the kCoord write-heaviest choice both key off the spec's write set,
-  /// which is static — tests recompute it from the spec).
-  std::vector<int32_t> WriteShardsOf(const TxnRun& run) const;
-
   /// The client's local commit: forces the commit record to the client
   /// WAL, then FinalizeCommit. Every commit path ends here.
   void CommitLocally(TxnRun& run);
-
-  /// Records the commit (metrics, history), emits DoCommit, and schedules
-  /// the client's next transaction.
-  void FinalizeCommit(TxnRun& run);
 
   /// kClassic from the coordinator's side: force the prepare record, then
   /// SendPrepare to every participant. `fallback` marks a certification
@@ -328,6 +318,14 @@ class EngineBase {
   void ScheduleNextTxn(ClientState& client);
   void FinishOp(TxnRun& run);
   void AbortNoticeArrived(TxnId txn, int32_t client_index);
+  /// Records the commit (metrics, history), emits DoCommit, and schedules
+  /// the client's next transaction.
+  void FinalizeCommit(TxnRun& run);
+
+  /// Distinct shards `run` *writes*, ascending (kFastPath eligibility and
+  /// the kCoord write-heaviest choice both key off the spec's write set,
+  /// which is static — tests recompute it from the spec).
+  std::vector<int32_t> WriteShardsOf(const TxnRun& run) const;
 
   // --- commit paths (protocols/commit.cc) ------------------------------
   void StartEarly(TxnRun& run, std::vector<int32_t> participants);
