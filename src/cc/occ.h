@@ -22,11 +22,12 @@ namespace gtpl::cc {
 ///
 /// Cross-server commits run the base's kClassic round (EngineBase) with a
 /// validate as the prepare, carrying the shard's slice of the read/write
-/// set, and validation instead of a lock-state check: a yes vote *reserves* the
-/// validated items — later validations touching them in a conflicting mode
-/// vote no — and parks the shard's write slice server-side, so the decision
-/// message is control-only. Reservations are cleared by the decision
-/// (commit) or by the client's abort cleanup message.
+/// set, and validation instead of a lock-state check: a yes vote
+/// *reserves* the validated items — later validations touching them in a
+/// conflicting mode vote no — and parks the shard's write slice
+/// server-side, so the decision message is control-only. Reservations are
+/// cleared by the decision (commit) or by the client's abort cleanup
+/// message.
 ///
 /// The commit thus costs one extra WAN round (single shard) or two (2PC)
 /// on top of the pessimistic engines' commit path, the classic OCC
