@@ -1,12 +1,18 @@
 // A6: google-benchmark microbenchmarks of the core data structures — the
 // event queue, the strict-2PL lock table, the precedence graph, the workload
-// generator's access-set sampling and set-up, and a whole small simulation —
-// to keep the substrate's costs visible.
+// generator's access-set sampling and set-up, the trace writer, and a whole
+// small simulation — to keep the substrate's costs visible.
+
+#include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "core/precedence_graph.h"
 #include "db/lock_table.h"
+#include "obs/export.h"
+#include "obs/sink.h"
+#include "obs/trace.h"
 #include "protocols/engine.h"
 #include "rng/distributions.h"
 #include "rng/rng.h"
@@ -159,6 +165,75 @@ void BM_PrecedenceGraphReachability(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrecedenceGraphReachability);
+
+// A fixed mix of trace events as the engines emit them: a transport send
+// with its label, a commit carrying its span phases, and a g-2PL window
+// dispatch with a three-entry forward list.
+std::vector<obs::TraceEvent> TraceEventMix() {
+  obs::TraceEvent send;
+  send.seq = 1'048'576;
+  send.time = 2'500'300;
+  send.kind = obs::EventKind::kMsgSend;
+  send.site = 17;
+  send.peer = 1025;
+  send.payload = 1;
+  send.d0 = 12;
+  send.d1 = 4;
+  send.label = "lock-request";
+
+  obs::TraceEvent commit;
+  commit.seq = 1'048'577;
+  commit.time = 2'500'412;
+  commit.kind = obs::EventKind::kTxnCommit;
+  commit.txn = 91'234;
+  commit.site = 17;
+  commit.payload = 1'800;
+  commit.d0 = 640;
+  commit.d1 = 800;
+  commit.d2 = 36;
+  commit.d3 = 300;
+  commit.d4 = 24;
+
+  obs::TraceEvent dispatch;
+  dispatch.seq = 1'048'578;
+  dispatch.time = 2'500'500;
+  dispatch.kind = obs::EventKind::kWindowDispatch;
+  dispatch.item = 811;
+  dispatch.shard = 2;
+  dispatch.payload = 3;
+  dispatch.entries = {{false, {91'230}},
+                      {true, {91'231, 91'233, 91'240}},
+                      {false, {91'241}}};
+  return {send, commit, dispatch};
+}
+
+void BM_AppendEventJsonl(benchmark::State& state) {
+  const std::vector<obs::TraceEvent> mix = TraceEventMix();
+  std::string line;
+  for (auto _ : state) {
+    for (const obs::TraceEvent& event : mix) {
+      line.clear();
+      obs::AppendEventJsonl(event, &line);
+      benchmark::DoNotOptimize(line.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(mix.size()));
+}
+BENCHMARK(BM_AppendEventJsonl);
+
+// The streaming sink at its default 1 MiB watermark, writing to /dev/null:
+// serialization plus the chunk buffer, without disk I/O.
+void BM_StreamSinkAppend(benchmark::State& state) {
+  const std::vector<obs::TraceEvent> mix = TraceEventMix();
+  obs::StreamSink sink("/dev/null", 1 << 20);
+  for (auto _ : state) {
+    for (const obs::TraceEvent& event : mix) sink.Append(event);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(mix.size()));
+}
+BENCHMARK(BM_StreamSinkAppend);
 
 void BM_WholeSimulation(benchmark::State& state) {
   const bool g2pl = state.range(0) != 0;

@@ -535,24 +535,31 @@ int main(int argc, char** argv) {
           point.traces.size() == 1
               ? flags.trace_path
               : flags.trace_path + ".rep" + std::to_string(rep);
+      // A stream that failed to open or to write fails the final flush.
       std::ofstream out(path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot write trace file %s\n", path.c_str());
-        return 2;
-      }
       if (flags.trace_format == gtpl::obs::TraceFormat::kChrome) {
         gtpl::obs::WriteChromeTrace(point.traces[rep], out);
       } else {
         gtpl::obs::WriteJsonl(point.traces[rep], out);
+      }
+      if (!out.flush()) {
+        std::fprintf(stderr, "cannot write trace file %s\n", path.c_str());
+        return 2;
       }
       std::printf("trace (%zu events) written to %s\n",
                   point.traces[rep].size(), path.c_str());
     }
   }
   if (!flags.config.trace_stream_path.empty()) {
+    const char* suffix =
+        flags.runs > 1 ? ".rep<r> (one file per replication)" : "";
+    if (point.any_trace_write_failed) {
+      std::fprintf(stderr, "cannot write trace file %s%s\n",
+                   flags.config.trace_stream_path.c_str(), suffix);
+      return 2;
+    }
     std::printf("trace streamed to %s%s\n",
-                flags.config.trace_stream_path.c_str(),
-                flags.runs > 1 ? ".rep<r> (one file per replication)" : "");
+                flags.config.trace_stream_path.c_str(), suffix);
   }
   if (!flags.metrics_path.empty()) {
     for (size_t rep = 0; rep < point.metrics.size(); ++rep) {
@@ -561,16 +568,16 @@ int main(int argc, char** argv) {
               ? flags.metrics_path
               : flags.metrics_path + ".rep" + std::to_string(rep);
       std::ofstream out(path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot write metrics file %s\n", path.c_str());
-        return 2;
-      }
       if (flags.metrics_format == gtpl::obs::MetricsFormat::kJsonl) {
         gtpl::obs::WriteMetricsJsonl(point.metric_names, point.metrics[rep],
                                      out);
       } else {
         gtpl::obs::WriteMetricsCsv(point.metric_names, point.metrics[rep],
                                    out);
+      }
+      if (!out.flush()) {
+        std::fprintf(stderr, "cannot write metrics file %s\n", path.c_str());
+        return 2;
       }
       std::printf("metrics (%zu rows) written to %s\n",
                   point.metrics[rep].size(), path.c_str());

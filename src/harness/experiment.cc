@@ -88,6 +88,8 @@ PointResult AggregateReplications(std::vector<ReplicaRun>& runs) {
     out.total_commits += result.commits;
     out.total_aborts += result.aborts;
     out.any_timed_out = out.any_timed_out || result.timed_out;
+    out.any_trace_write_failed =
+        out.any_trace_write_failed || result.trace_write_failed;
     out.wall_seconds += run.seconds;
     if (result.commits > 0) {
       messages += static_cast<double>(result.network.messages) /

@@ -94,6 +94,8 @@ struct PointResult {
   int64_t total_commits = 0;
   int64_t total_aborts = 0;
   bool any_timed_out = false;
+  /// True when any replication's streamed trace failed to write.
+  bool any_trace_write_failed = false;
   /// Summed wall-clock seconds of this point's replications (the point's
   /// serial cost, independent of how many workers ran it).
   double wall_seconds = 0.0;

@@ -5,50 +5,123 @@
 #include <cstdio>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 namespace gtpl::obs {
 namespace {
 
+/// Appends `text` as the body of a JSON string. Runs of bytes that need no
+/// escaping go out in one append; bytes >= 0x80 pass through unchanged.
 void AppendEscaped(const std::string& text, std::string* out) {
-  for (char c : text) {
+  size_t run = 0;  // first byte of the pending unescaped run
+  for (size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
       case '\n': *out += "\\n"; break;
       case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
     }
   }
+  out->append(text, run, text.size() - run);
 }
+
+/// Widest decimal text of the integer types `T...` together: every digit
+/// of each type's extreme value, plus a sign for signed types.
+template <typename... T>
+constexpr size_t MaxChars() {
+  return ((std::numeric_limits<T>::digits10 + 1 + std::is_signed_v<T>) + ...);
+}
+
+/// Longest EventKind wire name ("window_dispatch").
+constexpr size_t kMaxKindChars = 15;
+/// Every key fragment AppendEventJsonl copies before the label text.
+constexpr std::string_view kFixedKeys =
+    "{\"seq\":,\"t\":,\"kind\":\"\",\"txn\":,\"site\":,\"peer\":,\"item\":,"
+    "\"shard\":,\"mode\":,\"flag\":,\"payload\":,\"d0\":,\"d1\":,\"d2\":,"
+    "\"d3\":,\"d4\":,\"label\":\"";
+/// Worst-case length of a line's fixed part: the keys, the longest kind
+/// name, the one-digit flag and every integer field at its widest.
+using E = TraceEvent;
+constexpr size_t kMaxFixedChars =
+    kFixedKeys.size() + kMaxKindChars + 1 +
+    MaxChars<decltype(E::seq), decltype(E::time), decltype(E::txn),
+             decltype(E::site), decltype(E::peer), decltype(E::item),
+             decltype(E::shard), decltype(E::mode), decltype(E::payload),
+             decltype(E::d0), decltype(E::d1), decltype(E::d2),
+             decltype(E::d3), decltype(E::d4)>();
+
+/// Writes a line's fixed part into a stack buffer sized for the worst case.
+class FixedWriter {
+ public:
+  void Text(std::string_view text) {
+    std::memcpy(end_, text.data(), text.size());
+    end_ += text.size();
+  }
+  template <typename T>
+  void Int(T value) {
+    end_ = std::to_chars(end_, buf_ + sizeof(buf_), value).ptr;
+  }
+  void AppendTo(std::string* out) const {
+    out->append(buf_, static_cast<size_t>(end_ - buf_));
+  }
+
+ private:
+  char buf_[kMaxFixedChars];
+  char* end_ = buf_;
+};
 
 }  // namespace
 
 void AppendEventJsonl(const TraceEvent& e, std::string* out) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"seq\":%llu,\"t\":%lld,\"kind\":\"%s\",\"txn\":%lld,\"site\":%d,"
-      "\"peer\":%d,\"item\":%d,\"shard\":%d,\"mode\":%d,\"flag\":%d,"
-      "\"payload\":%lld,\"d0\":%lld,\"d1\":%lld,\"d2\":%lld,\"d3\":%lld,"
-      "\"d4\":%lld,\"label\":\"",
-      static_cast<unsigned long long>(e.seq),
-      static_cast<long long>(e.time), ToString(e.kind),
-      static_cast<long long>(e.txn), e.site, e.peer, e.item, e.shard, e.mode,
-      e.flag ? 1 : 0, static_cast<long long>(e.payload),
-      static_cast<long long>(e.d0), static_cast<long long>(e.d1),
-      static_cast<long long>(e.d2), static_cast<long long>(e.d3),
-      static_cast<long long>(e.d4));
-  *out += buf;
+  FixedWriter w;
+  w.Text("{\"seq\":");
+  w.Int(e.seq);
+  w.Text(",\"t\":");
+  w.Int(e.time);
+  w.Text(",\"kind\":\"");
+  w.Text(ToString(e.kind));
+  w.Text("\",\"txn\":");
+  w.Int(e.txn);
+  w.Text(",\"site\":");
+  w.Int(e.site);
+  w.Text(",\"peer\":");
+  w.Int(e.peer);
+  w.Text(",\"item\":");
+  w.Int(e.item);
+  w.Text(",\"shard\":");
+  w.Int(e.shard);
+  w.Text(",\"mode\":");
+  w.Int(e.mode);
+  w.Text(",\"flag\":");
+  w.Int(e.flag ? 1 : 0);
+  w.Text(",\"payload\":");
+  w.Int(e.payload);
+  w.Text(",\"d0\":");
+  w.Int(e.d0);
+  w.Text(",\"d1\":");
+  w.Int(e.d1);
+  w.Text(",\"d2\":");
+  w.Int(e.d2);
+  w.Text(",\"d3\":");
+  w.Int(e.d3);
+  w.Text(",\"d4\":");
+  w.Int(e.d4);
+  w.Text(",\"label\":\"");
+  w.AppendTo(out);
   AppendEscaped(e.label, out);
   *out += '"';
   if (!e.entries.empty()) {
@@ -60,7 +133,8 @@ void AppendEventJsonl(const TraceEvent& e, std::string* out) {
                                   : "{\"rg\":0,\"txns\":[";
       for (size_t j = 0; j < entry.txns.size(); ++j) {
         if (j > 0) *out += ',';
-        *out += std::to_string(entry.txns[j]);
+        char id[MaxChars<TxnId>()];
+        out->append(id, std::to_chars(id, id + sizeof(id), entry.txns[j]).ptr);
       }
       *out += "]}";
     }

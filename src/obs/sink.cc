@@ -17,14 +17,15 @@ StreamSink::~StreamSink() { Flush(); }
 
 void StreamSink::Append(const TraceEvent& event) {
   // Serialize the line first so the flush-before-append decision sees its
-  // exact size; flushing early keeps the buffer under the watermark.
-  std::string line;
-  AppendEventJsonl(event, &line);
+  // exact size; flushing early keeps the buffer under the watermark. The
+  // line buffer keeps its capacity, so a steady stream allocates nothing.
+  line_.clear();
+  AppendEventJsonl(event, &line_);
   if (!buffer_.empty() &&
-      static_cast<int64_t>(buffer_.size() + line.size()) > watermark_) {
+      static_cast<int64_t>(buffer_.size() + line_.size()) > watermark_) {
     Flush();
   }
-  buffer_ += line;
+  buffer_ += line_;
   if (static_cast<int64_t>(buffer_.size()) > peak_buffer_) {
     peak_buffer_ = static_cast<int64_t>(buffer_.size());
   }
@@ -33,7 +34,10 @@ void StreamSink::Append(const TraceEvent& event) {
 
 void StreamSink::Flush() {
   if (buffer_.empty()) return;
+  // Flushing the stream too makes a failed write (a full disk) show in
+  // ok() as soon as this returns, not only when the file closes.
   out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  out_.flush();
   ok_ = ok_ && out_.good();
   bytes_written_ += static_cast<int64_t>(buffer_.size());
   buffer_.clear();

@@ -34,6 +34,8 @@ class StreamSink : public TraceSink {
   void Append(const TraceEvent& event) override;
   void Flush() override;
 
+  /// False once the file failed to open or any flushed chunk failed to
+  /// write.
   bool ok() const { return ok_; }
   int64_t bytes_written() const { return bytes_written_; }
   int64_t peak_buffer_bytes() const { return peak_buffer_; }
@@ -45,6 +47,7 @@ class StreamSink : public TraceSink {
   int64_t bytes_written_ = 0;
   int64_t peak_buffer_ = 0;
   std::string buffer_;
+  std::string line_;  // the event being appended; reused across events
 };
 
 /// Deterministic k-way merge of per-LP trace streams (DESIGN.md §16).

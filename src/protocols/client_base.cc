@@ -186,6 +186,7 @@ RunResult EngineBase::Run() {
     trace_sink_->Flush();
     result_.trace_stream_bytes = trace_sink_->bytes_written();
     result_.trace_peak_buffer = trace_sink_->peak_buffer_bytes();
+    result_.trace_write_failed = !trace_sink_->ok();
   }
   if (config_.metrics_interval > 0) {
     result_.metrics = metrics.TakeRows();

@@ -221,6 +221,9 @@ struct RunResult {
   /// acceptance check asserts peak stays under the flush watermark.
   int64_t trace_stream_bytes = 0;
   int64_t trace_peak_buffer = 0;
+  /// True when the streamed trace file could not be written in full (a
+  /// failed write such as a full disk); the file is then incomplete.
+  bool trace_write_failed = false;
 
   /// Time-series metric samples (only when metrics_interval > 0); see
   /// obs/metrics.h and DESIGN.md §16. `metric_names` maps MetricRow::series

@@ -885,6 +885,7 @@ RunResult ParallelEngine::Run() {
       trace_sink_->Flush();
       result.trace_stream_bytes = trace_sink_->bytes_written();
       result.trace_peak_buffer = trace_sink_->peak_buffer_bytes();
+      result.trace_write_failed = !trace_sink_->ok();
     } else {
       result.obs_trace = merger_->Take();
     }

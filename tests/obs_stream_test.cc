@@ -4,10 +4,12 @@
 // thread count (goldened); the metrics series is deterministic and does not
 // perturb the run. `ctest -L obs` runs this suite (TSan CI included).
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -153,21 +155,52 @@ TEST(StreamIdentityTest, StreamedFileMatchesBufferedExportParsim) {
 }
 
 TEST(StreamIdentityTest, TinyWatermarkStillByteIdentical) {
-  proto::SimConfig buffered = SmallConfig(proto::Protocol::kS2pl, 2);
-  buffered.obs_trace = true;
-  const std::string expected =
-      ToJsonl(proto::RunSimulation(buffered).obs_trace);
+  // s2pl at 2 servers, and g2pl at 4 servers for its long fl-array lines.
+  for (const auto& [protocol, servers] :
+       {std::pair{proto::Protocol::kS2pl, 2},
+        std::pair{proto::Protocol::kG2pl, 4}}) {
+    proto::SimConfig buffered = SmallConfig(protocol, servers);
+    buffered.obs_trace = true;
+    const std::string expected =
+        ToJsonl(proto::RunSimulation(buffered).obs_trace);
+    size_t longest_line = 0;
+    std::istringstream lines(expected);
+    for (std::string line; std::getline(lines, line);) {
+      longest_line = std::max(longest_line, line.size() + 1);
+    }
 
-  proto::SimConfig streamed = buffered;
-  const std::string path = TempPath("tiny_watermark.jsonl");
-  streamed.trace_stream_path = path;
-  streamed.trace_flush_bytes = 1;  // flush every event
-  const proto::RunResult result = proto::RunSimulation(streamed);
-  EXPECT_EQ(ReadFile(path), expected);
-  // Watermark 1 forces a flush before every append, so the peak is one
-  // serialized line (the documented max(watermark, longest line) bound).
-  EXPECT_GT(result.trace_peak_buffer, 1);
-  EXPECT_LT(result.trace_peak_buffer, 512);
+    proto::SimConfig streamed = buffered;
+    const std::string path = TempPath(
+        "tiny_watermark_" + std::to_string(servers) + ".jsonl");
+    streamed.trace_stream_path = path;
+    streamed.trace_flush_bytes = 1;  // flush every event
+    const proto::RunResult result = proto::RunSimulation(streamed);
+    EXPECT_EQ(ReadFile(path), expected) << proto::ToString(protocol);
+    // Watermark 1 forces a flush before every append, so the peak is the
+    // longest serialized line (the documented max(watermark, longest line)
+    // bound).
+    EXPECT_EQ(result.trace_peak_buffer,
+              static_cast<int64_t>(longest_line))
+        << proto::ToString(protocol);
+  }
+}
+
+TEST(StreamFailureTest, FailedWritesAreReported) {
+  // /dev/full accepts the open and fails every write.
+  proto::SimConfig serial = SmallConfig(proto::Protocol::kS2pl, 2);
+  serial.obs_trace = true;
+  serial.trace_stream_path = "/dev/full";
+  EXPECT_TRUE(proto::RunSimulation(serial).trace_write_failed);
+
+  proto::SimConfig parallel = ParsimConfig(proto::Protocol::kNoWait, 4, 2);
+  parallel.trace_stream_path = "/dev/full";
+  EXPECT_TRUE(proto::RunParallelSimulation(parallel).trace_write_failed);
+
+  // A writable destination leaves the flag clear.
+  serial.trace_stream_path = TempPath("writable.jsonl");
+  EXPECT_FALSE(proto::RunSimulation(serial).trace_write_failed);
+  parallel.trace_stream_path = TempPath("writable_parsim.jsonl");
+  EXPECT_FALSE(proto::RunParallelSimulation(parallel).trace_write_failed);
 }
 
 // ---------------------------------------------------------------------------

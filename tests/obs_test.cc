@@ -1,7 +1,12 @@
 // Unit tests of the observability substrate: the Tracer sink, event-kind
 // wire names, and the JSONL / Chrome exporters (round-trip through the
-// strict JSONL reader).
+// strict JSONL reader, and byte equality with a printf-based reference
+// writer over extreme field values).
 
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -269,6 +274,215 @@ TEST(ExportTest, JsonlIsOneObjectPerLine) {
   }
   EXPECT_EQ(lines, 3u);
   EXPECT_EQ(jsonl.back(), '\n');
+}
+
+// The printf-based JSONL writer that AppendEventJsonl replaced, kept as the
+// byte-for-byte reference for the to_chars writer.
+void ReferenceAppendEscaped(const std::string& text, std::string* out) {
+  for (char c : text) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          *out += c;
+        }
+    }
+  }
+}
+
+void ReferenceAppendEventJsonl(const TraceEvent& e, std::string* out) {
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"seq\":%llu,\"t\":%lld,\"kind\":\"%s\",\"txn\":%lld,\"site\":%d,"
+      "\"peer\":%d,\"item\":%d,\"shard\":%d,\"mode\":%d,\"flag\":%d,"
+      "\"payload\":%lld,\"d0\":%lld,\"d1\":%lld,\"d2\":%lld,\"d3\":%lld,"
+      "\"d4\":%lld,\"label\":\"",
+      static_cast<unsigned long long>(e.seq),
+      static_cast<long long>(e.time), ToString(e.kind),
+      static_cast<long long>(e.txn), e.site, e.peer, e.item, e.shard, e.mode,
+      e.flag ? 1 : 0, static_cast<long long>(e.payload),
+      static_cast<long long>(e.d0), static_cast<long long>(e.d1),
+      static_cast<long long>(e.d2), static_cast<long long>(e.d3),
+      static_cast<long long>(e.d4));
+  *out += buf;
+  ReferenceAppendEscaped(e.label, out);
+  *out += '"';
+  if (!e.entries.empty()) {
+    *out += ",\"fl\":[";
+    for (size_t i = 0; i < e.entries.size(); ++i) {
+      if (i > 0) *out += ',';
+      const FlEntrySnapshot& entry = e.entries[i];
+      *out += entry.is_read_group ? "{\"rg\":1,\"txns\":["
+                                  : "{\"rg\":0,\"txns\":[";
+      for (size_t j = 0; j < entry.txns.size(); ++j) {
+        if (j > 0) *out += ',';
+        *out += std::to_string(entry.txns[j]);
+      }
+      *out += "]}";
+    }
+    *out += ']';
+  }
+  *out += "}\n";
+}
+
+/// Seeded events over every kind whose fields mix 0, +-1, the type limits
+/// and random values, with labels full of bytes that need escaping.
+class ExtremeEvents {
+ public:
+  explicit ExtremeEvents(uint64_t seed) : rng_(seed) {}
+
+  int64_t Int64() {
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    switch (rng_() % 8) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return -1;
+      case 3: return kMin;
+      case 4: return kMax;
+      case 5: return std::numeric_limits<int32_t>::min();
+      case 6: return std::numeric_limits<int32_t>::max();
+      default: return static_cast<int64_t>(rng_());
+    }
+  }
+
+  int32_t Int32() {
+    switch (rng_() % 6) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return -1;
+      case 3: return std::numeric_limits<int32_t>::min();
+      case 4: return std::numeric_limits<int32_t>::max();
+      default: return static_cast<int32_t>(rng_());
+    }
+  }
+
+  uint64_t Seq() {
+    switch (rng_() % 4) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return std::numeric_limits<uint64_t>::max();
+      default: return rng_();
+    }
+  }
+
+  std::string Label() {
+    std::string control;
+    for (char c = 0x01; c < 0x20; ++c) control += c;
+    switch (rng_() % 6) {
+      case 0: return "";
+      case 1: return "\"quoted\" \\back\\slashed\\";
+      case 2: return control;
+      case 3: return "\x80\xff caf\xc3\xa9 \xe2\x82\xac";
+      case 4: return "msg:lock-request";
+      default: {
+        std::string text(rng_() % 48, ' ');
+        for (char& c : text) c = static_cast<char>(rng_() % 256);
+        return text;
+      }
+    }
+  }
+
+  std::vector<FlEntrySnapshot> Entries() {
+    std::vector<FlEntrySnapshot> entries(rng_() % 5);
+    for (FlEntrySnapshot& entry : entries) {
+      entry.is_read_group = rng_() % 2 == 0;
+      entry.txns.resize(rng_() % 5);  // empty groups included
+      for (TxnId& txn : entry.txns) txn = Int64();
+    }
+    return entries;
+  }
+
+  TraceEvent Random(EventKind kind) {
+    TraceEvent e;
+    e.seq = Seq();
+    e.time = Int64();
+    e.kind = kind;
+    e.txn = Int64();
+    e.site = Int32();
+    e.peer = Int32();
+    e.item = Int32();
+    e.shard = Int32();
+    e.mode = Int32();
+    e.flag = rng_() % 2 == 0;
+    e.payload = Int64();
+    e.d0 = Int64();
+    e.d1 = Int64();
+    e.d2 = Int64();
+    e.d3 = Int64();
+    e.d4 = Int64();
+    e.label = Label();
+    e.entries = Entries();
+    return e;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+/// `kind` with every integer field at `wide64` / `wide32`: the widest lines
+/// the writer can produce when the values are the type minimums.
+TraceEvent Uniform(EventKind kind, uint64_t seq, int64_t wide64,
+                   int32_t wide32) {
+  TraceEvent e;
+  e.seq = seq;
+  e.time = wide64;
+  e.kind = kind;
+  e.txn = wide64;
+  e.site = e.peer = e.item = e.shard = e.mode = wide32;
+  e.flag = true;
+  e.payload = e.d0 = e.d1 = e.d2 = e.d3 = e.d4 = wide64;
+  e.label = "\\";
+  e.entries = {{true, {wide64, wide64}}, {false, {}}};
+  return e;
+}
+
+TEST(ExportTest, JsonlMatchesPrintfReference) {
+  std::vector<TraceEvent> events;
+  ExtremeEvents gen(20261017);
+  for (int k = 0; k <= static_cast<int>(EventKind::kLeaseRelease); ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    events.push_back(Uniform(kind, std::numeric_limits<uint64_t>::max(),
+                             std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int32_t>::min()));
+    events.push_back(Uniform(kind, std::numeric_limits<uint64_t>::max(),
+                             std::numeric_limits<int64_t>::max(),
+                             std::numeric_limits<int32_t>::max()));
+    events.push_back(Uniform(kind, 0, 0, 0));
+    events.push_back(Uniform(kind, 1, -1, -1));
+    for (int i = 0; i < 200; ++i) events.push_back(gen.Random(kind));
+  }
+  std::string stream;
+  std::string expected_stream;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    std::string line;
+    AppendEventJsonl(e, &line);
+    std::string expected;
+    ReferenceAppendEventJsonl(e, &expected);
+    ASSERT_EQ(line, expected) << "event " << i;
+
+    std::istringstream in(line);
+    std::vector<TraceEvent> parsed;
+    std::string error;
+    ASSERT_TRUE(ReadJsonl(in, &parsed, &error)) << "event " << i << ": "
+                                                << error;
+    ASSERT_EQ(parsed.size(), 1u) << "event " << i;
+    ASSERT_EQ(parsed[0], e) << "event " << i << ": " << line;
+
+    // Appending to a non-empty string keeps what is already there.
+    AppendEventJsonl(e, &stream);
+    expected_stream += expected;
+  }
+  EXPECT_EQ(stream, expected_stream);
 }
 
 TEST(ExportTest, ChromeTraceSmoke) {

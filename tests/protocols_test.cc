@@ -124,19 +124,8 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, EveryProtocolTest,
                                            Protocol::kC2pl, Protocol::kCbl,
                                            Protocol::kO2pl),
                          [](const ::testing::TestParamInfo<Protocol>& param_info) {
-                           switch (param_info.param) {
-                             case Protocol::kS2pl:
-                               return "s2pl";
-                             case Protocol::kG2pl:
-                               return "g2pl";
-                             case Protocol::kC2pl:
-                               return "c2pl";
-                             case Protocol::kCbl:
-                               return "cbl";
-                             case Protocol::kO2pl:
-                               return "o2pl";
-                           }
-                           return "unknown";
+                           return std::string(
+                               cc::EngineFor(param_info.param).name);
                          });
 
 TEST_P(EveryProtocolTest, ClientLogsAreGarbageCollected) {
