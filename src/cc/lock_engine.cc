@@ -62,7 +62,7 @@ void LockCcEngine::ServerOnRequest(int32_t shard, TxnId txn,
                                    SiteId client_site, ItemId item,
                                    LockMode mode) {
   NoteRequestAtServer(txn, item, mode, shard);
-  if (server_aborted_.count(txn) > 0) return;  // stale request of a victim
+  if (Dead(txn)) return;  // stale request of a victim
   if (sticky_) {
     LeaseServerOnRequest(shard, txn, client_site, item, mode);
     return;
@@ -115,7 +115,9 @@ void LockCcEngine::ReleaseLocks(int32_t shard, TxnId txn) {
 }
 
 void LockCcEngine::AbortTxn(TxnId victim) {
-  GTPL_CHECK(server_aborted_.insert(victim).second);
+  TxnRun* run = FindRun(victim);
+  GTPL_CHECK(run != nullptr && !run->finished && !run->doomed)
+      << "policy victim " << victim << " is not a live txn";
   policy_->OnTxnFinished(victim);
   // The victim's locks are dropped on every shard at decision time (the
   // instantaneous coordination plane; see the determinism contract).
@@ -131,8 +133,6 @@ void LockCcEngine::AbortTxn(TxnId victim) {
       ReleaseLocks(shard, victim);
     }
   }
-  TxnRun* run = FindRun(victim);
-  GTPL_CHECK(run != nullptr) << "policy victim is not an active txn";
   ServerAbortDecision(victim, run->site(), ServerSiteOf(current_shard_));
 }
 
@@ -156,7 +156,6 @@ ItemId LockCcEngine::MaxHeldItem(TxnId txn) const {
 }
 
 bool LockCcEngine::Woundable(TxnId txn) {
-  if (server_aborted_.count(txn) > 0) return false;  // already doomed
   TxnRun* run = FindRun(txn);
   return run != nullptr && !run->finished && !run->doomed && !run->committing;
 }
@@ -225,8 +224,6 @@ void LockCcEngine::DoCommit(TxnRun& run) {
 
 void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
                                    std::vector<Update> updates) {
-  GTPL_CHECK_EQ(server_aborted_.count(txn), 0u)
-      << "a doomed transaction committed";
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kLockRelease;
@@ -295,7 +292,7 @@ void LockCcEngine::OnClientAborted(TxnRun& run) {
 }
 
 bool LockCcEngine::ShardVote(int32_t shard, TxnId txn, bool speculative) {
-  if (server_aborted_.count(txn) > 0) return false;  // safety net
+  if (Dead(txn)) return false;  // safety net
   // A non-speculative yes vote is a commit promise (abort decisions only
   // target blocked requesters, and this txn is at its commit point): the
   // ordered-release variant cashes it in immediately. A speculative vote
@@ -374,7 +371,7 @@ void LockCcEngine::LeaseServerOnRequest(int32_t shard, TxnId txn,
   // clears the revoke-outstanding marks), then let the policy resolve the
   // conflict exactly as it would for a lock-table block.
   SendLeaseRevokes(shard, item, outcome.revoke_sites, outcome.collector);
-  if (server_aborted_.count(txn) > 0) return;  // wounded by its own revoke
+  if (Dead(txn)) return;  // wounded by its own revoke
   current_shard_ = shard;
   policy_->OnBlocked(txn, item, LeaseBlockers(txn, client_site, item, mode),
                      *this);
@@ -531,7 +528,7 @@ std::vector<TxnId> LockCcEngine::LeaseBlockers(TxnId txn, SiteId site,
   for (SiteId holder : gating) {
     const TxnId pin =
         lease_caches_[static_cast<size_t>(holder - 1)].PinOwner(item);
-    if (pin != kInvalidTxn && pin != txn && server_aborted_.count(pin) == 0) {
+    if (pin != kInvalidTxn && pin != txn && !Dead(pin)) {
       blockers.push_back(pin);
     }
   }
@@ -548,8 +545,7 @@ void LockCcEngine::RefreshLeaseWaits(int32_t shard, ItemId item) {
   for (const lease::LeaseWaiter& waiter : lease_table_.Waiters(item)) {
     // A policy abort during this loop may doom a later waiter (its queue
     // entry is removed inside AbortTxn); skip anything no longer live.
-    if (server_aborted_.count(waiter.txn) > 0) continue;
-    if (FindRun(waiter.txn) == nullptr) continue;
+    if (Dead(waiter.txn)) continue;
     current_shard_ = shard;
     policy_->OnBlocked(waiter.txn, item,
                        LeaseBlockers(waiter.txn, waiter.site, item,

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cc/policy.h"
@@ -145,7 +144,6 @@ class LockCcEngine : public proto::EngineBase, public PolicyHost {
   std::vector<std::unique_ptr<db::LockTable>> lock_tables_;
   std::unique_ptr<ConflictPolicy> policy_;
   LockEngineTraits traits_;
-  std::unordered_set<TxnId> server_aborted_;  // ignore their late messages
   // Release messages still in flight per committing txn; the policy learns
   // the txn finished when the count reaches zero.
   std::unordered_map<TxnId, int32_t> pending_releases_;

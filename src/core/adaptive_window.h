@@ -48,10 +48,10 @@ struct AdaptiveWindowOptions {
 ///
 /// Determinism contract: the controller is pure state driven by the
 /// simulation's event order — no clocks, no randomness — so runs with equal
-/// seeds and configs produce bit-identical caps. A shard group shares one
-/// controller feed through the ShardCoordinator: abort feedback discovered on
-/// one shard reaches the item's owning shard controller in the same
-/// deterministic order the coordinator purges shards in.
+/// seeds and configs produce bit-identical caps. The g-2PL engine's one
+/// WindowManager owns one controller over the whole item space, at every
+/// shard count: abort feedback reaches the item's state in the order the
+/// manager decides and purges.
 class AdaptiveWindowController {
  public:
   AdaptiveWindowController(int32_t num_items,
@@ -86,11 +86,7 @@ class AdaptiveWindowController {
   double cap_sample_sum() const { return cap_sample_sum_; }
   double MeanEffectiveCap() const;
 
-  /// End-of-run cap statistics over items that dispatched at least one
-  /// window. Sum + count are exposed separately so a sharded engine can
-  /// aggregate across per-shard controllers.
-  double FinalCapSum() const;
-  int64_t TouchedItems() const;
+  /// Mean end-of-run cap over items that dispatched at least one window.
   double FinalEffectiveCap() const;
 
   const AdaptiveWindowOptions& options() const { return options_; }
@@ -104,6 +100,8 @@ class AdaptiveWindowController {
   };
 
   int32_t EffectiveCap(const ItemControl& control) const;
+  double FinalCapSum() const;
+  int64_t TouchedItems() const;
 
   AdaptiveWindowOptions options_;
   std::vector<ItemControl> items_;

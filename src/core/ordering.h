@@ -14,8 +14,7 @@ struct PendingRequest {
   TxnId txn = kInvalidTxn;
   SiteId client = 0;
   LockMode mode = LockMode::kShared;
-  int64_t arrival_seq = 0;      // global arrival counter (FIFO tie-break)
-  int32_t restart_count = 0;    // consecutive aborts at the issuing client
+  int32_t restart_count = 0;  // consecutive aborts at the issuing client
 };
 
 /// Rule used to pre-order a window's batch before the precedence-consistent

@@ -8,8 +8,7 @@
 namespace gtpl::core {
 
 WindowManager::WindowManager(int32_t num_items, const G2plOptions& options,
-                             db::DataStore* store, Callbacks callbacks,
-                             ShardCoordinator* coordinator)
+                             db::DataStore* store, Callbacks callbacks)
     : options_(options),
       store_(store),
       callbacks_(std::move(callbacks)),
@@ -17,16 +16,12 @@ WindowManager::WindowManager(int32_t num_items, const G2plOptions& options,
       adaptive_(options.adaptive.enabled
                     ? std::make_unique<AdaptiveWindowController>(
                           num_items, options.adaptive)
-                    : nullptr),
-      owned_coord_(coordinator == nullptr ? std::make_unique<ShardCoordinator>()
-                                          : nullptr),
-      coord_(coordinator == nullptr ? owned_coord_.get() : coordinator) {
+                    : nullptr) {
   GTPL_CHECK_GT(num_items, 0);
   GTPL_CHECK(store_ != nullptr);
   GTPL_CHECK_GE(options_.max_forward_list_length, 0);
   GTPL_CHECK(callbacks_.dispatch != nullptr);
   GTPL_CHECK(callbacks_.abort != nullptr);
-  coord_->Register(this);
 }
 
 WindowManager::ItemState& WindowManager::StateOf(ItemId item) {
@@ -37,8 +32,7 @@ WindowManager::ItemState& WindowManager::StateOf(ItemId item) {
 
 void WindowManager::OnRequest(TxnId txn, SiteId client, ItemId item,
                               LockMode mode, int32_t restart_count) {
-  if (coord_->aborted_.count(txn) > 0) return;  // stale in-flight request
-  coord_->txn_client_[txn] = client;
+  txn_client_[txn] = client;
   ItemState& state = StateOf(item);
 
   if (state.at_server) {
@@ -49,16 +43,15 @@ void WindowManager::OnRequest(TxnId txn, SiteId client, ItemId item,
     // accessor of the item; a required edge that would close a cycle means
     // the orders are already inconsistent and someone must abort.
     GTPL_CHECK(state.pending.empty());
-    PendingRequest request{txn, client, mode, arrival_counter_++,
-                           restart_count};
+    PendingRequest request{txn, client, mode, restart_count};
     std::vector<TxnId> reached =
-        coord_->graph_.ReachableAmong(txn, state.undrained_members);
+        graph_.ReachableAmong(txn, state.undrained_members);
     if (!reached.empty()) {
       if (!ResolveCycle(item, request, std::move(reached))) {
         return;  // requester aborted
       }
     }
-    coord_->graph_.PromoteRequestEdgesInto(txn);  // stale waits become order facts
+    graph_.PromoteRequestEdgesInto(txn);  // stale waits become order facts
     AddAccessorOrderEdges(item, txn);
     ForwardListBuilder builder;
     builder.Add(txn, client, mode);
@@ -88,7 +81,7 @@ void WindowManager::OnRequest(TxnId txn, SiteId client, ItemId item,
       pure_read_window && !state.has_pending_write &&
       (expansion_cap == 0 || state.fl->num_members() < expansion_cap) &&
       !ReachesOlderAccessor(item, txn)) {
-    coord_->graph_.PromoteRequestEdgesInto(txn);
+    graph_.PromoteRequestEdgesInto(txn);
     AddAccessorOrderEdges(item, txn, /*skip_current_window=*/true);
     std::vector<FlEntry> entries{state.fl->entry(0)};
     entries[0].members.push_back(FlMember{txn, client});
@@ -107,16 +100,16 @@ void WindowManager::OnRequest(TxnId txn, SiteId client, ItemId item,
   // Collection window: the requester will be ordered after every member of
   // the current (dispatched) window. Required edges member -> txn close a
   // cycle iff txn already reaches a member.
-  PendingRequest request{txn, client, mode, arrival_counter_++, restart_count};
+  PendingRequest request{txn, client, mode, restart_count};
   std::vector<TxnId> reached =
-      coord_->graph_.ReachableAmong(txn, state.undrained_members);
+      graph_.ReachableAmong(txn, state.undrained_members);
   if (!reached.empty()) {
     if (!ResolveCycle(item, request, std::move(reached))) {
       return;  // requester aborted
     }
   }
   for (TxnId member : state.undrained_members) {
-    coord_->graph_.AddEdge(member, txn, kRequestEdge);
+    graph_.AddEdge(member, txn, kRequestEdge);
   }
   if (mode == LockMode::kExclusive) state.has_pending_write = true;
   state.pending.push_back(request);
@@ -134,12 +127,12 @@ bool WindowManager::ResolveCycle(ItemId item, const PendingRequest& request,
       if (callbacks_.can_abort != nullptr && !callbacks_.can_abort(member)) {
         continue;
       }
-      auto it = coord_->txn_client_.find(member);
-      GTPL_CHECK(it != coord_->txn_client_.end());
+      auto it = txn_client_.find(member);
+      GTPL_CHECK(it != txn_client_.end());
       AbortTxn(member, it->second, item);
     }
     std::vector<TxnId> still_reached =
-        coord_->graph_.ReachableAmong(request.txn, state.undrained_members);
+        graph_.ReachableAmong(request.txn, state.undrained_members);
     if (still_reached.empty()) return true;
     // Structural constraints persist; fall through to aborting the requester.
   }
@@ -148,17 +141,16 @@ bool WindowManager::ResolveCycle(ItemId item, const PendingRequest& request,
 }
 
 void WindowManager::AbortTxn(TxnId txn, SiteId client, ItemId decided_at) {
-  if (!coord_->aborted_.insert(txn).second) return;  // already aborted
   ++avoidance_aborts_;
   if (adaptive_ != nullptr && decided_at != kInvalidItem) {
     adaptive_->OnAbortFeedback(decided_at);
   }
-  // The coordinator purge below may erase the victim's pending entry at
-  // `decided_at` on this very shard — that is the same signal, not a second
-  // one; purges at other items (or on other shards) still count.
+  // The purge below may erase the victim's pending entry at `decided_at` —
+  // that is the same signal, not a second one; purges at other items still
+  // count.
   const ItemId saved_suppressed = purge_feedback_suppressed_item_;
   purge_feedback_suppressed_item_ = decided_at;
-  coord_->OnTxnAborted(txn);
+  OnTxnAborted(txn);
   purge_feedback_suppressed_item_ = saved_suppressed;
   callbacks_.abort(txn, client);
 }
@@ -173,9 +165,7 @@ int32_t WindowManager::ExpansionCap(ItemId item) const {
   return adaptive_->CapFor(item);
 }
 
-void WindowManager::OnTxnAborted(TxnId txn) { coord_->OnTxnAborted(txn); }
-
-void WindowManager::PurgeAbortedRequest(TxnId txn) {
+void WindowManager::OnTxnAborted(TxnId txn) {
   // Purge the (single, sequential-execution) outstanding request, if any.
   if (auto it = outstanding_request_.find(txn);
       it != outstanding_request_.end()) {
@@ -195,6 +185,19 @@ void WindowManager::PurgeAbortedRequest(TxnId txn) {
     RecomputePendingWriteFlag(state);
     outstanding_request_.erase(it);
   }
+  // Leave the waits that flow through the victim (contraction) and take it
+  // out of the graph and the accessor sets so it can no longer cause (false)
+  // deadlocks.
+  graph_.RemoveRequestEdgesInto(txn);
+  const std::vector<TxnId> targets = graph_.OutTargets(txn);
+  graph_.Contract(txn);
+  EraseMembership(txn);
+  // Contracting the victim may have freed downstream ghosts.
+  for (TxnId target : targets) {
+    if (ghosts_.count(target) > 0 && !graph_.HasInEdges(target)) {
+      RetireTxn(target);
+    }
+  }
 }
 
 void WindowManager::EraseMembership(TxnId txn) {
@@ -206,28 +209,7 @@ void WindowManager::EraseMembership(TxnId txn) {
   }
 }
 
-void WindowManager::OnTxnDrained(TxnId txn) { coord_->OnTxnDrained(txn); }
-
-void ShardCoordinator::OnTxnAborted(TxnId txn) {
-  aborted_.insert(txn);
-  for (WindowManager* wm : managers_) wm->PurgeAbortedRequest(txn);
-  // An aborted transaction waits for nothing and serializes with nobody; it
-  // merely passes data along its slots. Leave the waits that flow through
-  // it (contraction) and take it out of the graph and the accessor sets so
-  // it can no longer cause (false) deadlocks.
-  graph_.RemoveRequestEdgesInto(txn);
-  const std::vector<TxnId> targets = graph_.OutTargets(txn);
-  graph_.Contract(txn);
-  for (WindowManager* wm : managers_) wm->EraseMembership(txn);
-  // Contracting the victim may have freed downstream ghosts.
-  for (TxnId target : targets) {
-    if (ghosts_.count(target) > 0 && !graph_.HasInEdges(target)) {
-      RetireTxn(target);
-    }
-  }
-}
-
-void ShardCoordinator::OnTxnDrained(TxnId txn) {
+void WindowManager::OnTxnDrained(TxnId txn) {
   // A drained transaction may still have to order *future* grantees of the
   // items it accessed: under MR1W a writer can commit and drain while the
   // readers that precede it are still running, so its grant-order cone is
@@ -241,19 +223,17 @@ void ShardCoordinator::OnTxnDrained(TxnId txn) {
   RetireTxn(txn);
 }
 
-void ShardCoordinator::RetireTxn(TxnId txn) {
+void WindowManager::RetireTxn(TxnId txn) {
   std::vector<TxnId> worklist{txn};
   while (!worklist.empty()) {
     const TxnId current = worklist.back();
     worklist.pop_back();
     const std::vector<TxnId> targets = graph_.OutTargets(current);
     graph_.RemoveTxn(current);
-    for (WindowManager* wm : managers_) wm->EraseMembership(current);
+    EraseMembership(current);
     txn_client_.erase(current);
     ghosts_.erase(current);
-    // `aborted_` is kept for the whole run: an aborted transaction's
-    // request can still be in flight after it drained, and must be ignored
-    // on arrival. Retiring this node may free ghosts downstream.
+    // Retiring this node may free ghosts downstream.
     for (TxnId target : targets) {
       if (ghosts_.count(target) > 0 && !graph_.HasInEdges(target)) {
         worklist.push_back(target);
@@ -317,7 +297,7 @@ void WindowManager::DispatchWindow(ItemId item) {
     std::vector<PendingRequest> kept;
     kept.reserve(batch.size());
     for (const PendingRequest& r : batch) {
-      if (!coord_->graph_.ReachableAmong(r.txn, state.undrained_members).empty()) {
+      if (!graph_.ReachableAmong(r.txn, state.undrained_members).empty()) {
         AbortTxn(r.txn, r.client, item);
         ++aborts_at_dispatch_batch_;
       } else {
@@ -340,14 +320,14 @@ void WindowManager::DispatchWindow(ItemId item) {
     txns.push_back(r.txn);
     by_txn[r.txn] = &r;
   }
-  const std::vector<TxnId> order = coord_->graph_.ConsistentOrder(txns);
+  const std::vector<TxnId> order = graph_.ConsistentOrder(txns);
 
   // The batch members' waits end here. Every request edge into them —
   // including edges bridged through drained or aborted transactions —
   // becomes a permanent grant-order fact; accessor edges below cover
   // orderings that never materialized as waits.
   for (TxnId txn : order) {
-    coord_->graph_.PromoteRequestEdgesInto(txn);
+    graph_.PromoteRequestEdgesInto(txn);
     outstanding_request_.erase(txn);
   }
   for (TxnId txn : order) AddAccessorOrderEdges(item, txn);
@@ -363,7 +343,7 @@ void WindowManager::DispatchWindow(ItemId item) {
   for (int32_t e = 0; e + 1 < fl->num_entries(); ++e) {
     for (const FlMember& a : fl->entry(e).members) {
       for (const FlMember& b : fl->entry(e + 1).members) {
-        coord_->graph_.AddEdge(a.txn, b.txn, kStructuralEdge);
+        graph_.AddEdge(a.txn, b.txn, kStructuralEdge);
       }
     }
   }
@@ -376,17 +356,17 @@ void WindowManager::DispatchWindow(ItemId item) {
     const FlEntry& last = fl->entry(fl->num_entries() - 1);
     std::vector<TxnId> doomed;
     for (const PendingRequest& p : state.pending) {
-      if (!coord_->graph_.ReachableAmong(p.txn, batch_set).empty()) {
+      if (!graph_.ReachableAmong(p.txn, batch_set).empty()) {
         doomed.push_back(p.txn);
         continue;
       }
       for (const FlMember& m : last.members) {
-        coord_->graph_.AddEdge(m.txn, p.txn, kRequestEdge);
+        graph_.AddEdge(m.txn, p.txn, kRequestEdge);
       }
     }
     for (TxnId txn : doomed) {
-      auto it = coord_->txn_client_.find(txn);
-      GTPL_CHECK(it != coord_->txn_client_.end());
+      auto it = txn_client_.find(txn);
+      GTPL_CHECK(it != txn_client_.end());
       AbortTxn(txn, it->second, item);  // also purges it from state.pending
       ++aborts_at_dispatch_pending_;
     }
@@ -418,9 +398,8 @@ void WindowManager::AddAccessorOrderEdges(ItemId item, TxnId grantee,
   }
   for (TxnId accessor : state.undrained_members) {
     if (accessor == grantee) continue;
-    if (coord_->aborted_.count(accessor) > 0) continue;  // not serialized
     if (skip_current_window && current.count(accessor) > 0) continue;
-    coord_->graph_.AddEdge(accessor, grantee, kStructuralEdge);
+    graph_.AddEdge(accessor, grantee, kStructuralEdge);
   }
 }
 
@@ -434,7 +413,7 @@ bool WindowManager::ReachesOlderAccessor(ItemId item, TxnId txn) {
   for (TxnId accessor : state.undrained_members) {
     if (current.count(accessor) == 0) older.insert(accessor);
   }
-  return !coord_->graph_.ReachableAmong(txn, older).empty();
+  return !graph_.ReachableAmong(txn, older).empty();
 }
 
 void WindowManager::RecomputePendingWriteFlag(ItemState& state) {

@@ -51,74 +51,22 @@ struct G2plOptions {
   AdaptiveWindowOptions adaptive;
 };
 
-class WindowManager;
-
-/// Transaction-lifecycle state shared by every WindowManager of one server
-/// group: the global precedence graph plus the abort/ghost/retirement
-/// bookkeeping that must span shards.
-///
-/// A single-server WindowManager owns a private coordinator; a sharded
-/// engine constructs one coordinator and hands it to every shard's manager.
-/// Because deadlock avoidance and forward-list reordering always consult
-/// this shared graph, the same-pair-same-order property of §3.3 holds
-/// *across* shards, not just per item: two transactions granted on
-/// different servers can never be serialized in opposite orders.
-///
-/// The coordinator models the servers' shared coordination plane as
-/// instantaneous (decisions cost no simulated time, like the paper's
-/// zero-cost server reordering); the data/commit path is what pays WAN
-/// latency. DESIGN.md §8 states this determinism contract.
-class ShardCoordinator {
- public:
-  ShardCoordinator() = default;
-
-  ShardCoordinator(const ShardCoordinator&) = delete;
-  ShardCoordinator& operator=(const ShardCoordinator&) = delete;
-
-  /// `txn` aborted (decided on any shard): purge its pending request and
-  /// memberships from every registered shard and contract it out of the
-  /// shared graph. Idempotent.
-  void OnTxnAborted(TxnId txn);
-
-  /// `txn` is fully drained: finished *and* every forward-list slot it
-  /// occupied on every shard has been forwarded. Retires it from the graph
-  /// and all accessor sets once no edges point into it; until then it
-  /// lingers as a "ghost" so that future grants are still ordered after it
-  /// (under MR1W a writer can drain while its read-group predecessors run).
-  void OnTxnDrained(TxnId txn);
-
-  const PrecedenceGraph& graph() const { return graph_; }
-  bool IsAborted(TxnId txn) const { return aborted_.count(txn) > 0; }
-
- private:
-  friend class WindowManager;
-
-  void Register(WindowManager* wm) { managers_.push_back(wm); }
-
-  /// Removes a node from graph/accessor sets and cascades to ghosts whose
-  /// last in-edge it held, across every registered shard.
-  void RetireTxn(TxnId txn);
-
-  PrecedenceGraph graph_;
-  std::vector<WindowManager*> managers_;
-  // txn -> client site (for abort routing); erased at drain.
-  std::unordered_map<TxnId, SiteId> txn_client_;
-  std::unordered_set<TxnId> aborted_;
-  // Drained but not yet retired (something still points into them).
-  std::unordered_set<TxnId> ghosts_;
-};
-
-/// The data server's per-item window state machine — the core of the g-2PL
-/// protocol. The precedence graph and cross-cutting transaction lifecycle
-/// live in a ShardCoordinator, shared between the per-shard managers of the
-/// g-2PL engine (one shard included), or private to a manager built without
-/// one (unit tests, benchmarks).
+/// The data servers' window state machine — the core of the g-2PL protocol.
+/// One manager spans the whole item space: each item's window state lives
+/// with the item (a sharded engine routes an item's messages to its owning
+/// shard's site), while the precedence graph, the txn -> client map and the
+/// ghost set are global. Because deadlock avoidance and forward-list
+/// reordering always consult that one graph, the same-pair-same-order
+/// property of §3.3 holds across shards, not just per item: two
+/// transactions granted on different servers can never be serialized in
+/// opposite orders.
 ///
 /// The manager is transport-agnostic: it makes protocol decisions and emits
 /// them through callbacks; the protocol layer (ShardedG2plEngine in
 /// protocols/sharded.cc) turns them into network messages. Simulated
 /// decision cost is zero, following the paper: reordering happens while the
-/// server waits for items to return, so it adds no blocking time.
+/// server waits for items to return, so it adds no blocking time, and the
+/// servers' shared coordination plane is instantaneous (DESIGN.md §8).
 class WindowManager {
  public:
   struct Callbacks {
@@ -141,18 +89,17 @@ class WindowManager {
     std::function<bool(TxnId txn)> can_abort;
   };
 
-  /// `coordinator` may be null (the manager then owns a private one) or
-  /// shared with other managers of a sharded server group.
   WindowManager(int32_t num_items, const G2plOptions& options,
-                db::DataStore* store, Callbacks callbacks,
-                ShardCoordinator* coordinator = nullptr);
+                db::DataStore* store, Callbacks callbacks);
 
   WindowManager(const WindowManager&) = delete;
   WindowManager& operator=(const WindowManager&) = delete;
 
   /// A lock/data request arrived at the server. May dispatch a singleton
   /// window (item at server), join/expand the current window, enqueue into
-  /// the collection window, or abort a victim.
+  /// the collection window, or abort a victim. Callers pass requests of live
+  /// transactions only: a request still in flight when its transaction
+  /// aborted is dropped by the caller before it gets here.
   void OnRequest(TxnId txn, SiteId client, ItemId item, LockMode mode,
                  int32_t restart_count);
 
@@ -161,14 +108,17 @@ class WindowManager {
   /// once all expected returns arrived.
   void OnReturn(ItemId item, Version version);
 
-  /// `txn` aborted (decided here or elsewhere): purge its pending requests
-  /// and dissolve its request/structural wait edges. Idempotent. Delegates
-  /// to the coordinator, which cleans every shard of the group.
+  /// `txn` aborted: purge its pending request and memberships and contract
+  /// it out of the precedence graph. An aborted transaction waits for
+  /// nothing and serializes with nobody; it merely passes data along its
+  /// slots.
   void OnTxnAborted(TxnId txn);
 
   /// `txn` is fully drained: finished *and* every forward-list slot it
-  /// occupied has been forwarded. Delegates to the coordinator (see
-  /// ShardCoordinator::OnTxnDrained).
+  /// occupied has been forwarded. Retires it from the graph and all accessor
+  /// sets once no edges point into it; until then it lingers as a "ghost" so
+  /// that future grants are still ordered after it (under MR1W a writer can
+  /// drain while its read-group predecessors run).
   void OnTxnDrained(TxnId txn);
 
   /// Counters for metrics and tests.
@@ -192,14 +142,11 @@ class WindowManager {
     return adaptive_.get();
   }
 
-  const PrecedenceGraph& graph() const { return coord_->graph_; }
-  const ShardCoordinator& coordinator() const { return *coord_; }
+  const PrecedenceGraph& graph() const { return graph_; }
   bool ItemAtServer(ItemId item) const;
   int32_t PendingCount(ItemId item) const;
 
  private:
-  friend class ShardCoordinator;
-
   struct ItemState {
     bool at_server = true;
     std::shared_ptr<const ForwardList> fl;  // current out window (or null)
@@ -242,17 +189,17 @@ class WindowManager {
   /// The cap a read-group expansion of `item` must honor (pure read).
   int32_t ExpansionCap(ItemId item) const;
 
-  /// Coordinator hook: removes `txn`'s single pending (queued) request, if
-  /// this shard holds it.
-  void PurgeAbortedRequest(TxnId txn);
+  /// Removes a node from the graph and the accessor sets, and cascades to
+  /// ghosts whose last in-edge it held.
+  void RetireTxn(TxnId txn);
 
-  /// Coordinator hook: erases `txn` from this shard's accessor sets.
+  /// Erases `txn` from the accessor sets of the items it was granted.
   void EraseMembership(TxnId txn);
 
-  /// Adds structural grant-order edges from every undrained (non-aborted)
-  /// past accessor of `item` to `grantee`. With `skip_current_window`, the
-  /// members of the currently dispatched forward list are excluded (used by
-  /// read-group expansion, which joins that window rather than follows it).
+  /// Adds structural grant-order edges from every undrained past accessor
+  /// of `item` to `grantee`. With `skip_current_window`, the members of the
+  /// currently dispatched forward list are excluded (used by read-group
+  /// expansion, which joins that window rather than follows it).
   void AddAccessorOrderEdges(ItemId item, TxnId grantee,
                              bool skip_current_window = false);
 
@@ -270,17 +217,19 @@ class WindowManager {
   std::vector<ItemState> items_;
   // Non-null iff options_.adaptive.enabled; tunes the per-item cap.
   std::unique_ptr<AdaptiveWindowController> adaptive_;
-  // While AbortTxn runs the coordinator purge for a decision made at this
-  // item, the purge of the victim's own pending entry at the same item must
-  // not charge a second feedback signal (the decision already did).
+  // While AbortTxn purges the victim for a decision made at this item, the
+  // purge of the victim's own pending entry at the same item must not charge
+  // a second feedback signal (the decision already did).
   ItemId purge_feedback_suppressed_item_ = kInvalidItem;
-  std::unique_ptr<ShardCoordinator> owned_coord_;  // null when shared
-  ShardCoordinator* coord_;
+  PrecedenceGraph graph_;
+  // txn -> client site (for abort routing); erased at retirement.
+  std::unordered_map<TxnId, SiteId> txn_client_;
+  // Drained but not yet retired (something still points into them).
+  std::unordered_set<TxnId> ghosts_;
   // txn -> items whose current window lists it as (undrained) member.
   std::unordered_map<TxnId, std::vector<ItemId>> member_of_;
   // txn -> item of its single outstanding (pending) request, if any.
   std::unordered_map<TxnId, ItemId> outstanding_request_;
-  int64_t arrival_counter_ = 0;
   int64_t windows_dispatched_ = 0;
   int64_t total_dispatched_requests_ = 0;
   int64_t avoidance_aborts_ = 0;

@@ -105,7 +105,7 @@ class CblEngine : public EngineBase {
   bool ShardVote(int32_t shard, TxnId txn, bool speculative) override {
     (void)shard;
     (void)speculative;
-    return server_aborted_.count(txn) == 0;
+    return !Dead(txn);
   }
 
   void OnCommitDecision(int32_t shard, TxnId txn) override {
@@ -135,7 +135,7 @@ class CblEngine : public EngineBase {
   void ServerOnRequest(int32_t shard, TxnId txn, SiteId site, ItemId item,
                        LockMode mode) {
     NoteRequestAtServer(txn, item, mode, shard);
-    if (server_aborted_.count(txn) > 0) return;
+    if (Dead(txn)) return;
     ItemCbl& it = items_[static_cast<size_t>(item)];
     if (it.x_holder == kInvalidTxn && it.queue.empty()) {
       if (mode == LockMode::kShared) {
@@ -215,12 +215,13 @@ class CblEngine : public EngineBase {
       // In use by the running transaction: answer when it ends. The pin may
       // postdate the collection start (local cache hits need no server
       // round), so the collector's wait edge is recorded here; a cycle
-      // means the pinner closed a deadlock and is aborted.
+      // means the pinner closed a deadlock and is aborted. A callback can
+      // outlive its collector: one that has committed since waits for
+      // nothing, so, like an aborted one, it records no edge.
       cc.deferred_acks.push_back(item);
       TxnRun* pinner = ClientAt(site - 1).current.get();
-      if (pinner != nullptr && !pinner->finished &&
-          server_aborted_.count(collector) == 0 &&
-          server_aborted_.count(pinner->id) == 0) {
+      if (pinner != nullptr && !pinner->finished && !Dead(collector) &&
+          !pinner->doomed) {
         wfg_.AddWaits(collector, {pinner->id});
         if (!wfg_.CycleThrough(collector).empty()) {
           ServerAbort(pinner->id, item);
@@ -271,7 +272,7 @@ class CblEngine : public EngineBase {
     ItemCbl& it = items_[static_cast<size_t>(item)];
     while (!it.queue.empty()) {
       const PendingReq head = it.queue.front();
-      if (server_aborted_.count(head.txn) > 0) {
+      if (Dead(head.txn)) {
         it.queue.pop_front();
         continue;
       }
@@ -321,7 +322,6 @@ class CblEngine : public EngineBase {
 
   void ServerOnCommit(TxnId txn,
                       const std::vector<std::pair<ItemId, Version>>& updates) {
-    GTPL_CHECK_EQ(server_aborted_.count(txn), 0u);
     if (tracer().enabled()) {
       obs::TraceEvent event;
       event.kind = obs::EventKind::kLockRelease;
@@ -344,7 +344,9 @@ class CblEngine : public EngineBase {
   }
 
   void ServerAbort(TxnId victim, ItemId requested_item) {
-    GTPL_CHECK(server_aborted_.insert(victim).second);
+    TxnRun* run = FindRun(victim);
+    GTPL_CHECK(run != nullptr && !run->finished && !run->doomed)
+        << "cbl victim " << victim << " is not a live txn";
     wfg_.RemoveTxn(victim);
     // Drop the victim's queued requests and exclusive holds.
     for (size_t i = 0; i < items_.size(); ++i) {
@@ -361,8 +363,6 @@ class CblEngine : public EngineBase {
         GrantHead(static_cast<ItemId>(i));
       }
     }
-    TxnRun* run = FindRun(victim);
-    GTPL_CHECK(run != nullptr);
     ServerAbortDecision(victim, run->site(),
                         ServerSiteOf(ShardOf(requested_item)));
   }
@@ -381,7 +381,6 @@ class CblEngine : public EngineBase {
   db::WaitsForGraph wfg_;
   std::vector<ItemCbl> items_;
   std::vector<ClientCbl> clients_cbl_;
-  std::unordered_set<TxnId> server_aborted_;
 };
 
 }  // namespace

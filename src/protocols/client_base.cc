@@ -111,7 +111,7 @@ EngineBase::EngineBase(const SimConfig& config) : config_(config) {
   }
 }
 
-EngineBase::TxnRun* EngineBase::FindRun(TxnId txn) {
+EngineBase::TxnRun* EngineBase::FindRun(TxnId txn) const {
   auto it = txn_client_.find(txn);
   if (it == txn_client_.end()) return nullptr;
   TxnRun* run = clients_[static_cast<size_t>(it->second)].current.get();
@@ -363,21 +363,11 @@ void EngineBase::FinalizeCommit(TxnRun& run) {
       result_.commit_flights.Add(static_cast<double>(run.commit_flights));
       result_.xcommit_span_hist.Add(static_cast<double>(run.span.commit));
     }
-    if (config_.record_history) {
-      CommittedTxn committed;
-      committed.id = run.id;
-      committed.client = run.site();
-      committed.start_time = run.start_time;
-      committed.commit_time = sim_.Now();
-      committed.span = run.span;
-      committed.ops = run.records;
-      committed.commit_flights = run.commit_flights;
-      result_.history.push_back(std::move(committed));
-    }
     ++measured_commits_;
-  } else if (config_.record_history) {
-    // Warmup commits still participate in version chains; record them so the
-    // serializability check sees complete writer histories.
+  }
+  if (config_.record_history) {
+    // Warmup commits are recorded too: they still participate in version
+    // chains, and the serializability check needs complete writer histories.
     CommittedTxn committed;
     committed.id = run.id;
     committed.client = run.site();

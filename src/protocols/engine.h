@@ -65,9 +65,11 @@ namespace gtpl::proto {
 ///
 /// A live commit's state rides on its TxnRun (TxnRun::commit, ::early,
 /// ::decided_remotely, ::released_shards) and counts as gone once the run
-/// is finished; state that must outlive the run (an engine's server-side
-/// abort set, g-2PL's forward-list slots) stays keyed by TxnId in the
-/// engine.
+/// is finished. The run is also the only record of whether a transaction is
+/// alive (Dead): no engine keeps a set of aborted ids. State that must
+/// outlive the run (a lock engine's releases in flight, g-2PL's forward-list
+/// slots) stays keyed by TxnId in the engine and is erased with the
+/// transaction's last message.
 ///
 /// Determinism contract (DESIGN.md §8): the servers' *coordination plane*
 /// (shared precedence graph / waits-for graph, abort decisions) is modeled
@@ -271,7 +273,17 @@ class EngineBase {
   int32_t num_clients() const { return static_cast<int32_t>(clients_.size()); }
 
   /// Current run of `txn`'s client iff it is still running `txn`.
-  TxnRun* FindRun(TxnId txn);
+  TxnRun* FindRun(TxnId txn) const;
+
+  /// True when `txn` has no run any more or its run is doomed: it waits for
+  /// nothing and is never granted, voted for or counted as a blocker again.
+  /// Transaction ids are never reused. A late request or prepare comes from
+  /// a transaction that cannot have committed, so there "gone" means
+  /// "aborted".
+  bool Dead(TxnId txn) const {
+    const TxnRun* run = FindRun(txn);
+    return run == nullptr || run->doomed;
+  }
 
   const SimConfig& config() const { return config_; }
   db::DataStore& store() { return *store_; }

@@ -13,42 +13,35 @@ namespace gtpl::proto {
 
 ShardedG2plEngine::ShardedG2plEngine(const SimConfig& config)
     : EngineBase(config) {
-  coordinator_ = std::make_unique<core::ShardCoordinator>();
-  wms_.reserve(static_cast<size_t>(config.num_servers));
-  for (int32_t shard = 0; shard < config.num_servers; ++shard) {
-    core::WindowManager::Callbacks callbacks;
-    callbacks.dispatch = [this, shard](
-                             ItemId item, Version version,
-                             std::shared_ptr<const core::ForwardList> fl) {
-      WmDispatch(shard, item, version, std::move(fl));
-    };
-    callbacks.abort = [this, shard](TxnId txn, SiteId client_site) {
-      WmAbort(shard, txn, client_site);
-    };
-    callbacks.expand = [this, shard](
-                           ItemId item, Version version,
-                           std::shared_ptr<const core::ForwardList> fl,
-                           TxnId txn, SiteId client_site,
-                           int32_t member_index) {
-      WmExpand(shard, item, version, std::move(fl), txn, client_site,
-               member_index);
-    };
-    callbacks.can_abort = [this](TxnId txn) {
-      TxnRun* run = FindRun(txn);
-      return run != nullptr && !run->finished && !run->doomed;
-    };
-    wms_.push_back(std::make_unique<core::WindowManager>(
-        config.workload.num_items, config.g2pl, &store(),
-        std::move(callbacks), coordinator_.get()));
-  }
+  core::WindowManager::Callbacks callbacks;
+  callbacks.dispatch = [this](ItemId item, Version version,
+                              std::shared_ptr<const core::ForwardList> fl) {
+    WmDispatch(item, version, std::move(fl));
+  };
+  // Every abort decision is made inside an OnRequest or OnReturn call, so
+  // the notice leaves from the site of the shard that call serves.
+  callbacks.abort = [this](TxnId txn, SiteId client_site) {
+    ServerAbortDecision(txn, client_site, ServerSiteOf(current_shard_));
+  };
+  callbacks.expand = [this](ItemId item, Version version,
+                            std::shared_ptr<const core::ForwardList> fl,
+                            TxnId txn, SiteId client_site,
+                            int32_t member_index) {
+    WmExpand(item, version, std::move(fl), txn, client_site, member_index);
+  };
+  callbacks.can_abort = [this](TxnId txn) {
+    TxnRun* run = FindRun(txn);
+    return run != nullptr && !run->finished && !run->doomed;
+  };
+  wm_ = std::make_unique<core::WindowManager>(
+      config.workload.num_items, config.g2pl, &store(), std::move(callbacks));
 }
 
 ShardedG2plEngine::TxnState& ShardedG2plEngine::EnsureTxn(
     TxnId txn, int32_t client_index) {
   auto [it, inserted] = txns_.try_emplace(txn);
   if (inserted) {
-    GTPL_CHECK(drained_.count(txn) == 0)
-        << "g-2PL state re-created for drained txn " << txn;
+    GTPL_CHECK(!Dead(txn)) << "g-2PL state created for dead txn " << txn;
     it->second.client_index = client_index;
   }
   return it->second;
@@ -64,14 +57,16 @@ void ShardedG2plEngine::SendRequest(TxnRun& run) {
   network().Send(site, ServerSiteOf(shard), "lock-request",
                  [this, shard, txn, site, op, restarts] {
                    NoteRequestAtServer(txn, op.item, op.mode, shard);
-                   wms_[static_cast<size_t>(shard)]->OnRequest(
-                       txn, site, op.item, op.mode, restarts);
+                   if (Dead(txn)) return;  // stale request of a victim
+                   current_shard_ = shard;
+                   wm_->OnRequest(txn, site, op.item, op.mode, restarts);
                  });
 }
 
 void ShardedG2plEngine::WmDispatch(
-    int32_t shard, ItemId item, Version version,
+    ItemId item, Version version,
     std::shared_ptr<const core::ForwardList> fl) {
+  const int32_t shard = ShardOf(item);
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kWindowDispatch;
@@ -84,7 +79,7 @@ void ShardedG2plEngine::WmDispatch(
     audit.kind = obs::EventKind::kGraphCheck;
     audit.item = item;
     audit.shard = shard;
-    audit.flag = coordinator_->graph().IsAcyclic();
+    audit.flag = wm_->graph().IsAcyclic();
     tracer().Emit(std::move(audit));
   }
   for (int32_t e = 0; e < fl->num_entries(); ++e) {
@@ -97,15 +92,11 @@ void ShardedG2plEngine::WmDispatch(
   DeliverToEntry(ServerSiteOf(shard), item, version, std::move(fl), 0);
 }
 
-void ShardedG2plEngine::WmAbort(int32_t shard, TxnId txn,
-                                SiteId client_site) {
-  ServerAbortDecision(txn, client_site, ServerSiteOf(shard));
-}
-
-void ShardedG2plEngine::WmExpand(int32_t shard, ItemId item, Version version,
+void ShardedG2plEngine::WmExpand(ItemId item, Version version,
                                  std::shared_ptr<const core::ForwardList> fl,
                                  TxnId txn, SiteId client_site,
                                  int32_t member_index) {
+  const int32_t shard = ShardOf(item);
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kWindowExpand;
@@ -119,7 +110,7 @@ void ShardedG2plEngine::WmExpand(int32_t shard, ItemId item, Version version,
     audit.kind = obs::EventKind::kGraphCheck;
     audit.item = item;
     audit.shard = shard;
-    audit.flag = coordinator_->graph().IsAcyclic();
+    audit.flag = wm_->graph().IsAcyclic();
     tracer().Emit(std::move(audit));
   }
   TxnState& ts = EnsureTxn(txn, client_site - 1);
@@ -176,7 +167,8 @@ void ShardedG2plEngine::OnData(TxnId txn, ItemId item, Version version,
                                std::shared_ptr<const core::ForwardList> fl,
                                int32_t entry_index, int32_t member_index,
                                int32_t early_releases) {
-  if (drained_.count(txn) > 0) return;
+  auto state = txns_.find(txn);
+  if (state == txns_.end()) return;  // drained
   Obligation& ob = obligations_[ObKey{txn, item}];
   if (ob.data_arrived) {
     if (early_releases > 0) ob.releases_needed = early_releases;
@@ -189,8 +181,7 @@ void ShardedG2plEngine::OnData(TxnId txn, ItemId item, Version version,
     ob.version = version;
     if (early_releases > 0) ob.releases_needed = early_releases;
   }
-  TxnState& ts = txns_.at(txn);
-  if (ts.finished) {
+  if (state->second.finished) {
     TryForward(txn, item);
     return;
   }
@@ -200,7 +191,8 @@ void ShardedG2plEngine::OnData(TxnId txn, ItemId item, Version version,
 void ShardedG2plEngine::OnReaderRelease(
     TxnId writer_txn, ItemId item, Version version,
     std::shared_ptr<const core::ForwardList> fl, int32_t writer_entry_index) {
-  if (drained_.count(writer_txn) > 0) return;
+  auto state = txns_.find(writer_txn);
+  if (state == txns_.end()) return;  // drained
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kReaderRelease;
@@ -225,8 +217,7 @@ void ShardedG2plEngine::OnReaderRelease(
     ob.version = version;
   }
   if (ob.forwarded) return;
-  TxnState& ts = txns_.at(writer_txn);
-  if (ts.finished) {
+  if (state->second.finished) {
     TryForward(writer_txn, item);
   } else {
     MaybeGrant(writer_txn, item, ob);
@@ -248,11 +239,12 @@ void ShardedG2plEngine::MaybeGrant(TxnId txn, ItemId item, Obligation& ob) {
 }
 
 void ShardedG2plEngine::TryForward(TxnId txn, ItemId item) {
-  if (drained_.count(txn) > 0) return;
+  auto state = txns_.find(txn);
+  if (state == txns_.end()) return;  // drained
   auto it = obligations_.find(ObKey{txn, item});
   if (it == obligations_.end()) return;
   Obligation& ob = it->second;
-  TxnState& ts = txns_.at(txn);
+  TxnState& ts = state->second;
   if (ob.forwarded || !ob.data_arrived || !ts.finished) return;
   if (ts.committed && ob.releases_received < ob.releases_needed) return;
   ob.forwarded = true;
@@ -287,7 +279,8 @@ void ShardedG2plEngine::TryForward(TxnId txn, ItemId item) {
     network().Send(
         from, ServerSiteOf(shard), "return",
         [this, shard, item, version_out] {
-          wms_[static_cast<size_t>(shard)]->OnReturn(item, version_out);
+          current_shard_ = shard;
+          wm_->OnReturn(item, version_out);
           MaybeGcClientLogs();
         },
         net::kControlPayload + net::kDataPayload);
@@ -314,17 +307,16 @@ void ShardedG2plEngine::TryForward(TxnId txn, ItemId item) {
 }
 
 void ShardedG2plEngine::CheckDrain(TxnId txn) {
-  if (drained_.count(txn) > 0) return;
-  const TxnState& ts = txns_.at(txn);
+  auto state = txns_.find(txn);
+  if (state == txns_.end()) return;  // drained
+  const TxnState& ts = state->second;
   if (!ts.finished || ts.slots_outstanding != 0) return;
-  drained_.insert(txn);
-  // OnTxnDrained delegates to the shared coordinator, which retires the
-  // transaction across every shard; any manager routes there.
-  wms_[0]->OnTxnDrained(txn);
+  wm_->OnTxnDrained(txn);
   for (ItemId item : ts.slot_items) obligations_.erase(ObKey{txn, item});
   // Retire the state too, so memory tracks in-flight transactions rather
-  // than run length; drained_ keeps the id for the late-message checks.
-  txns_.erase(txn);
+  // than run length; a missing entry is what later messages read as
+  // "drained".
+  txns_.erase(state);
 }
 
 void ShardedG2plEngine::DoCommit(TxnRun& run) {
@@ -349,7 +341,7 @@ bool ShardedG2plEngine::ShardVote(int32_t shard, TxnId txn,
                                   bool speculative) {
   (void)shard;  // deadlock avoidance is global; every shard sees the same
   (void)speculative;  // the vote takes no commit-promise action either way
-  return !coordinator_->IsAborted(txn);
+  return !Dead(txn);
 }
 
 void ShardedG2plEngine::OnCommitDecision(int32_t shard, TxnId txn) {
@@ -361,37 +353,15 @@ void ShardedG2plEngine::OnCommitDecision(int32_t shard, TxnId txn) {
 }
 
 void ShardedG2plEngine::FillProtocolMetrics(RunResult* result) {
-  int64_t requests = 0;
-  int64_t cap_samples = 0;
-  double cap_sample_sum = 0.0;
-  int64_t touched_items = 0;
-  double final_cap_sum = 0.0;
-  for (const auto& wm : wms_) {
-    result->windows_dispatched += wm->windows_dispatched();
-    result->read_group_expansions += wm->expansions();
-    requests += wm->total_dispatched_requests();
-    if (const core::AdaptiveWindowController* ctl =
-            wm->adaptive_controller()) {
-      cap_samples += ctl->windows_sampled();
-      cap_sample_sum += ctl->cap_sample_sum();
-      touched_items += ctl->TouchedItems();
-      final_cap_sum += ctl->FinalCapSum();
-      result->cap_increases += ctl->cap_increases();
-      result->cap_decreases += ctl->cap_decreases();
-    }
+  result->windows_dispatched = wm_->windows_dispatched();
+  result->read_group_expansions = wm_->expansions();
+  result->mean_forward_list_length = wm_->MeanForwardListLength();
+  if (const core::AdaptiveWindowController* ctl = wm_->adaptive_controller()) {
+    result->cap_increases = ctl->cap_increases();
+    result->cap_decreases = ctl->cap_decreases();
+    result->mean_effective_cap = ctl->MeanEffectiveCap();
+    result->final_effective_cap = ctl->FinalEffectiveCap();
   }
-  result->mean_forward_list_length =
-      result->windows_dispatched > 0
-          ? static_cast<double>(requests) /
-                static_cast<double>(result->windows_dispatched)
-          : 0.0;
-  result->mean_effective_cap =
-      cap_samples > 0 ? cap_sample_sum / static_cast<double>(cap_samples)
-                      : 0.0;
-  result->final_effective_cap =
-      touched_items > 0
-          ? final_cap_sum / static_cast<double>(touched_items)
-          : 0.0;
 }
 
 }  // namespace gtpl::proto

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/forward_list.h"
@@ -20,22 +19,21 @@ namespace gtpl::proto {
 /// acyclic; MR1W lets the writer following a read group run concurrently
 /// with its readers. `num_servers == 1` is the paper's single-server model.
 ///
-/// Across shards there is one WindowManager per server, all sharing a
-/// single ShardCoordinator, so deadlock avoidance and forward-list
-/// reordering consult one global precedence graph — the same-pair-same-order
-/// property holds across shards. Client-side obligation tracking is
-/// shard-agnostic (an *obligation* is one occupied slot on a dispatched
-/// forward list: receive the data, process it if the transaction is alive,
-/// and forward it downstream at commit — or pass it through unchanged after
-/// an abort); only the request/return endpoints differ per item.
+/// One WindowManager is the whole server plane: items are disjoint across
+/// shards, so it keeps each item's window state and one global precedence
+/// graph, and deadlock avoidance and forward-list reordering consult that
+/// graph — the same-pair-same-order property holds across shards. Each
+/// item's messages still go to and from its owning shard's site.
+/// Client-side obligation tracking is shard-agnostic (an *obligation* is
+/// one occupied slot on a dispatched forward list: receive the data,
+/// process it if the transaction is alive, and forward it downstream at
+/// commit — or pass it through unchanged after an abort); only the
+/// request/return endpoints differ per item.
 class ShardedG2plEngine : public EngineBase {
  public:
   explicit ShardedG2plEngine(const SimConfig& config);
 
-  const core::WindowManager& window_manager(int32_t shard) const {
-    return *wms_[static_cast<size_t>(shard)];
-  }
-  const core::ShardCoordinator& coordinator() const { return *coordinator_; }
+  const core::WindowManager& window_manager() const { return *wm_; }
 
  protected:
   void SendRequest(TxnRun& run) override;
@@ -49,7 +47,8 @@ class ShardedG2plEngine : public EngineBase {
   /// Transaction state that outlives the client's TxnRun: a finished
   /// transaction still occupies forward-list slots until every one of them
   /// has been forwarded (only then is it *drained*: it leaves the
-  /// precedence graph, and its state is erased).
+  /// precedence graph, and its state is erased). Created at the first
+  /// request, so a txn without an entry has drained.
   struct TxnState {
     int32_t client_index = 0;
     bool finished = false;
@@ -84,10 +83,9 @@ class ShardedG2plEngine : public EngineBase {
     }
   };
 
-  void WmDispatch(int32_t shard, ItemId item, Version version,
+  void WmDispatch(ItemId item, Version version,
                   std::shared_ptr<const core::ForwardList> fl);
-  void WmAbort(int32_t shard, TxnId txn, SiteId client_site);
-  void WmExpand(int32_t shard, ItemId item, Version version,
+  void WmExpand(ItemId item, Version version,
                 std::shared_ptr<const core::ForwardList> fl, TxnId txn,
                 SiteId client_site, int32_t member_index);
 
@@ -106,11 +104,12 @@ class ShardedG2plEngine : public EngineBase {
   void CheckDrain(TxnId txn);
   TxnState& EnsureTxn(TxnId txn, int32_t client_index);
 
-  std::unique_ptr<core::ShardCoordinator> coordinator_;
-  std::vector<std::unique_ptr<core::WindowManager>> wms_;
+  std::unique_ptr<core::WindowManager> wm_;
+  // Shard whose OnRequest/OnReturn call is running; abort notices leave
+  // from its server site.
+  int32_t current_shard_ = 0;
   std::unordered_map<TxnId, TxnState> txns_;
   std::unordered_map<ObKey, Obligation, ObKeyHash> obligations_;
-  std::unordered_set<TxnId> drained_;
 };
 
 }  // namespace gtpl::proto

@@ -8,9 +8,10 @@ namespace gtpl::sim {
 
 void EventQueue::Push(SimTime time, uint64_t seq, std::function<void()> action) {
 #ifndef NDEBUG
-  GTPL_CHECK(seen_seqs_.insert(seq).second)
-      << "duplicate event seq " << seq
+  GTPL_CHECK_GE(seq, min_next_seq_)
+      << "duplicate event seq " << seq << " (or one below an earlier seq)"
       << " breaks the (time, seq) determinism tiebreak";
+  min_next_seq_ = seq + 1;
 #endif
   uint32_t slot = static_cast<uint32_t>(actions_.size());
   if (free_slots_.empty()) {

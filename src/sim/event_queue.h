@@ -5,10 +5,6 @@
 #include <functional>
 #include <vector>
 
-#ifndef NDEBUG
-#include <unordered_set>
-#endif
-
 #include "common/types.h"
 
 namespace gtpl::sim {
@@ -39,8 +35,10 @@ class EventQueue {
 
   /// Inserts an event. `seq` must be unique per queue lifetime: it is the
   /// same-tick tiebreak, and a duplicate makes event order depend on heap
-  /// internals instead of scheduling order. Debug builds check this; a
-  /// duplicate seq aborts.
+  /// internals instead of scheduling order. Every scheduler hands out seqs
+  /// from a counter, so debug builds check the stronger rule that each seq
+  /// exceeds the previous one, in constant memory; a duplicate or
+  /// out-of-order seq aborts.
   void Push(SimTime time, uint64_t seq, std::function<void()> action);
 
   /// Removes and returns the earliest event. Precondition: !empty().
@@ -77,7 +75,7 @@ class EventQueue {
   std::vector<std::function<void()>> actions_;  // by slot; empty when free
   std::vector<uint32_t> free_slots_;
 #ifndef NDEBUG
-  std::unordered_set<uint64_t> seen_seqs_;  // per-lifetime uniqueness check
+  uint64_t min_next_seq_ = 0;  // per-lifetime uniqueness check
 #endif
 };
 

@@ -237,7 +237,7 @@ TEST(G2plTest, WindowManagerCountersExposed) {
   ShardedG2plEngine engine(HotItemConfig(Protocol::kG2pl));
   const RunResult result = engine.Run();
   ASSERT_FALSE(result.timed_out);
-  EXPECT_EQ(engine.window_manager(0).windows_dispatched(),
+  EXPECT_EQ(engine.window_manager().windows_dispatched(),
             result.windows_dispatched);
   EXPECT_GT(result.windows_dispatched, 0);
   EXPECT_GT(result.mean_forward_list_length, 1.0);

@@ -9,10 +9,10 @@ namespace {
 
 std::vector<PendingRequest> Batch() {
   return {
-      {1, 1, LockMode::kExclusive, 0, 0},
-      {2, 2, LockMode::kShared, 1, 0},
-      {3, 3, LockMode::kExclusive, 2, 0},
-      {4, 4, LockMode::kShared, 3, 0},
+      {1, 1, LockMode::kExclusive, 0},
+      {2, 2, LockMode::kShared, 0},
+      {3, 3, LockMode::kExclusive, 0},
+      {4, 4, LockMode::kShared, 0},
   };
 }
 

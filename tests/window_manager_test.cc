@@ -254,54 +254,28 @@ TEST_F(WindowManagerTest, MeanForwardListLengthExcludesDispatchAbortedMembers) {
   EXPECT_DOUBLE_EQ(wm_->MeanForwardListLength(), 1.0);
 }
 
-TEST_F(WindowManagerTest, AgingAbortsCrossShardMemberAndPurgesItsRequests) {
-  // Regression (ISSUE 4 satellite): two shard managers behind one
-  // coordinator. An aging decision on shard A aborts a member whose pending
-  // request sits on shard B — the coordinator purge must clean shard B's
-  // queue, exactly as it cleans the deciding shard's.
-  ShardCoordinator coord;
-  db::DataStore store_b(4);
-  std::vector<TxnId> aborts_b;
-  WindowManager::Callbacks callbacks_a;
-  callbacks_a.dispatch = [](ItemId, Version,
-                            std::shared_ptr<const ForwardList>) {};
-  callbacks_a.abort = [this](TxnId txn, SiteId) { aborts_.push_back(txn); };
-  WindowManager::Callbacks callbacks_b = callbacks_a;
-  callbacks_b.abort = [&aborts_b](TxnId txn, SiteId) {
-    aborts_b.push_back(txn);
-  };
+TEST_F(WindowManagerTest, AgingAbortsMemberAndPurgesItsRequestAtAnotherItem) {
+  // An aging decision at item 0 aborts a member whose pending request
+  // sits at item 1: the abort must purge that queue too, exactly as it
+  // cleans the deciding item's.
   G2plOptions options;
   options.aging_threshold = 1;
-  WindowManager wm_a(4, options, &store_, callbacks_a, &coord);
-  WindowManager wm_b(4, options, &store_b, callbacks_b, &coord);
-
-  wm_a.OnRequest(2, 2, 0, LockMode::kExclusive, 0);  // T2 holds A:0
-  wm_b.OnRequest(3, 3, 0, LockMode::kExclusive, 0);  // T3 holds B:0
-  wm_b.OnRequest(2, 2, 0, LockMode::kExclusive, 0);  // T2 pending on B:0
-  EXPECT_EQ(wm_b.PendingCount(0), 1);
-  // T3's next request closes a cycle at A:0 (edge T3 -> T2 lives in the
-  // shared graph); its restart count exceeds the aging threshold, so the
-  // opposing member T2 is the victim, decided on shard A.
-  wm_a.OnRequest(3, 3, 0, LockMode::kExclusive, /*restart_count=*/5);
+  Init(options);
+  wm_->OnRequest(2, 2, 0, LockMode::kExclusive, 0);  // T2 holds item 0
+  wm_->OnRequest(3, 3, 1, LockMode::kExclusive, 0);  // T3 holds item 1
+  wm_->OnRequest(2, 2, 1, LockMode::kExclusive, 0);  // T2 pending on item 1
+  EXPECT_EQ(wm_->PendingCount(1), 1);
+  // T3's next request closes a cycle at item 0 (edge T3 -> T2 from the wait
+  // at item 1); its restart count exceeds the aging threshold, so the
+  // opposing member T2 is the victim.
+  wm_->OnRequest(3, 3, 0, LockMode::kExclusive, /*restart_count=*/5);
   ASSERT_EQ(aborts_.size(), 1u);
   EXPECT_EQ(aborts_[0], 2);
-  EXPECT_TRUE(aborts_b.empty());  // abort callback fires on the deciding shard
-  // The cross-shard purge removed T2's pending request from shard B.
-  EXPECT_EQ(wm_b.PendingCount(0), 0);
+  // The purge removed T2's pending request from item 1.
+  EXPECT_EQ(wm_->PendingCount(1), 0);
   // The aged requester survives and queues behind the (aborted) window.
-  EXPECT_EQ(wm_a.PendingCount(0), 1);
-  EXPECT_TRUE(coord.IsAborted(2));
-  EXPECT_FALSE(coord.IsAborted(3));
-  EXPECT_TRUE(coord.graph().IsAcyclic());
-}
-
-TEST_F(WindowManagerTest, StaleRequestFromAbortedTxnIgnored) {
-  Init(G2plOptions{});
-  wm_->OnRequest(1, 1, 0, LockMode::kExclusive, 0);
-  wm_->OnTxnAborted(2);
-  wm_->OnRequest(2, 2, 1, LockMode::kExclusive, 0);  // in-flight stale
-  EXPECT_EQ(dispatches_.size(), 1u);  // item 1 not dispatched
-  EXPECT_TRUE(wm_->ItemAtServer(1));
+  EXPECT_EQ(wm_->PendingCount(0), 1);
+  EXPECT_TRUE(wm_->graph().IsAcyclic());
 }
 
 TEST_F(WindowManagerTest, GraphStaysAcyclicUnderChurn) {
