@@ -4,7 +4,8 @@
 // protocol drift — a change that flips any metric of any grid point fails
 // here even if every invariant still holds. trace_digest.golden goes one
 // level finer: the JSONL trace and metrics-CSV digests of the serial
-// engines, so a same-bytes refactor is checked event for event.
+// engines and of the parallel engine, so a same-bytes refactor is checked
+// event for event.
 //
 // To regenerate after an *intended* protocol change:
 //   GTPL_UPDATE_GOLDEN=1 ./build/tests/golden_test
@@ -26,6 +27,7 @@
 #include "obs/metrics.h"
 #include "protocols/config.h"
 #include "protocols/engine.h"
+#include "protocols/parsim.h"
 
 namespace gtpl::harness {
 namespace {
@@ -399,18 +401,22 @@ std::string Hex64(uint64_t value) {
   return buffer;
 }
 
-TEST(GoldenTest, SerialTraceDigests) {
-  // Byte-level pin of the serial engines: per config, the trace event count
-  // and FNV-1a-64 of its JSONL export, plus the digest of the time-series
+TEST(GoldenTest, TraceDigests) {
+  // Byte-level pin of every engine: per config, the trace event count and
+  // FNV-1a-64 of its JSONL export, plus the digest of the time-series
   // metrics CSV. The metric grids above pin averages; this pins every
   // message, vote and release, so a refactor that claims "same bytes" is
-  // checked event for event. Rows: every registered engine at 1 and 4
-  // servers (classic commit), each non-classic commit path on a fast server
-  // mesh, sticky leases, and a NIC-queued finite-bandwidth link.
+  // checked event for event. Serial rows: every registered engine at 1 and
+  // 4 servers (classic commit), each non-classic commit path on a fast
+  // server mesh, sticky leases, and a NIC-queued finite-bandwidth link.
+  // Parallel rows run RunParallelSimulation on one thread (its bytes are
+  // the same at any thread count): nowait and waitdie at 1, 2 and 8 shards,
+  // a forced-WAL delay and range routing.
   struct Row {
     std::string name;
     proto::SimConfig config;
     bool metrics = true;
+    bool parallel = false;
   };
   const auto base = [](proto::Protocol protocol, int32_t servers) {
     proto::SimConfig config = TinyBaseConfig();
@@ -468,10 +474,37 @@ TEST(GoldenTest, SerialTraceDigests) {
     config.nic_queue = true;
     rows.push_back({"woundwait/servers=4/bw=0.5/nic-queue", config, true});
   }
+  const auto parallel = [&base](proto::Protocol protocol, int32_t shards) {
+    proto::SimConfig config = base(protocol, shards);
+    config.instant_abort_notice = false;
+    config.sim_threads = 1;
+    return config;
+  };
+  for (proto::Protocol protocol :
+       {proto::Protocol::kNoWait, proto::Protocol::kWaitDie}) {
+    for (int32_t shards : {1, 2, 8}) {
+      rows.push_back({std::string("parsim/") + cc::EngineFor(protocol).name +
+                          "/shards=" + std::to_string(shards),
+                      parallel(protocol, shards), true, true});
+    }
+  }
+  {
+    proto::SimConfig config = parallel(proto::Protocol::kNoWait, 4);
+    config.wal_force_delay = 20;
+    rows.push_back({"parsim/nowait/shards=4/wal-force=20", config, true, true});
+  }
+  {
+    proto::SimConfig config = parallel(proto::Protocol::kWaitDie, 4);
+    config.shard_routing = proto::ShardRouting::kRange;
+    rows.push_back({"parsim/waitdie/shards=4/routing=range", config, true,
+                    true});
+  }
   std::string fresh = "row,events,trace_fnv1a64,metrics_fnv1a64\n";
   for (Row& row : rows) {
     if (row.metrics) row.config.metrics_interval = 500;
-    const proto::RunResult result = proto::RunSimulation(row.config);
+    const proto::RunResult result =
+        row.parallel ? proto::RunParallelSimulation(row.config)
+                     : proto::RunSimulation(row.config);
     EXPECT_FALSE(result.timed_out) << row.name;
     const std::string metrics =
         row.metrics ? Hex64(Fnv1a64(obs::MetricsToCsv(result.metric_names,
