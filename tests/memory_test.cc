@@ -1,7 +1,8 @@
 // Host memory is flat in run length (DESIGN.md §6): a run's peak heap grows
 // with clients, items and in-flight transactions, never with the number of
-// transactions it commits. Each case runs one engine at two run lengths and
-// bounds the growth of the peak live heap between them.
+// transactions it commits. Each case runs one engine (a serial engine from
+// the registry, or the parallel engine) at two run lengths and bounds the
+// growth of the peak live heap between them.
 //
 // The binary replaces the global operator new/delete and counts live bytes
 // with malloc_usable_size, so it measures exactly what the engine holds on
@@ -24,6 +25,7 @@
 #include "cc/registry.h"
 #include "protocols/config.h"
 #include "protocols/engine.h"
+#include "protocols/parsim.h"
 
 namespace {
 
@@ -75,6 +77,8 @@ constexpr int64_t kLongRun = 20'000;
 struct MemoryCase {
   std::string name;
   SimConfig config;
+  /// Runs RunParallelSimulation instead of the registry's serial engine.
+  bool parallel = false;
 };
 
 void PrintTo(const MemoryCase& c, std::ostream* os) { *os << c.name; }
@@ -115,18 +119,31 @@ MemoryCase NoWait8Shard() {
   return {"nowait_8shard", config};
 }
 
+MemoryCase NoWait8ShardParallel() {
+  MemoryCase c = NoWait8Shard();
+  c.name = "nowait_8shard_parsim";
+  c.parallel = true;
+  return c;
+}
+
 MemoryCase Named(const std::string& name, Protocol protocol,
                  int32_t servers) {
   return {name, Base(protocol, servers)};
 }
 
-/// Peak live heap bytes, above what was live before, while `config`'s
+/// Peak live heap bytes, above what was live before, while the case's
 /// engine is built and run for `measured` transactions.
-int64_t PeakHeapOfRun(SimConfig config, int64_t measured) {
+int64_t PeakHeapOfRun(const MemoryCase& c, int64_t measured) {
+  SimConfig config = c.config;
   config.measured_txns = measured;
   const int64_t before = g_live_bytes.load();
   g_peak_bytes.store(before);
-  {
+  if (c.parallel) {
+    const RunResult result = RunParallelSimulation(config);
+    EXPECT_FALSE(result.timed_out);
+    // The parallel engine stops at the window barrier after the target.
+    EXPECT_GE(result.commits, measured);
+  } else {
     std::unique_ptr<EngineBase> engine =
         cc::EngineFor(config.protocol).make(config);
     const RunResult result = engine->Run();
@@ -139,12 +156,11 @@ int64_t PeakHeapOfRun(SimConfig config, int64_t measured) {
 class MemoryTest : public ::testing::TestWithParam<MemoryCase> {};
 
 TEST_P(MemoryTest, PeakHeapIsFlatInRunLength) {
-  const SimConfig& config = GetParam().config;
-  ASSERT_TRUE(config.Validate().ok());
-  const int64_t short_peak = PeakHeapOfRun(config, kShortRun);
-  const int64_t long_peak = PeakHeapOfRun(config, kLongRun);
+  ASSERT_TRUE(GetParam().config.Validate().ok());
+  const int64_t short_peak = PeakHeapOfRun(GetParam(), kShortRun);
+  const int64_t long_peak = PeakHeapOfRun(GetParam(), kLongRun);
   const int64_t growth = long_peak - short_peak;
-  std::printf("  %-16s peak %9lld B at %lld txns, %9lld B at %lld (%+lld B)\n",
+  std::printf("  %-20s peak %9lld B at %lld txns, %9lld B at %lld (%+lld B)\n",
               GetParam().name.c_str(), static_cast<long long>(short_peak),
               static_cast<long long>(kShortRun),
               static_cast<long long>(long_peak),
@@ -158,7 +174,7 @@ TEST_P(MemoryTest, PeakHeapIsFlatInRunLength) {
 INSTANTIATE_TEST_SUITE_P(
     Engines, MemoryTest,
     ::testing::Values(PaperG2pl(), HotG2pl4Shard(), NoWait8Shard(),
-                      Named("s2pl", Protocol::kS2pl, 1),
+                      NoWait8ShardParallel(), Named("s2pl", Protocol::kS2pl, 1),
                       Named("woundwait_4shard", Protocol::kWoundWait, 4),
                       Named("cbl", Protocol::kCbl, 1),
                       Named("occ", Protocol::kOcc, 1)),
