@@ -224,15 +224,8 @@ void LockCcEngine::DoCommit(TxnRun& run) {
 
 void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
                                    std::vector<Update> updates) {
-  if (tracer().enabled()) {
-    obs::TraceEvent event;
-    event.kind = obs::EventKind::kLockRelease;
-    event.txn = txn;
-    event.site = ServerSiteOf(shard);
-    event.shard = shard;
-    event.payload = static_cast<int64_t>(updates.size());
-    tracer().Emit(std::move(event));
-  }
+  proto::EmitRelease(txn, shard, ServerSiteOf(shard),
+                     static_cast<int64_t>(updates.size()), "", tracer());
   for (const Update& update : updates) {
     InstallAtServer(txn, update.item, update.version);
   }
@@ -258,15 +251,8 @@ void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
 
 void LockCcEngine::ReleaseShardEarly(int32_t shard, TxnRun& run) {
   const TxnId txn = run.id;
-  if (tracer().enabled()) {
-    obs::TraceEvent event;
-    event.kind = obs::EventKind::kLockRelease;
-    event.txn = txn;
-    event.site = ServerSiteOf(shard);
-    event.shard = shard;
-    event.label = "early-release";
-    tracer().Emit(std::move(event));
-  }
+  proto::EmitRelease(txn, shard, ServerSiteOf(shard), 0, "early-release",
+                     tracer());
   for (const proto::OpRecord& record : run.records) {
     if (ShardOf(record.item) != shard) continue;
     if (record.mode != LockMode::kExclusive) continue;

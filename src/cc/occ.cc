@@ -111,14 +111,7 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
                            std::vector<proto::OpRecord> records, bool multi) {
   TxnRun* run = FindRun(txn);
   if (multi) {
-    if (tracer().enabled()) {
-      obs::TraceEvent event;
-      event.kind = obs::EventKind::kPrepare;
-      event.txn = txn;
-      event.shard = shard;
-      event.site = ServerSiteOf(shard);
-      tracer().Emit(std::move(event));
-    }
+    proto::EmitPrepare(txn, shard, ServerSiteOf(shard), "", tracer());
     if (run != nullptr) PrepareLanded(*run);
   }
   const bool alive = run != nullptr && !run->finished && !run->doomed;

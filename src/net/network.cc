@@ -50,19 +50,7 @@ void Network::RunDelivery(const DeliveryInfo& info, const std::string& label,
 void Network::Send(SiteId from, SiteId to, std::string label,
                    std::function<void()> on_deliver, uint64_t payload) {
   const SimTime propagation = latency_->Latency(from, to);
-  ++stats_.messages;
-  stats_.payload_units += payload;
-  const bool from_server = IsServerSite(from);
-  const bool to_server = IsServerSite(to);
-  if (from_server && to_server) {
-    ++stats_.server_to_server;
-  } else if (from_server) {
-    ++stats_.server_to_client;
-  } else if (to_server) {
-    ++stats_.client_to_server;
-  } else {
-    ++stats_.client_to_client;
-  }
+  stats_.Count(IsServerSite(from), IsServerSite(to), payload);
 
   const SimTime now = simulator_->Now();
   if (link_ == nullptr) {

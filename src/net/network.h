@@ -60,6 +60,21 @@ struct NetworkStats {
   /// downlink (LinkModel with nic_queue; zero-count otherwise).
   stats::Welford sender_queue_delay;
   stats::Welford receiver_queue_delay;
+
+  /// Counts one message of `payload` units in its direction.
+  void Count(bool from_server, bool to_server, uint64_t payload) {
+    ++messages;
+    payload_units += payload;
+    if (from_server && to_server) {
+      ++server_to_server;
+    } else if (from_server) {
+      ++server_to_client;
+    } else if (to_server) {
+      ++client_to_server;
+    } else {
+      ++client_to_client;
+    }
+  }
 };
 
 /// Abstract payload sizes: a control message (request, release, ack,
