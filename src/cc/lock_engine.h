@@ -60,7 +60,6 @@ class LockCcEngine : public proto::EngineBase, public PolicyHost {
   void AbortTxn(TxnId victim) override;
   ItemId MaxHeldItem(TxnId txn) const override;
   bool Woundable(TxnId txn) override;
-  const proto::SimConfig& engine_config() const override { return config(); }
 
  protected:
   void SendRequest(TxnRun& run) override;

@@ -1,7 +1,5 @@
 #include "cc/policy.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "db/waits_for_graph.h"
 
@@ -9,28 +7,18 @@ namespace gtpl::cc {
 namespace {
 
 // Cycle detection at block time, exactly as the pre-refactor s-2PL engines
-// did it: record the wait edges, then abort victims until no cycle through
-// the requester remains. The engine routes OnWaiterGranted/OnTxnFinished
-// to ClearWaits/RemoveTxn at the same call sites the old engines used, so
-// the graph contents — and therefore victim choice and every downstream
-// event time — are bit-identical.
+// did it: record the wait edges, then abort the requester if they closed a
+// cycle through it. The engine routes OnWaiterGranted/OnTxnFinished to
+// ClearWaits/RemoveTxn at the same call sites the old engines used, so the
+// graph contents — and therefore every abort and downstream event time —
+// are bit-identical.
 class DetectPolicy : public ConflictPolicy {
  public:
   void OnBlocked(TxnId txn, ItemId item, const std::vector<TxnId>& blockers,
                  PolicyHost& host) override {
     (void)item;
     wfg_.AddWaits(txn, blockers);
-    while (true) {
-      const std::vector<TxnId> cycle = wfg_.CycleThrough(txn);
-      if (cycle.empty()) break;
-      TxnId victim = txn;
-      if (host.engine_config().s2pl.victim ==
-          proto::S2plOptions::Victim::kYoungest) {
-        victim = *std::max_element(cycle.begin(), cycle.end());
-      }
-      host.AbortTxn(victim);
-      if (victim == txn) break;
-    }
+    if (!wfg_.CycleThrough(txn).empty()) host.AbortTxn(txn);
   }
 
   void OnWaiterGranted(TxnId txn) override { wfg_.ClearWaits(txn); }

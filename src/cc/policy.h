@@ -34,9 +34,6 @@ class PolicyHost {
   /// releases are in flight — wounding it would break the commit promise;
   /// wound-wait lets such a blocker finish and waits instead).
   virtual bool Woundable(TxnId txn) = 0;
-
-  /// The run configuration (victim-selection knobs etc.).
-  virtual const proto::SimConfig& engine_config() const = 0;
 };
 
 /// Strategy slot deciding what happens when a lock request blocks — the
@@ -70,9 +67,9 @@ class ConflictPolicy {
   virtual void OnTxnFinished(TxnId txn) { (void)txn; }
 };
 
-/// Waits-for-graph cycle detection at block time, victim per
-/// SimConfig::s2pl.victim — the paper's s-2PL resolution, bit-identical to
-/// the pre-refactor engines.
+/// Waits-for-graph cycle detection at block time; the requester whose
+/// request closed a cycle aborts — the paper's s-2PL resolution,
+/// bit-identical to the pre-refactor engines.
 std::unique_ptr<ConflictPolicy> MakeDetectPolicy();
 
 /// No-wait 2PL: any blocked request aborts the requester immediately.

@@ -164,12 +164,6 @@ TEST(BandwidthEquivalenceTest, G2plDelayedAbortNoticeAndWalDelay) {
   RunEquivalence(config);
 }
 
-TEST(BandwidthEquivalenceTest, S2plYoungestVictim) {
-  SimConfig config = BaseConfig(Protocol::kS2pl);
-  config.s2pl.victim = S2plOptions::Victim::kYoungest;
-  RunEquivalence(config);
-}
-
 TEST(BandwidthEquivalenceTest, ShardedFourServers) {
   for (Protocol protocol : {Protocol::kS2pl, Protocol::kG2pl}) {
     SimConfig config = BaseConfig(protocol);

@@ -1,6 +1,6 @@
-// Tests for engine-level extensions: victim policies, heterogeneous
-// latency, access skew, and the WAL force-delay path, plus a randomized
-// reachability property check for the precedence graph.
+// Tests for engine-level extensions: heterogeneous latency, access skew,
+// and the WAL force-delay path, plus a randomized reachability property
+// check for the precedence graph.
 
 #include <algorithm>
 #include <unordered_set>
@@ -30,24 +30,6 @@ SimConfig MidConfig(Protocol protocol) {
   config.record_history = true;
   config.max_sim_time = 20'000'000'000;
   return config;
-}
-
-TEST(VictimPolicyTest, YoungestVictimStaysCorrect) {
-  SimConfig config = MidConfig(Protocol::kS2pl);
-  config.s2pl.victim = S2plOptions::Victim::kYoungest;
-  const RunResult result = RunSimulation(config);
-  ASSERT_FALSE(result.timed_out);
-  EXPECT_GT(result.aborts, 0);
-  std::string why;
-  EXPECT_TRUE(HistoryIsSerializable(result.history, &why)) << why;
-}
-
-TEST(VictimPolicyTest, PoliciesChangeOutcomes) {
-  SimConfig config = MidConfig(Protocol::kS2pl);
-  const RunResult requester = RunSimulation(config);
-  config.s2pl.victim = S2plOptions::Victim::kYoungest;
-  const RunResult youngest = RunSimulation(config);
-  EXPECT_NE(requester.events, youngest.events);
 }
 
 TEST(HeterogeneityTest, JitterKeepsInvariants) {
