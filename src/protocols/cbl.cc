@@ -83,8 +83,8 @@ class CblEngine : public EngineBase {
           net::kControlPayload + net::kDataPayload * updates.size();
       network().Send(
           run.site(), ServerSiteOf(shard), "cbl-commit",
-          [this, txn, updates = std::move(updates)] {
-            ServerOnCommit(txn, updates);
+          [this, shard, txn, updates = std::move(updates)] {
+            ServerOnCommit(shard, txn, updates);
           },
           payload);
     }
@@ -320,17 +320,12 @@ class CblEngine : public EngineBase {
     }
   }
 
-  void ServerOnCommit(TxnId txn,
+  /// `shard`'s cbl-commit arrived; DoCommit sends one only to shards the
+  /// transaction wrote.
+  void ServerOnCommit(int32_t shard, TxnId txn,
                       const std::vector<std::pair<ItemId, Version>>& updates) {
-    if (tracer().enabled()) {
-      obs::TraceEvent event;
-      event.kind = obs::EventKind::kLockRelease;
-      event.txn = txn;
-      event.site = updates.empty() ? kServerSite
-                                   : ServerSiteOf(ShardOf(updates[0].first));
-      event.payload = static_cast<int64_t>(updates.size());
-      tracer().Emit(std::move(event));
-    }
+    EmitRelease(txn, shard, ServerSiteOf(shard),
+                static_cast<int64_t>(updates.size()), "", tracer());
     for (const auto& [item, version] : updates) {
       InstallAtServer(txn, item, version);
       ItemCbl& it = items_[static_cast<size_t>(item)];
