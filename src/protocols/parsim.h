@@ -8,7 +8,7 @@ namespace gtpl::proto {
 
 /// Runs `config` on the conservative per-shard parallel engine
 /// (DESIGN.md §15): one sim::ShardSim logical process per server shard,
-/// hosting that shard's lock table / versions / WAL plus the clients with
+/// hosting that shard's lock table / data store / WAL plus the clients with
 /// index % num_servers == shard. Every client<->server interaction rides a
 /// cross-LP channel message of exactly one WAN latency — the kernel's
 /// lookahead — so LPs execute whole windows concurrently without locks.
