@@ -171,14 +171,14 @@ void LockCcEngine::DoCommit(TxnRun& run) {
   // own writes. Shards that already released ahead of this message
   // (run.released_shards) have nothing left to do.
   const size_t shards = static_cast<size_t>(num_servers());
-  std::vector<std::vector<Update>> updates_by(shards);
+  std::vector<std::vector<db::ItemVersion>> updates_by(shards);
   std::vector<bool> release(shards, false);
   const auto client = static_cast<size_t>(run.client_index);
   for (const proto::OpRecord& record : run.records) {
     const size_t shard = static_cast<size_t>(ShardOf(record.item));
     const bool write = record.mode == LockMode::kExclusive;
     if (write) {
-      updates_by[shard].push_back(Update{record.item, record.version_written});
+      updates_by[shard].push_back({record.item, record.version_written});
       if (sticky_) {
         lease_caches_[client].UpdateVersion(record.item,
                                             record.version_written);
@@ -205,7 +205,8 @@ void LockCcEngine::DoCommit(TxnRun& run) {
     pending_releases_[txn] = participants;
     for (int32_t shard = 0; shard < num_servers(); ++shard) {
       if (!release[static_cast<size_t>(shard)]) continue;
-      std::vector<Update>& updates = updates_by[static_cast<size_t>(shard)];
+      std::vector<db::ItemVersion>& updates =
+          updates_by[static_cast<size_t>(shard)];
       const uint64_t payload =
           net::kControlPayload + net::kDataPayload * updates.size();
       network().Send(
@@ -223,11 +224,11 @@ void LockCcEngine::DoCommit(TxnRun& run) {
 }
 
 void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
-                                   std::vector<Update> updates) {
+                                   std::vector<db::ItemVersion> updates) {
   proto::EmitRelease(txn, shard, ServerSiteOf(shard),
                      static_cast<int64_t>(updates.size()), "", tracer());
-  for (const Update& update : updates) {
-    InstallAtServer(txn, update.item, update.version);
+  for (const db::ItemVersion& update : updates) {
+    InstallAtServer(txn, update);
   }
   MaybeGcClientLogs();
   // The transaction leaves the policy's books only once its last shard
@@ -241,7 +242,7 @@ void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
   if (sticky_) {
     // No lock table to promote; instead the fresh installs may satisfy
     // version fences of lease releases parked behind them.
-    for (const Update& update : updates) {
+    for (const db::ItemVersion& update : updates) {
       ServerInstalledItem(shard, update.item);
     }
     return;
@@ -256,7 +257,7 @@ void LockCcEngine::ReleaseShardEarly(int32_t shard, TxnRun& run) {
   for (const proto::OpRecord& record : run.records) {
     if (ShardOf(record.item) != shard) continue;
     if (record.mode != LockMode::kExclusive) continue;
-    InstallAtServer(txn, record.item, record.version_written);
+    InstallAtServer(txn, {record.item, record.version_written});
     if (sticky_) ServerInstalledItem(shard, record.item);
   }
   run.released_shards.push_back(shard);

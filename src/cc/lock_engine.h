@@ -71,11 +71,6 @@ class LockCcEngine : public proto::EngineBase, public PolicyHost {
   void OnCommitDecision(int32_t shard, TxnId txn) override;
 
  private:
-  struct Update {
-    ItemId item;
-    Version version;
-  };
-
   /// A lease release waiting for the holder's last committed install to
   /// reach the server (the version fence; see DESIGN.md §14 ordering
   /// argument) before it takes effect.
@@ -86,7 +81,8 @@ class LockCcEngine : public proto::EngineBase, public PolicyHost {
 
   void ServerOnRequest(int32_t shard, TxnId txn, SiteId client_site,
                        ItemId item, LockMode mode);
-  void ServerOnRelease(int32_t shard, TxnId txn, std::vector<Update> updates);
+  void ServerOnRelease(int32_t shard, TxnId txn,
+                       std::vector<db::ItemVersion> updates);
   void SendGrant(int32_t shard, TxnId txn, ItemId item);
   /// Drops `txn`'s locks on `shard` and grants the waiters they unblock.
   void ReleaseLocks(int32_t shard, TxnId txn);

@@ -72,7 +72,7 @@ void OccEngine::OnRead(int32_t shard, TxnId txn, SiteId client_site,
 void OccEngine::StartCommit(TxnRun& run) {
   GTPL_CHECK(!run.finished);
   GTPL_CHECK(!run.doomed);
-  std::vector<int32_t> participants = ParticipantsOf(run);
+  std::vector<int32_t> participants = proto::ShardsOf(config(), run);
   if (participants.size() <= 1) {
     GTPL_CHECK_EQ(participants.size(), 1u);
     SendValidate(participants[0], run, /*multi=*/false);
@@ -209,7 +209,7 @@ void OccEngine::InstallOnShard(int32_t shard, TxnId txn,
                                const std::vector<proto::OpRecord>& records) {
   for (const proto::OpRecord& record : records) {
     if (record.mode != LockMode::kExclusive) continue;
-    InstallAtServer(txn, record.item, record.version_written);
+    InstallAtServer(txn, {record.item, record.version_written});
     if (!cache_data_) continue;
     auto& copies = copy_sets_[static_cast<size_t>(record.item)];
     for (SiteId other : copies) {
@@ -249,7 +249,7 @@ void OccEngine::OnClientAborted(TxnRun& run) {
       cache.erase(run.op().item);
     }
   }
-  std::vector<int32_t> participants = ParticipantsOf(run);
+  std::vector<int32_t> participants = proto::ShardsOf(config(), run);
   if (participants.size() <= 1) return;  // nothing was reserved
   // Shards that voted yes before the failing shard doomed the transaction
   // still hold reservations; release them. Idempotent: a shard that never

@@ -18,7 +18,7 @@ class DetectPolicy : public ConflictPolicy {
                  PolicyHost& host) override {
     (void)item;
     wfg_.AddWaits(txn, blockers);
-    if (!wfg_.CycleThrough(txn).empty()) host.AbortTxn(txn);
+    if (wfg_.HasCycleFrom(txn)) host.AbortTxn(txn);
   }
 
   void OnWaiterGranted(TxnId txn) override { wfg_.ClearWaits(txn); }

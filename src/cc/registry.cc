@@ -69,68 +69,46 @@ std::unique_ptr<EngineBase> MakeOrdered(const SimConfig& config) {
 
 }  // namespace
 
-const std::vector<EngineInfo>& Engines() {
-  static const std::vector<EngineInfo>* engines = new std::vector<EngineInfo>{
-      {"s2pl", "strict 2PL, waits-for deadlock detection (paper baseline)",
-       Protocol::kS2pl, MakeS2pl},
-      {"g2pl", "group 2PL with forward lists (paper contribution)",
-       Protocol::kG2pl, MakeG2pl},
-      {"c2pl", "caching 2PL: s-2PL plus a client data cache",
-       Protocol::kC2pl, MakeC2pl},
-      {"cbl", "callback locking", Protocol::kCbl, proto::MakeCblEngine},
-      {"o2pl", "optimistic 2PL: OCC plus a client data cache",
-       Protocol::kO2pl, MakeO2pl},
-      {"nowait", "no-wait 2PL: blocked requests abort the requester",
-       Protocol::kNoWait, MakeNoWait},
-      {"waitdie", "wait-die 2PL: wait for younger only, die on older",
-       Protocol::kWaitDie, MakeWaitDie},
-      {"woundwait", "wound-wait 2PL: wound younger blockers, wait on older",
-       Protocol::kWoundWait, MakeWoundWait},
-      {"occ", "optimistic CC, backward validation at commit",
-       Protocol::kOcc, MakeOcc},
-      {"ordered", "ordered 2PL: in-order acquisition, release at prepare",
-       Protocol::kOrdered, MakeOrdered},
-  };
+const EngineRegistry& Engines() {
+  static const EngineRegistry* engines = new EngineRegistry(
+      "engine",
+      {
+          {"s2pl", "s-2PL",
+           "strict 2PL, waits-for deadlock detection (paper baseline)",
+           Protocol::kS2pl, MakeS2pl},
+          {"g2pl", "g-2PL", "group 2PL with forward lists (paper contribution)",
+           Protocol::kG2pl, MakeG2pl},
+          {"c2pl", "c-2PL", "caching 2PL: s-2PL plus a client data cache",
+           Protocol::kC2pl, MakeC2pl},
+          {"cbl", "CBL", "callback locking", Protocol::kCbl,
+           proto::MakeCblEngine},
+          {"o2pl", "O2PL", "optimistic 2PL: OCC plus a client data cache",
+           Protocol::kO2pl, MakeO2pl},
+          {"nowait", "nw-2PL",
+           "no-wait 2PL: blocked requests abort the requester",
+           Protocol::kNoWait, MakeNoWait},
+          {"waitdie", "wd-2PL",
+           "wait-die 2PL: wait for younger only, die on older",
+           Protocol::kWaitDie, MakeWaitDie},
+          {"woundwait", "ww-2PL",
+           "wound-wait 2PL: wound younger blockers, wait on older",
+           Protocol::kWoundWait, MakeWoundWait},
+          {"occ", "OCC", "optimistic CC, backward validation at commit",
+           Protocol::kOcc, MakeOcc},
+          {"ordered", "or-2PL",
+           "ordered 2PL: in-order acquisition, release at prepare",
+           Protocol::kOrdered, MakeOrdered},
+      });
   return *engines;
-}
-
-const EngineInfo* FindEngine(const std::string& name) {
-  for (const EngineInfo& info : Engines()) {
-    if (name == info.name) return &info;
-  }
-  return nullptr;
-}
-
-const EngineInfo& EngineFor(proto::Protocol protocol) {
-  for (const EngineInfo& info : Engines()) {
-    if (info.protocol == protocol) return info;
-  }
-  GTPL_CHECK(false) << "protocol without a registered engine";
-  return Engines().front();
-}
-
-std::string EngineNames() {
-  std::string names;
-  for (const EngineInfo& info : Engines()) {
-    if (!names.empty()) names += ", ";
-    names += info.name;
-  }
-  return names;
-}
-
-Status ParseEngineName(const std::string& name, proto::Protocol* protocol) {
-  const EngineInfo* info = FindEngine(name);
-  if (info == nullptr) {
-    return Status::InvalidArgument("unknown engine '" + name +
-                                   "' (registered: " + EngineNames() + ")");
-  }
-  *protocol = info->protocol;
-  return Status::Ok();
 }
 
 }  // namespace gtpl::cc
 
 namespace gtpl::proto {
+
+const char* ToString(Protocol protocol) {
+  return cc::Engines().For(protocol).label;
+}
 
 RunResult RunSimulation(const SimConfig& config) {
   GTPL_CHECK(config.Validate().ok()) << config.Validate().ToString();
@@ -140,7 +118,7 @@ RunResult RunSimulation(const SimConfig& config) {
     // below bit-identical.
     return RunParallelSimulation(config);
   }
-  return cc::EngineFor(config.protocol).make(config)->Run();
+  return cc::Engines().For(config.protocol).make(config)->Run();
 }
 
 }  // namespace gtpl::proto

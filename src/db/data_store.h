@@ -8,6 +8,14 @@
 
 namespace gtpl::db {
 
+/// One update a commit ships: the new version of an item it wrote. The
+/// server installs it (proto::InstallAt), and the writer's log keeps the
+/// commit until every one of them is permanent.
+struct ItemVersion {
+  ItemId item = kInvalidItem;
+  Version version = 0;
+};
+
 /// The server's installed database: one versioned copy per hot data item.
 ///
 /// The simulation does not model item contents, only versions; versions let

@@ -1,7 +1,5 @@
 #include "db/waits_for_graph.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace gtpl::db {
@@ -66,38 +64,6 @@ bool WaitsForGraph::HasCycleFrom(TxnId start) const {
     }
   }
   return false;
-}
-
-std::vector<TxnId> WaitsForGraph::CycleThrough(TxnId start) const {
-  // DFS with parent tracking to reconstruct one cycle through `start`.
-  std::unordered_map<TxnId, TxnId> parent;
-  std::vector<TxnId> stack;
-  if (auto it = out_.find(start); it != out_.end()) {
-    for (TxnId next : it->second) {
-      if (parent.emplace(next, start).second) stack.push_back(next);
-    }
-  }
-  while (!stack.empty()) {
-    TxnId node = stack.back();
-    stack.pop_back();
-    if (node == start) continue;
-    if (auto it = out_.find(node); it != out_.end()) {
-      for (TxnId next : it->second) {
-        if (next == start) {
-          // Reconstruct start -> ... -> node -> start.
-          std::vector<TxnId> cycle;
-          for (TxnId cur = node; cur != start; cur = parent.at(cur)) {
-            cycle.push_back(cur);
-          }
-          cycle.push_back(start);
-          std::reverse(cycle.begin(), cycle.end());
-          return cycle;
-        }
-        if (parent.emplace(next, node).second) stack.push_back(next);
-      }
-    }
-  }
-  return {};
 }
 
 int32_t WaitsForGraph::OutDegree(TxnId txn) const {

@@ -28,12 +28,9 @@ class WaitsForGraph {
   /// it waits for nobody, but others may still wait for it.
   void ClearWaits(TxnId txn);
 
-  /// True iff a cycle through `start` is reachable (DFS from `start`).
+  /// True iff `start` lies on a cycle (DFS from `start`): the deadlock
+  /// test after `start` blocked.
   bool HasCycleFrom(TxnId start) const;
-
-  /// All transactions on some cycle through `start`, in discovery order;
-  /// empty when there is no such cycle. Used to pick abort victims.
-  std::vector<TxnId> CycleThrough(TxnId start) const;
 
   /// Number of outgoing wait edges of `txn`.
   int32_t OutDegree(TxnId txn) const;

@@ -33,4 +33,9 @@ void WriteAheadLog::TruncateThrough(int64_t lsn) {
   if (lsn > truncated_lsn_) truncated_lsn_ = lsn;
 }
 
+void WriteAheadLog::Checkpoint() {
+  Force(next_lsn_ - 1);
+  TruncateThrough(durable_lsn_);
+}
+
 }  // namespace gtpl::db

@@ -51,6 +51,11 @@ class WriteAheadLog {
   /// Garbage-collects records with lsn <= `lsn` (data permanent at server).
   void TruncateThrough(int64_t lsn);
 
+  /// Forces every appended record and truncates through it: the log
+  /// checkpoint of a site whose updates are all permanent. Charges no
+  /// delay, and leaves an empty or already-checkpointed log unchanged.
+  void Checkpoint();
+
   int64_t next_lsn() const { return next_lsn_; }
   int64_t durable_lsn() const { return durable_lsn_; }
   int64_t truncated_lsn() const { return truncated_lsn_; }

@@ -75,27 +75,18 @@ Status ParseCli(int argc, char** argv, CliOptions* options) {
       }
       options->jobs = static_cast<int>(value);
     } else if (const char* v7 = value_of("--cc=")) {
-      const Status status = cc::ParseEngineName(v7, &options->cc_protocol);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return status;
-      }
+      const Status status = cc::Engines().Parse(v7, &options->cc_protocol);
+      if (!status.ok()) return status;
       options->cc = v7;
     } else if (const char* v8 = value_of("--commit=")) {
       const Status status =
-          proto::ParseCommitPathName(v8, &options->commit_path);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return status;
-      }
+          proto::CommitPaths().Parse(v8, &options->commit_path);
+      if (!status.ok()) return status;
       options->commit = v8;
     } else if (const char* v9 = value_of("--lease=")) {
       const Status status =
-          lease::ParseLeaseModeName(v9, &options->lease_options.mode);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return status;
-      }
+          lease::LeaseModes().Parse(v9, &options->lease_options.mode);
+      if (!status.ok()) return status;
       options->lease = v9;
     } else if (const char* v10 = value_of("--lease-ttl=")) {
       if (!ParseInt64Value(v10, &value) || value < 0) {
@@ -133,9 +124,9 @@ Status ParseCli(int argc, char** argv, CliOptions* options) {
                    "[--lease-ttl=N] [--lease-max-held=N] [--sim-threads=N] "
                    "[--full] [--quick] [--smoke] [--csv=PATH]\n  engines: %s\n"
                    "  commit paths: %s\n  lease modes: %s\n",
-                   argv[0], cc::EngineNames().c_str(),
-                   proto::CommitPathNames().c_str(),
-                   lease::LeaseModeNames().c_str());
+                   argv[0], cc::Engines().Names().c_str(),
+                   proto::CommitPaths().Names().c_str(),
+                   lease::LeaseModes().Names().c_str());
       return Status::InvalidArgument("help requested");
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());

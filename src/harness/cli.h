@@ -66,7 +66,8 @@ bool ParseInt32Value(const char* text, int32_t* out);
 bool ParseInt64Value(const char* text, int64_t* out);
 bool ParseDoubleValue(const char* text, double* out);
 
-/// Parses argv. On error prints usage to stderr and returns a non-ok status.
+/// Parses argv. A bad flag returns a non-ok status whose message the caller
+/// prints; only --help (usage) and an unknown flag also print to stderr.
 Status ParseCli(int argc, char** argv, CliOptions* options);
 
 /// Prints the standard bench banner (experiment id + scale in use).

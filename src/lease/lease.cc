@@ -1,64 +1,21 @@
 #include "lease/lease.h"
 
-#include "common/check.h"
-
 namespace gtpl::lease {
 
-const char* ToString(LeaseMode mode) {
-  switch (mode) {
-    case LeaseMode::kNone:
-      return "none";
-    case LeaseMode::kSticky:
-      return "sticky";
-  }
-  return "?";
-}
-
-const std::vector<LeaseModeInfo>& LeaseModes() {
-  static const std::vector<LeaseModeInfo>* kModes =
-      new std::vector<LeaseModeInfo>{
+const LeaseModeRegistry& LeaseModes() {
+  static const LeaseModeRegistry* modes = new LeaseModeRegistry(
+      "lease mode",
+      {
           {"none", "leases disabled: every lock acquisition pays the WAN round",
            LeaseMode::kNone},
           {"sticky",
            "sticky site leases with callback revocation: repeat acquisitions "
            "hit the client cache for zero flights",
            LeaseMode::kSticky},
-      };
-  return *kModes;
+      });
+  return *modes;
 }
 
-const LeaseModeInfo* FindLeaseMode(const std::string& name) {
-  for (const LeaseModeInfo& info : LeaseModes()) {
-    if (name == info.name) return &info;
-  }
-  return nullptr;
-}
-
-const LeaseModeInfo& LeaseModeFor(LeaseMode mode) {
-  for (const LeaseModeInfo& info : LeaseModes()) {
-    if (info.mode == mode) return info;
-  }
-  GTPL_CHECK(false);  // every LeaseMode value is registered
-  return LeaseModes().front();
-}
-
-std::string LeaseModeNames() {
-  std::string out;
-  for (const LeaseModeInfo& info : LeaseModes()) {
-    if (!out.empty()) out += ", ";
-    out += info.name;
-  }
-  return out;
-}
-
-Status ParseLeaseModeName(const std::string& name, LeaseMode* mode) {
-  const LeaseModeInfo* info = FindLeaseMode(name);
-  if (info == nullptr) {
-    return Status::InvalidArgument("unknown lease mode '" + name +
-                                   "' (registered: " + LeaseModeNames() + ")");
-  }
-  *mode = info->mode;
-  return Status::Ok();
-}
+const char* ToString(LeaseMode mode) { return LeaseModes().For(mode).name; }
 
 }  // namespace gtpl::lease

@@ -2,10 +2,8 @@
 #define GTPL_LEASE_LEASE_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "common/status.h"
+#include "common/registry.h"
 #include "common/types.h"
 
 namespace gtpl::lease {
@@ -29,8 +27,6 @@ enum class LeaseMode {
   kSticky = 1,
 };
 
-const char* ToString(LeaseMode mode);
-
 /// Per-run lease knobs, carried inside SimConfig.
 struct LeaseOptions {
   LeaseMode mode = LeaseMode::kNone;
@@ -52,22 +48,14 @@ struct LeaseModeInfo {
   LeaseMode mode;
 };
 
+using LeaseModeRegistry =
+    Registry<LeaseModeInfo, LeaseMode, &LeaseModeInfo::mode>;
+
 /// All registered lease modes, in presentation order.
-const std::vector<LeaseModeInfo>& LeaseModes();
+const LeaseModeRegistry& LeaseModes();
 
-/// Lease mode registered under `name`, or nullptr.
-const LeaseModeInfo* FindLeaseMode(const std::string& name);
-
-/// Registry entry of `mode` (every LeaseMode value has exactly one).
-const LeaseModeInfo& LeaseModeFor(LeaseMode mode);
-
-/// Comma-separated registered names, for error messages and usage text.
-std::string LeaseModeNames();
-
-/// Resolves `name` to its LeaseMode, or InvalidArgument listing the
-/// registered names (the CLI strict-parsing convention, like
-/// cc::ParseEngineName).
-Status ParseLeaseModeName(const std::string& name, LeaseMode* mode);
+/// The registry name of `mode`.
+const char* ToString(LeaseMode mode);
 
 }  // namespace gtpl::lease
 

@@ -61,12 +61,12 @@ class CblEngine : public EngineBase {
 
   void DoCommit(TxnRun& run) override {
     ClientCbl& cc = clients_cbl_[static_cast<size_t>(run.client_index)];
-    std::vector<std::vector<std::pair<ItemId, Version>>> updates_by(
+    std::vector<std::vector<db::ItemVersion>> updates_by(
         static_cast<size_t>(num_servers()));
     for (const OpRecord& record : run.records) {
       if (record.mode == LockMode::kExclusive) {
-        updates_by[static_cast<size_t>(ShardOf(record.item))].emplace_back(
-            record.item, record.version_written);
+        updates_by[static_cast<size_t>(ShardOf(record.item))].push_back(
+            {record.item, record.version_written});
         // CB-read downgrade: the writer keeps the copy with read permission.
         cc.cache[record.item] = record.version_written;
       } else {
@@ -76,7 +76,7 @@ class CblEngine : public EngineBase {
     FlushDeferredAcks(run.client_index);
     const TxnId txn = run.id;
     for (int32_t shard = 0; shard < num_servers(); ++shard) {
-      std::vector<std::pair<ItemId, Version>>& updates =
+      std::vector<db::ItemVersion>& updates =
           updates_by[static_cast<size_t>(shard)];
       if (updates.empty()) continue;
       const uint64_t payload =
@@ -150,7 +150,7 @@ class CblEngine : public EngineBase {
     }
     it.queue.push_back(PendingReq{txn, site, mode});
     AddWaitEdges(txn, item);
-    if (!wfg_.CycleThrough(txn).empty()) ServerAbort(txn, item);
+    if (wfg_.HasCycleFrom(txn)) ServerAbort(txn, item);
   }
 
   void GrantShared(TxnId txn, SiteId site, ItemId item) {
@@ -203,7 +203,7 @@ class CblEngine : public EngineBase {
     }
     if (!blockers.empty()) {
       wfg_.AddWaits(head.txn, blockers);
-      if (!wfg_.CycleThrough(head.txn).empty()) {
+      if (wfg_.HasCycleFrom(head.txn)) {
         ServerAbort(head.txn, item);
       }
     }
@@ -223,7 +223,7 @@ class CblEngine : public EngineBase {
       if (pinner != nullptr && !pinner->finished && !Dead(collector) &&
           !pinner->doomed) {
         wfg_.AddWaits(collector, {pinner->id});
-        if (!wfg_.CycleThrough(collector).empty()) {
+        if (wfg_.HasCycleFrom(collector)) {
           ServerAbort(pinner->id, item);
         }
       }
@@ -323,15 +323,15 @@ class CblEngine : public EngineBase {
   /// `shard`'s cbl-commit arrived; DoCommit sends one only to shards the
   /// transaction wrote.
   void ServerOnCommit(int32_t shard, TxnId txn,
-                      const std::vector<std::pair<ItemId, Version>>& updates) {
+                      const std::vector<db::ItemVersion>& updates) {
     EmitRelease(txn, shard, ServerSiteOf(shard),
                 static_cast<int64_t>(updates.size()), "", tracer());
-    for (const auto& [item, version] : updates) {
-      InstallAtServer(txn, item, version);
-      ItemCbl& it = items_[static_cast<size_t>(item)];
+    for (const db::ItemVersion& update : updates) {
+      InstallAtServer(txn, update);
+      ItemCbl& it = items_[static_cast<size_t>(update.item)];
       GTPL_CHECK_EQ(it.x_holder, txn);
       it.x_holder = kInvalidTxn;
-      GrantHead(item);
+      GrantHead(update.item);
     }
     MaybeGcClientLogs();
     // Idempotent across the per-shard commit messages of one txn.

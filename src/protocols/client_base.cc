@@ -44,6 +44,19 @@ void AddWalCounters(const db::WriteAheadLog& wal, RunResult& result) {
   result.wal_retained += static_cast<int64_t>(wal.size());
 }
 
+std::vector<int32_t> ShardsOf(const SimConfig& config, const TxnRun& run,
+                              bool writes_only) {
+  std::vector<int32_t> shards;
+  shards.reserve(run.records.size());
+  for (const OpRecord& record : run.records) {
+    if (writes_only && record.mode != LockMode::kExclusive) continue;
+    shards.push_back(ShardOf(config, record.item));
+  }
+  std::sort(shards.begin(), shards.end());
+  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+  return shards;
+}
+
 void RecordGrant(TxnRun& run, SimTime wait, SimTime propagation,
                  SimTime queueing, bool measured, RunResult& result,
                  obs::Tracer& tracer) {
@@ -227,10 +240,10 @@ void EmitRelease(TxnId txn, int32_t shard, SiteId site, int64_t updates,
 }
 
 void InstallAt(db::DataStore& store, db::WriteAheadLog& wal, TxnId txn,
-               ItemId item, Version version) {
-  store.Install(item, version);
-  const int64_t lsn =
-      wal.Append(db::LogRecordKind::kInstall, txn, item, version);
+               db::ItemVersion update) {
+  store.Install(update.item, update.version);
+  const int64_t lsn = wal.Append(db::LogRecordKind::kInstall, txn,
+                                 update.item, update.version);
   wal.Force(lsn);
 }
 
@@ -323,26 +336,6 @@ EngineBase::TxnRun* EngineBase::FindRun(TxnId txn) const {
   TxnRun* run = clients_[static_cast<size_t>(it->second)].current.get();
   if (run == nullptr || run->id != txn) return nullptr;
   return run;
-}
-
-std::vector<int32_t> EngineBase::ParticipantsOf(const TxnRun& run) const {
-  std::vector<int32_t> shards;
-  for (const workload::Operation& op : run.spec.ops) {
-    shards.push_back(ShardOf(op.item));
-  }
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  return shards;
-}
-
-std::vector<int32_t> EngineBase::WriteShardsOf(const TxnRun& run) const {
-  std::vector<int32_t> shards;
-  for (const workload::Operation& op : run.spec.ops) {
-    if (op.mode == LockMode::kExclusive) shards.push_back(ShardOf(op.item));
-  }
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  return shards;
 }
 
 RunResult EngineBase::Run() {
@@ -496,7 +489,7 @@ void EngineBase::FinalizeCommit(TxnRun& run) {
   gc.lsn = client.wal->next_lsn() - 1;
   for (const OpRecord& record : run.records) {
     if (record.mode == LockMode::kExclusive) {
-      gc.updates.emplace_back(record.item, record.version_written);
+      gc.updates.push_back({record.item, record.version_written});
     }
   }
   auto& queue = gc_queues_[static_cast<size_t>(run.client_index)];
@@ -510,17 +503,14 @@ void EngineBase::FinalizeCommit(TxnRun& run) {
   ScheduleNextTxn(client);
 }
 
-void EngineBase::InstallAtServer(TxnId txn, ItemId item, Version version) {
-  InstallAt(*store_, *server_wal_, txn, item, version);
+void EngineBase::InstallAtServer(TxnId txn, db::ItemVersion update) {
+  InstallAt(*store_, *server_wal_, txn, update);
 }
 
 void EngineBase::MaybeGcClientLogs() {
   // The server checkpoints continuously: every installed version is already
-  // in the data store, so the forced prefix of its log can be dropped.
-  if (server_wal_->next_lsn() > 1) {
-    server_wal_->Force(server_wal_->next_lsn() - 1);
-    server_wal_->TruncateThrough(server_wal_->durable_lsn());
-  }
+  // in the data store, so its whole log can be dropped.
+  server_wal_->Checkpoint();
   // Only clients with pending commits are visited. Each visit touches only
   // that client's queue and log, so the visiting order is free.
   for (size_t k = 0; k < gc_pending_clients_.size();) {
@@ -530,8 +520,8 @@ void EngineBase::MaybeGcClientLogs() {
     while (!queue.empty()) {
       const PendingGc& front = queue.front();
       bool permanent = true;
-      for (const auto& [item, version] : front.updates) {
-        if (store_->VersionOf(item) < version) {
+      for (const db::ItemVersion& update : front.updates) {
+        if (store_->VersionOf(update.item) < update.version) {
           permanent = false;
           break;
         }

@@ -15,73 +15,26 @@
 
 namespace gtpl::proto {
 
-const char* ToString(CommitPath path) {
-  switch (path) {
-    case CommitPath::kClassic:
-      return "classic";
-    case CommitPath::kEarly:
-      return "early";
-    case CommitPath::kFastPath:
-      return "fastpath";
-    case CommitPath::kCoord:
-      return "coord";
-  }
-  return "unknown";
-}
-
-const std::vector<CommitPathInfo>& CommitPaths() {
-  static const std::vector<CommitPathInfo>* paths =
-      new std::vector<CommitPathInfo>{
+const CommitPathRegistry& CommitPaths() {
+  static const CommitPathRegistry* paths = new CommitPathRegistry(
+      "commit path",
+      {
           {"classic",
            "client-coordinated 2PC, parallel prepare fan-out (default)",
            CommitPath::kClassic},
           {"early",
            "speculative prepare piggybacked on each shard's last operation",
            CommitPath::kEarly},
-          {"fastpath",
-           "one-round commit for single-write-shard transactions",
+          {"fastpath", "one-round commit for single-write-shard transactions",
            CommitPath::kFastPath},
           {"coord",
            "per-txn coordinator placement: client vs write-heaviest server",
            CommitPath::kCoord},
-      };
+      });
   return *paths;
 }
 
-const CommitPathInfo* FindCommitPath(const std::string& name) {
-  for (const CommitPathInfo& info : CommitPaths()) {
-    if (name == info.name) return &info;
-  }
-  return nullptr;
-}
-
-const CommitPathInfo& CommitPathFor(CommitPath path) {
-  for (const CommitPathInfo& info : CommitPaths()) {
-    if (info.path == path) return info;
-  }
-  GTPL_CHECK(false) << "commit path without a registry entry";
-  return CommitPaths().front();
-}
-
-std::string CommitPathNames() {
-  std::string names;
-  for (const CommitPathInfo& info : CommitPaths()) {
-    if (!names.empty()) names += ", ";
-    names += info.name;
-  }
-  return names;
-}
-
-Status ParseCommitPathName(const std::string& name, CommitPath* path) {
-  const CommitPathInfo* info = FindCommitPath(name);
-  if (info == nullptr) {
-    return Status::InvalidArgument("unknown commit path '" + name +
-                                   "' (registered: " + CommitPathNames() +
-                                   ")");
-  }
-  *path = info->path;
-  return Status::Ok();
-}
+const char* ToString(CommitPath path) { return CommitPaths().For(path).name; }
 
 int32_t ExpectedCommitFlights(CommitPath path, bool single_write_shard,
                               bool remote_coordinator) {
@@ -103,7 +56,7 @@ int32_t ExpectedCommitFlights(CommitPath path, bool single_write_shard,
 // ---------------------------------------------------------------------------
 
 void EngineBase::StartCommit(TxnRun& run) {
-  std::vector<int32_t> participants = ParticipantsOf(run);
+  std::vector<int32_t> participants = ShardsOf(config_, run);
   if (participants.size() <= 1) {
     // Single-shard transaction: the ordinary commit path of the paper's
     // single-server model (and the only path when num_servers == 1).
@@ -120,7 +73,7 @@ void EngineBase::StartCommit(TxnRun& run) {
       StartEarly(run, std::move(participants));
       return;
     case CommitPath::kFastPath:
-      if (WriteShardsOf(run).size() <= 1) {
+      if (ShardsOf(config_, run, /*writes_only=*/true).size() <= 1) {
         StartFastPath(run, participants);
       } else {
         StartClassic(run, std::move(participants));

@@ -2,10 +2,8 @@
 #define GTPL_PROTOCOLS_COMMIT_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "common/status.h"
+#include "common/registry.h"
 
 namespace gtpl::proto {
 
@@ -44,8 +42,6 @@ enum class CommitPath {
   kCoord = 3,
 };
 
-const char* ToString(CommitPath path);
-
 /// One registered commit-path variant, mirroring cc::EngineInfo: the
 /// registry is the single place mapping CommitPath values to string names
 /// (--commit=<name>) and one-line summaries.
@@ -55,22 +51,14 @@ struct CommitPathInfo {
   CommitPath path;
 };
 
+using CommitPathRegistry =
+    Registry<CommitPathInfo, CommitPath, &CommitPathInfo::path>;
+
 /// All registered commit paths, in presentation order.
-const std::vector<CommitPathInfo>& CommitPaths();
+const CommitPathRegistry& CommitPaths();
 
-/// Commit path registered under `name`, or nullptr.
-const CommitPathInfo* FindCommitPath(const std::string& name);
-
-/// Registry entry of `path` (every CommitPath value has exactly one).
-const CommitPathInfo& CommitPathFor(CommitPath path);
-
-/// Comma-separated registered names, for error messages and usage text.
-std::string CommitPathNames();
-
-/// Resolves `name` to its CommitPath, or InvalidArgument listing the
-/// registered names (the CLI strict-parsing convention, like
-/// cc::ParseEngineName).
-Status ParseCommitPathName(const std::string& name, CommitPath* path);
+/// The registry name of `path`.
+const char* ToString(CommitPath path);
 
 /// Blocking one-way WAN flights a *cross-server* commit pays in its commit
 /// phase under the paper's pure-propagation model (the round-count table of

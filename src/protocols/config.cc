@@ -2,32 +2,6 @@
 
 namespace gtpl::proto {
 
-const char* ToString(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kS2pl:
-      return "s-2PL";
-    case Protocol::kG2pl:
-      return "g-2PL";
-    case Protocol::kC2pl:
-      return "c-2PL";
-    case Protocol::kCbl:
-      return "CBL";
-    case Protocol::kO2pl:
-      return "O2PL";
-    case Protocol::kNoWait:
-      return "nw-2PL";
-    case Protocol::kWaitDie:
-      return "wd-2PL";
-    case Protocol::kOcc:
-      return "OCC";
-    case Protocol::kOrdered:
-      return "or-2PL";
-    case Protocol::kWoundWait:
-      return "ww-2PL";
-  }
-  return "unknown";
-}
-
 const char* ToString(ShardRouting routing) {
   switch (routing) {
     case ShardRouting::kHash:

@@ -30,6 +30,8 @@ enum class Protocol {
   kWoundWait = 9,  // wound-wait 2PL: wound younger blockers, wait on older
 };
 
+/// Display label of `protocol` (e.g. "g-2PL"): its cc registry row's
+/// label, so this is defined in cc/registry.cc.
 const char* ToString(Protocol protocol);
 
 /// How a sharded server group partitions the item space (extension; the

@@ -140,6 +140,13 @@ RunResult EmptyResult(const SimConfig& config);
 /// Adds `wal`'s append, force and retained-record counts to `result`.
 void AddWalCounters(const db::WriteAheadLog& wal, RunResult& result);
 
+/// Distinct shards of `run`'s completed operations, ascending; of its
+/// writes only under `writes_only`. `records` are the prefix of `spec.ops`
+/// the run completed, so at the commit point these are its participants
+/// (or write shards) and at an abort the shards it may hold locks on.
+std::vector<int32_t> ShardsOf(const SimConfig& config, const TxnRun& run,
+                              bool writes_only = false);
+
 /// The grant for `run`'s current operation reached the client `wait` after
 /// its request left. `propagation` and `queueing` are the request and grant
 /// flights' network components; what remains of the wait is the op's lock
@@ -187,10 +194,10 @@ void EmitVote(TxnId txn, int32_t shard, bool yes, obs::Tracer& tracer);
 void EmitRelease(TxnId txn, int32_t shard, SiteId site, int64_t updates,
                  const char* label, obs::Tracer& tracer);
 
-/// Installs `version` of `item` in `store` and forces the install record
-/// to the server's `wal`.
+/// Installs `update` in `store` and forces the install record to the
+/// server's `wal`.
 void InstallAt(db::DataStore& store, db::WriteAheadLog& wal, TxnId txn,
-               ItemId item, Version version);
+               db::ItemVersion update);
 
 /// The one base of every serial protocol engine. It owns:
 ///  - the per-client transaction lifecycle of the paper's system model
@@ -368,9 +375,6 @@ class EngineBase {
     return result_.total_commits >= config_.warmup_txns;
   }
 
-  /// Distinct shards `run`'s operations touch, ascending.
-  std::vector<int32_t> ParticipantsOf(const TxnRun& run) const;
-
   /// The client's local commit: forces the commit record to the client
   /// WAL, then FinalizeCommit. Every commit path ends here.
   void CommitLocally(TxnRun& run);
@@ -390,9 +394,9 @@ class EngineBase {
   /// Participant `shard`'s vote on `txn` reached the vote site.
   void OnVoteArrived(TxnId txn, int32_t shard, bool yes);
 
-  /// Installs `version` of `item` at its server and forces the install
-  /// record to the server WAL — the durability step of every commit path.
-  void InstallAtServer(TxnId txn, ItemId item, Version version);
+  /// Installs `update` at its server and forces the install record to the
+  /// server WAL — the durability step of every commit path.
+  void InstallAtServer(TxnId txn, db::ItemVersion update);
 
   /// Client-log garbage collection (the paper's recovery assumption: "each
   /// site uses WAL and garbage collects its log once the data are made
@@ -409,11 +413,6 @@ class EngineBase {
   /// Records the commit (metrics, history), emits DoCommit, and schedules
   /// the client's next transaction.
   void FinalizeCommit(TxnRun& run);
-
-  /// Distinct shards `run` *writes*, ascending (kFastPath eligibility and
-  /// the kCoord write-heaviest choice both key off the spec's write set,
-  /// which is static — tests recompute it from the spec).
-  std::vector<int32_t> WriteShardsOf(const TxnRun& run) const;
 
   // --- commit paths (protocols/commit.cc) ------------------------------
   void StartEarly(TxnRun& run, std::vector<int32_t> participants);
@@ -439,7 +438,7 @@ class EngineBase {
   /// One committed transaction's log footprint awaiting permanence.
   struct PendingGc {
     int64_t lsn = 0;  // client log prefix covered by this transaction
-    std::vector<std::pair<ItemId, Version>> updates;
+    std::vector<db::ItemVersion> updates;
   };
 
   SimConfig config_;

@@ -33,11 +33,6 @@
 namespace gtpl::proto {
 namespace {
 
-struct Update {
-  ItemId item;
-  Version version;
-};
-
 class ParallelEngine {
  public:
   explicit ParallelEngine(const SimConfig& config);
@@ -63,9 +58,6 @@ class ParallelEngine {
   void SendMsg(int32_t src_lp, int32_t dst_lp, SiteId from, SiteId to,
                uint64_t payload, std::function<void()> action);
 
-  /// Distinct shards of `run`'s completed operations, ascending.
-  std::vector<int32_t> TouchedShards(const TxnRun& run) const;
-
   // --- client-LP handlers ---------------------------------------------
   void BeginTxn(int32_t client_index);
   void IssueRequest(ClientState& client);
@@ -87,7 +79,8 @@ class ParallelEngine {
                        int64_t held_ops);
   void SendGrant(int32_t shard, TxnId txn, ItemId item);
   void ServerOnPrepare(int32_t shard, TxnId txn, int32_t client_index);
-  void ServerOnRelease(int32_t shard, TxnId txn, std::vector<Update> updates);
+  void ServerOnRelease(int32_t shard, TxnId txn,
+                       std::vector<db::ItemVersion> updates);
   void ServerOnAbortRelease(int32_t shard, TxnId txn);
 
   // --- observability (DESIGN.md §16) ----------------------------------
@@ -226,17 +219,6 @@ void ParallelEngine::SendMsg(int32_t src_lp, int32_t dst_lp, SiteId from,
   psim_->lp(src_lp).SendTo(dst_lp, latency_, std::move(action));
 }
 
-std::vector<int32_t> ParallelEngine::TouchedShards(const TxnRun& run) const {
-  std::vector<int32_t> shards;
-  shards.reserve(run.records.size());
-  for (const OpRecord& record : run.records) {
-    shards.push_back(ShardOf(config_, record.item));
-  }
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  return shards;
-}
-
 // ---------------------------------------------------------------------------
 // Client lifecycle (runs on the client's LP)
 
@@ -314,7 +296,7 @@ void ParallelEngine::FinishOp(int32_t client_index, TxnId txn) {
 
 void ParallelEngine::StartCommit(ClientState& client) {
   TxnRun& run = *client.current;
-  std::vector<int32_t> participants = TouchedShards(run);
+  std::vector<int32_t> participants = ShardsOf(config_, run);
   if (participants.size() <= 1) {
     // Single-shard commit: the ordinary local commit point, then one
     // release message (commit_flights stays -1, like the serial engines).
@@ -419,8 +401,7 @@ void ParallelEngine::FinalizeCommit(ClientState& client) {
   // Client-log GC at commit finalize (documented simplification of the
   // serial engines' server-acknowledged truncation): the commit's installs
   // are on their way and will be permanent before any dependent read.
-  client.wal->Force(client.wal->next_lsn() - 1);
-  client.wal->TruncateThrough(client.wal->durable_lsn());
+  client.wal->Checkpoint();
   ScheduleNextTxn(client);
 }
 
@@ -429,17 +410,18 @@ void ParallelEngine::SendReleases(ClientState& client) {
   // One release per participant shard carrying that shard's installs —
   // phase two of a cross-shard commit (the decision rides along), or the
   // single release message of a single-shard commit.
-  std::vector<std::vector<Update>> updates_by(
+  std::vector<std::vector<db::ItemVersion>> updates_by(
       static_cast<size_t>(num_shards()));
   for (const OpRecord& record : run.records) {
     if (record.mode == LockMode::kExclusive) {
       updates_by[static_cast<size_t>(ShardOf(config_, record.item))]
-          .push_back(Update{record.item, record.version_written});
+          .push_back({record.item, record.version_written});
     }
   }
   const int32_t src_lp = LpOfClient(client.index);
-  for (int32_t shard : TouchedShards(run)) {
-    std::vector<Update>& updates = updates_by[static_cast<size_t>(shard)];
+  for (int32_t shard : ShardsOf(config_, run)) {
+    std::vector<db::ItemVersion>& updates =
+        updates_by[static_cast<size_t>(shard)];
     const uint64_t payload =
         net::kControlPayload + net::kDataPayload * updates.size();
     SendMsg(src_lp, shard, run.site(), ServerSiteOf(config_, shard), payload,
@@ -529,19 +511,16 @@ void ParallelEngine::SendGrant(int32_t shard, TxnId txn, ItemId item) {
 }
 
 void ParallelEngine::ServerOnRelease(int32_t shard, TxnId txn,
-                                     std::vector<Update> updates) {
+                                     std::vector<db::ItemVersion> updates) {
   EmitRelease(txn, shard, ServerSiteOf(config_, shard),
               static_cast<int64_t>(updates.size()), "", TracerOf(shard));
   Shard& state = shards_[static_cast<size_t>(shard)];
-  for (const Update& update : updates) {
-    InstallAt(*state.store, *state.wal, txn, update.item, update.version);
+  for (const db::ItemVersion& update : updates) {
+    InstallAt(*state.store, *state.wal, txn, update);
   }
   // Continuous server checkpointing (as in the serial engines): installed
-  // versions are already in the store, so the forced prefix truncates.
-  if (state.wal->next_lsn() > 1) {
-    state.wal->Force(state.wal->next_lsn() - 1);
-    state.wal->TruncateThrough(state.wal->durable_lsn());
-  }
+  // versions are already in the store, so the whole log truncates.
+  state.wal->Checkpoint();
   // Installs land before promotions, so a promoted reader sees the new
   // version (the strict-2PL reads-from edge the serializability test pins).
   state.locks->ReleaseAll(
@@ -571,7 +550,7 @@ void ParallelEngine::ClientOnAbortNotice(int32_t client_index, TxnId txn,
   // Release the victim's locks on every other shard it touched (the
   // deciding shard already dropped them at decision time).
   const int32_t src_lp = LpOfClient(client_index);
-  for (int32_t shard : TouchedShards(*run)) {
+  for (int32_t shard : ShardsOf(config_, *run)) {
     if (shard == deciding_shard) continue;
     SendMsg(src_lp, shard, run->site(), ServerSiteOf(config_, shard),
             net::kControlPayload,

@@ -1,83 +1,116 @@
-// The cc registry (ISSUE 6) is the single mapping from engine names to
-// protocol enum values and factories; these tests pin its contract: names
-// are unique and round-trip through FindEngine, every Protocol value
-// resolves to exactly one engine, unknown names fail strictly (listing the
-// registered engines, the CLI convention), the --cc/--smoke flags parse,
-// and every factory actually produces a runnable engine.
+// The registries — engines (cc), commit paths (proto) and lease modes —
+// are the single mapping from names to enum values, labels and factories,
+// all served by one lookup (common/registry.h). These tests pin its
+// contract on each of the three: names are unique and round-trip, every
+// enum value has exactly one row, unknown names fail strictly with the
+// exact listing text the CLIs print; then the --cc/--smoke flags parse,
+// and every engine factory actually produces a runnable engine.
 
+#include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cc/registry.h"
 #include "harness/cli.h"
+#include "lease/lease.h"
+#include "protocols/commit.h"
 #include "protocols/config.h"
 #include "protocols/engine.h"
 
 namespace gtpl::cc {
 namespace {
 
-TEST(CcRegistryTest, NamesAreUniqueAndRoundTripThroughFindEngine) {
-  std::set<std::string> seen;
+// One contract, run over each of the three registries below: every value
+// has exactly one row, whose name finds it, parses back to the value and
+// reads back from ToString as `printed(row)`; the listing is exact; and an
+// unknown name fails with the exact rejection text the CLIs print, leaving
+// the output untouched.
+template <typename RegistryT, typename Value, typename Printed>
+void ExpectRegistryContract(const RegistryT& registry,
+                            const std::vector<Value>& values,
+                            const std::string& what,
+                            const std::string& listing, Printed printed) {
+  EXPECT_EQ(registry.size(), values.size());
+  std::set<std::string> names;
+  for (Value value : values) {
+    const auto& row = registry.For(value);
+    SCOPED_TRACE(row.name);
+    EXPECT_TRUE(names.insert(row.name).second) << "duplicate name";
+    EXPECT_EQ(registry.Find(row.name), &row);
+    EXPECT_NE(std::string(row.summary), "");
+    Value parsed = value == values.front() ? values.back() : values.front();
+    ASSERT_TRUE(registry.Parse(row.name, &parsed).ok());
+    EXPECT_EQ(parsed, value);
+    EXPECT_STREQ(ToString(value), printed(row));
+  }
+  EXPECT_EQ(registry.Names(), listing);
+  EXPECT_EQ(registry.Find(""), nullptr);
+  Value untouched = values.back();
+  for (const char* bogus : {"bogus", "", "Sticky", "G2PL"}) {
+    const Status status = registry.Parse(bogus, &untouched);
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << bogus;
+    EXPECT_EQ(status.message(), "unknown " + what + " '" + bogus +
+                                    "' (registered: " + listing + ")");
+  }
+  EXPECT_EQ(untouched, values.back()) << "a failed parse must not write";
+}
+
+TEST(RegistryContractTest, Engines) {
+  ExpectRegistryContract(
+      Engines(),
+      std::vector<proto::Protocol>{
+          proto::Protocol::kS2pl, proto::Protocol::kG2pl,
+          proto::Protocol::kC2pl, proto::Protocol::kCbl,
+          proto::Protocol::kO2pl, proto::Protocol::kNoWait,
+          proto::Protocol::kWaitDie, proto::Protocol::kWoundWait,
+          proto::Protocol::kOcc, proto::Protocol::kOrdered},
+      "engine",
+      "s2pl, g2pl, c2pl, cbl, o2pl, nowait, waitdie, woundwait, occ, ordered",
+      [](const EngineInfo& row) { return row.label; });
   for (const EngineInfo& info : Engines()) {
-    EXPECT_TRUE(seen.insert(info.name).second)
-        << "duplicate engine name " << info.name;
-    const EngineInfo* found = FindEngine(info.name);
-    ASSERT_NE(found, nullptr) << info.name;
-    EXPECT_EQ(found, &info) << info.name;
-    EXPECT_NE(std::string(info.summary), "") << info.name;
+    EXPECT_EQ(FindEngine(info.name), &info) << info.name;
   }
   EXPECT_EQ(FindEngine("bogus"), nullptr);
-  EXPECT_EQ(FindEngine(""), nullptr);
 }
 
-TEST(CcRegistryTest, EveryProtocolValueHasExactlyOneEngine) {
-  const std::vector<proto::Protocol> all = {
-      proto::Protocol::kS2pl,    proto::Protocol::kG2pl,
-      proto::Protocol::kC2pl,    proto::Protocol::kCbl,
-      proto::Protocol::kO2pl,    proto::Protocol::kNoWait,
-      proto::Protocol::kWaitDie, proto::Protocol::kWoundWait,
-      proto::Protocol::kOcc,     proto::Protocol::kOrdered};
-  EXPECT_EQ(all.size(), Engines().size());
-  std::set<proto::Protocol> protocols;
-  for (const EngineInfo& info : Engines()) {
-    EXPECT_TRUE(protocols.insert(info.protocol).second)
-        << "duplicate protocol mapping for " << info.name;
-    EXPECT_EQ(EngineFor(info.protocol).name, std::string(info.name));
-  }
-  for (proto::Protocol protocol : all) {
-    EXPECT_EQ(protocols.count(protocol), 1u)
-        << "no engine registered for " << proto::ToString(protocol);
+// The engine labels are the display strings the result tables print
+// (proto::ToString(Protocol)); the goldens pin them, so their text stays.
+TEST(RegistryContractTest, EngineLabelsKeepTheirText) {
+  const std::pair<proto::Protocol, const char*> kLabels[] = {
+      {proto::Protocol::kS2pl, "s-2PL"},     {proto::Protocol::kG2pl, "g-2PL"},
+      {proto::Protocol::kC2pl, "c-2PL"},     {proto::Protocol::kCbl, "CBL"},
+      {proto::Protocol::kO2pl, "O2PL"},      {proto::Protocol::kNoWait, "nw-2PL"},
+      {proto::Protocol::kWaitDie, "wd-2PL"}, {proto::Protocol::kOcc, "OCC"},
+      {proto::Protocol::kOrdered, "or-2PL"},
+      {proto::Protocol::kWoundWait, "ww-2PL"},
+  };
+  ASSERT_EQ(std::size(kLabels), Engines().size());
+  for (const auto& [protocol, label] : kLabels) {
+    EXPECT_STREQ(proto::ToString(protocol), label);
   }
 }
 
-TEST(CcRegistryTest, EngineNamesListsEveryRegisteredName) {
-  const std::string names = EngineNames();
-  for (const EngineInfo& info : Engines()) {
-    EXPECT_NE(names.find(info.name), std::string::npos) << info.name;
-  }
+TEST(RegistryContractTest, CommitPaths) {
+  ExpectRegistryContract(
+      proto::CommitPaths(),
+      std::vector<proto::CommitPath>{
+          proto::CommitPath::kClassic, proto::CommitPath::kEarly,
+          proto::CommitPath::kFastPath, proto::CommitPath::kCoord},
+      "commit path", "classic, early, fastpath, coord",
+      [](const proto::CommitPathInfo& row) { return row.name; });
 }
 
-TEST(CcRegistryTest, ParseEngineNameResolvesAndFailsStrictly) {
-  proto::Protocol protocol = proto::Protocol::kS2pl;
-  ASSERT_TRUE(ParseEngineName("waitdie", &protocol).ok());
-  EXPECT_EQ(protocol, proto::Protocol::kWaitDie);
-  ASSERT_TRUE(ParseEngineName("g2pl", &protocol).ok());
-  EXPECT_EQ(protocol, proto::Protocol::kG2pl);
-
-  protocol = proto::Protocol::kS2pl;
-  const Status status = ParseEngineName("bogus", &protocol);
-  EXPECT_FALSE(status.ok());
-  // The error message must name the offender and list the registry, so a
-  // typo in a sweep script is self-explaining.
-  EXPECT_NE(status.message().find("bogus"), std::string::npos);
-  for (const EngineInfo& info : Engines()) {
-    EXPECT_NE(status.message().find(info.name), std::string::npos)
-        << info.name;
-  }
-  EXPECT_EQ(protocol, proto::Protocol::kS2pl) << "failed parse must not write";
+TEST(RegistryContractTest, LeaseModes) {
+  ExpectRegistryContract(
+      lease::LeaseModes(),
+      std::vector<lease::LeaseMode>{lease::LeaseMode::kNone,
+                                    lease::LeaseMode::kSticky},
+      "lease mode", "none, sticky",
+      [](const lease::LeaseModeInfo& row) { return row.name; });
 }
 
 TEST(CcRegistryTest, CliCcFlagSetsEngineAndRejectsUnknownNames) {

@@ -74,14 +74,6 @@ TEST(ConfigTest, OnlyCblIsConfinedToTheClassicCommitPath) {
   }
 }
 
-TEST(ConfigTest, ProtocolNames) {
-  EXPECT_STREQ(ToString(Protocol::kS2pl), "s-2PL");
-  EXPECT_STREQ(ToString(Protocol::kG2pl), "g-2PL");
-  EXPECT_STREQ(ToString(Protocol::kC2pl), "c-2PL");
-  EXPECT_STREQ(ToString(Protocol::kCbl), "CBL");
-  EXPECT_STREQ(ToString(Protocol::kO2pl), "O2PL");
-}
-
 TEST(StatusTest, OkAndErrorForms) {
   EXPECT_TRUE(Status::Ok().ok());
   EXPECT_EQ(Status::Ok().ToString(), "OK");

@@ -282,7 +282,7 @@ void CheckCcGrid(const std::vector<proto::Protocol>& protocols,
                     point.mean_queueing + point.mean_execution +
                     point.mean_commit_phase,
                 point.response.mean, 1e-6 * point.response.mean + 1e-6);
-    table.AddRow({cc::EngineFor(rows[i].protocol).name,
+    table.AddRow({cc::Engines().For(rows[i].protocol).name,
                   std::to_string(rows[i].latency),
                   std::to_string(rows[i].servers), Fmt(point.response.mean, 3),
                   Fmt(point.abort_pct.mean, 3),
@@ -450,7 +450,7 @@ TEST(GoldenTest, TraceDigests) {
       proto::SimConfig config = base(protocol, 4);
       config.commit_path = path;
       config.server_latency = 10;
-      rows.push_back({cc::EngineFor(protocol).name + std::string("/commit=") +
+      rows.push_back({cc::Engines().For(protocol).name + std::string("/commit=") +
                           proto::ToString(path) + "/srvlat=10",
                       config, protocol != proto::Protocol::kOcc});
     }
@@ -459,7 +459,7 @@ TEST(GoldenTest, TraceDigests) {
        {proto::Protocol::kS2pl, proto::Protocol::kOrdered}) {
     proto::SimConfig config = base(protocol, 4);
     config.lease.mode = lease::LeaseMode::kSticky;
-    std::string name = cc::EngineFor(protocol).name +
+    std::string name = cc::Engines().For(protocol).name +
                        std::string("/servers=4/lease=sticky");
     if (protocol == proto::Protocol::kOrdered) {
       config.commit_path = proto::CommitPath::kCoord;
@@ -483,7 +483,7 @@ TEST(GoldenTest, TraceDigests) {
   for (proto::Protocol protocol :
        {proto::Protocol::kNoWait, proto::Protocol::kWaitDie}) {
     for (int32_t shards : {1, 2, 8}) {
-      rows.push_back({std::string("parsim/") + cc::EngineFor(protocol).name +
+      rows.push_back({std::string("parsim/") + cc::Engines().For(protocol).name +
                           "/shards=" + std::to_string(shards),
                       parallel(protocol, shards), true, true});
     }

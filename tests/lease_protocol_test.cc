@@ -209,17 +209,5 @@ TEST(LeaseProtocolTest, StickyRejectsReorderingTransports) {
   }
 }
 
-// Strict lease-mode parsing: unknown names fail, listing nothing silently.
-TEST(LeaseProtocolTest, ParseLeaseModeIsStrict) {
-  lease::LeaseMode mode = lease::LeaseMode::kNone;
-  EXPECT_TRUE(lease::ParseLeaseModeName("sticky", &mode).ok());
-  EXPECT_EQ(mode, lease::LeaseMode::kSticky);
-  EXPECT_TRUE(lease::ParseLeaseModeName("none", &mode).ok());
-  EXPECT_EQ(mode, lease::LeaseMode::kNone);
-  EXPECT_FALSE(lease::ParseLeaseModeName("bogus", &mode).ok());
-  EXPECT_FALSE(lease::ParseLeaseModeName("", &mode).ok());
-  EXPECT_FALSE(lease::ParseLeaseModeName("Sticky", &mode).ok());
-}
-
 }  // namespace
 }  // namespace gtpl::cc

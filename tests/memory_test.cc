@@ -145,7 +145,7 @@ int64_t PeakHeapOfRun(const MemoryCase& c, int64_t measured) {
     EXPECT_GE(result.commits, measured);
   } else {
     std::unique_ptr<EngineBase> engine =
-        cc::EngineFor(config.protocol).make(config);
+        cc::Engines().For(config.protocol).make(config);
     const RunResult result = engine->Run();
     EXPECT_FALSE(result.timed_out);
     EXPECT_EQ(result.commits, measured);

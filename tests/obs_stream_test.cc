@@ -377,7 +377,7 @@ TEST(MetricsSeriesTest, InflightTwoPcCountsCertificationCommits) {
         ++nonzero;
       }
     }
-    EXPECT_GT(nonzero, 0) << cc::EngineFor(protocol).name;
+    EXPECT_GT(nonzero, 0) << cc::Engines().For(protocol).name;
   }
 }
 

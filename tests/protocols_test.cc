@@ -5,6 +5,7 @@
 
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -125,7 +126,7 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, EveryProtocolTest,
                                            Protocol::kO2pl),
                          [](const ::testing::TestParamInfo<Protocol>& param_info) {
                            return std::string(
-                               cc::EngineFor(param_info.param).name);
+                               cc::Engines().For(param_info.param).name);
                          });
 
 TEST_P(EveryProtocolTest, ClientLogsAreGarbageCollected) {
@@ -259,6 +260,65 @@ TEST(PaperShapeTest, S2plBeatsG2plOnReadOnlyWorkload) {
   ASSERT_FALSE(s2pl.timed_out);
   ASSERT_FALSE(g2pl.timed_out);
   EXPECT_GT(g2pl.response.mean(), s2pl.response.mean());
+}
+
+// ShardsOf is the one shard-set definition: the commit paths' participants
+// and write shards, and the parallel engine's release and abort fan-outs.
+// It reads the run's completed operations only.
+TxnRun RunWith(const std::vector<workload::Operation>& ops,
+               size_t completed) {
+  TxnRun run;
+  run.spec.ops = ops;
+  for (size_t i = 0; i < completed; ++i) {
+    OpRecord record;
+    record.item = ops[i].item;
+    record.mode = ops[i].mode;
+    run.records.push_back(record);
+  }
+  return run;
+}
+
+using Shards = std::vector<int32_t>;
+constexpr LockMode kS = LockMode::kShared;
+constexpr LockMode kX = LockMode::kExclusive;
+
+TEST(ShardsOfTest, HashRoutingWithRepeatedItems) {
+  SimConfig config;
+  config.num_servers = 4;
+  config.workload.num_items = 40;
+  // Shards 1, 2, 1, 1, 0, 3; item 9 repeats as a read and a write.
+  const TxnRun run = RunWith(
+      {{9, kS}, {6, kX}, {13, kX}, {9, kX}, {4, kS}, {7, kX}}, 6);
+  EXPECT_EQ(ShardsOf(config, run), (Shards{0, 1, 2, 3}));
+  EXPECT_EQ(ShardsOf(config, run, /*writes_only=*/true), (Shards{1, 2, 3}));
+}
+
+TEST(ShardsOfTest, RangeRoutingWriteOnly) {
+  SimConfig config;
+  config.num_servers = 4;
+  config.workload.num_items = 10;  // 3 items per shard; shard 3 holds 9
+  config.shard_routing = ShardRouting::kRange;
+  const TxnRun run = RunWith({{9, kX}, {1, kX}, {2, kX}, {5, kX}}, 4);
+  EXPECT_EQ(ShardsOf(config, run), (Shards{0, 1, 3}));
+  EXPECT_EQ(ShardsOf(config, run, /*writes_only=*/true), (Shards{0, 1, 3}));
+  // A read-only run writes no shard.
+  const TxnRun reads = RunWith({{9, kS}, {3, kS}}, 2);
+  EXPECT_EQ(ShardsOf(config, reads), (Shards{1, 3}));
+  EXPECT_TRUE(ShardsOf(config, reads, /*writes_only=*/true).empty());
+}
+
+TEST(ShardsOfTest, OnlyCompletedOperationsCount) {
+  SimConfig config;
+  config.num_servers = 4;
+  config.workload.num_items = 40;
+  const std::vector<workload::Operation> ops = {
+      {6, kS}, {13, kX}, {9, kS}, {7, kX}};
+  // An abort after two operations: the ops not yet run touch no shard.
+  EXPECT_EQ(ShardsOf(config, RunWith(ops, 2)), (Shards{1, 2}));
+  EXPECT_EQ(ShardsOf(config, RunWith(ops, 2), /*writes_only=*/true),
+            (Shards{1}));
+  EXPECT_TRUE(ShardsOf(config, RunWith(ops, 0)).empty());
+  EXPECT_EQ(ShardsOf(config, RunWith(ops, 4)), (Shards{1, 2, 3}));
 }
 
 }  // namespace
