@@ -133,7 +133,7 @@ void LockCcEngine::AbortTxn(TxnId victim) {
       ReleaseLocks(shard, victim);
     }
   }
-  ServerAbortDecision(victim, run->site(), ServerSiteOf(current_shard_));
+  ServerAbortDecision(victim, ServerSiteOf(current_shard_));
 }
 
 ItemId LockCcEngine::MaxHeldItem(TxnId txn) const {

@@ -118,7 +118,7 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
   const bool ok = alive && ValidateOnShard(shard, records);
   if (!multi) {
     if (!ok) {
-      if (alive) ServerAbortDecision(txn, run->site(), ServerSiteOf(shard));
+      if (alive) ServerAbortDecision(txn, ServerSiteOf(shard));
       return;
     }
     // Validate + install are atomic at the server: the validation instant
@@ -143,7 +143,7 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
                                             kInvalidItem, 0);
     server_wal().Force(lsn);
   } else if (alive) {
-    ServerAbortDecision(txn, run->site(), ServerSiteOf(shard));
+    ServerAbortDecision(txn, ServerSiteOf(shard));
   }
   // client_site was captured at send time: the vote must be deliverable
   // even when the run is already gone (it is dropped at tally time).
@@ -241,13 +241,11 @@ void OccEngine::DoCommit(TxnRun& run) {
 
 void OccEngine::OnClientAborted(TxnRun& run) {
   if (cache_data_) {
-    // Stale reads caused the failure; evict everything the txn touched,
-    // and the item of the op in flight, so the retry fetches fresh copies.
+    // Stale reads caused the failure; evict everything the txn touched, so
+    // the retry fetches fresh copies. OCC aborts only at validation, after
+    // every operation completed, so no operation is in flight.
     auto& cache = caches_[static_cast<size_t>(run.client_index)];
     for (const proto::OpRecord& record : run.records) cache.erase(record.item);
-    if (!run.LastOp() || run.records.size() < run.spec.ops.size()) {
-      cache.erase(run.op().item);
-    }
   }
   std::vector<int32_t> participants = proto::ShardsOf(config(), run);
   if (participants.size() <= 1) return;  // nothing was reserved

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <system_error>
@@ -127,9 +128,8 @@ Status ParseCli(int argc, char** argv, CliOptions* options) {
                    argv[0], cc::Engines().Names().c_str(),
                    proto::CommitPaths().Names().c_str(),
                    lease::LeaseModes().Names().c_str());
-      return Status::InvalidArgument("help requested");
+      std::exit(0);
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return Status::InvalidArgument("unknown flag " + arg);
     }
   }

@@ -67,7 +67,7 @@ bool ParseInt64Value(const char* text, int64_t* out);
 bool ParseDoubleValue(const char* text, double* out);
 
 /// Parses argv. A bad flag returns a non-ok status whose message the caller
-/// prints; only --help (usage) and an unknown flag also print to stderr.
+/// prints. --help and -h print the usage to stderr and exit 0.
 Status ParseCli(int argc, char** argv, CliOptions* options);
 
 /// Prints the standard bench banner (experiment id + scale in use).

@@ -58,13 +58,6 @@ class MetricsRegistry {
   /// with `time`.
   void SampleAll(SimTime time);
 
-  /// Appends one row directly (the parallel engine samples per-LP state at
-  /// barriers without registered probes).
-  void AppendRow(SimTime time, int32_t shard, int32_t series, int64_t value) {
-    rows_.push_back(MetricRow{time, shard, series, value});
-  }
-
-  size_t num_series() const { return probes_.size(); }
   const std::vector<std::string>& names() const { return names_; }
   const std::vector<MetricRow>& rows() const { return rows_; }
   std::vector<MetricRow> TakeRows() {

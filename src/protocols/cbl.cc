@@ -358,8 +358,7 @@ class CblEngine : public EngineBase {
         GrantHead(static_cast<ItemId>(i));
       }
     }
-    ServerAbortDecision(victim, run->site(),
-                        ServerSiteOf(ShardOf(requested_item)));
+    ServerAbortDecision(victim, ServerSiteOf(ShardOf(requested_item)));
   }
 
   void AddWaitEdges(TxnId txn, ItemId item) {

@@ -570,12 +570,12 @@ void EngineBase::RegisterMetrics(obs::MetricsRegistry* metrics) {
   });
 }
 
-void EngineBase::ServerAbortDecision(TxnId txn, SiteId client_site,
-                                     SiteId server_site) {
+void EngineBase::ServerAbortDecision(TxnId txn, SiteId server_site) {
   TxnRun* run = FindRun(txn);
   if (run == nullptr || run->finished || run->doomed) return;
   run->doomed = true;
   const int32_t index = run->client_index;
+  const SiteId client_site = run->site();
   // The abort is counted at decision time; the client reacts only when the
   // notice arrives one latency later.
   RecordAbort(txn, client_site, server_site, sim_.Now() - run->start_time,

@@ -332,8 +332,7 @@ class EngineBase {
   /// commit) and delivers the abort notice to its client after one network
   /// latency. Safe to call for transactions that already finished.
   /// `server_site` is the deciding server (a shard's site in sharded runs).
-  void ServerAbortDecision(TxnId txn, SiteId client_site,
-                           SiteId server_site = kServerSite);
+  void ServerAbortDecision(TxnId txn, SiteId server_site);
 
   /// Structured observability tracer (obs/trace.h); enabled iff
   /// config.obs_trace. Protocol code emits through it freely — Emit is a

@@ -1,5 +1,6 @@
 #include "protocols/sharded.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -20,8 +21,8 @@ ShardedG2plEngine::ShardedG2plEngine(const SimConfig& config)
   };
   // Every abort decision is made inside an OnRequest or OnReturn call, so
   // the notice leaves from the site of the shard that call serves.
-  callbacks.abort = [this](TxnId txn, SiteId client_site) {
-    ServerAbortDecision(txn, client_site, ServerSiteOf(current_shard_));
+  callbacks.abort = [this](TxnId txn, SiteId /*client_site*/) {
+    ServerAbortDecision(txn, ServerSiteOf(current_shard_));
   };
   callbacks.expand = [this](ItemId item, Version version,
                             std::shared_ptr<const core::ForwardList> fl,
@@ -35,6 +36,16 @@ ShardedG2plEngine::ShardedG2plEngine(const SimConfig& config)
   };
   wm_ = std::make_unique<core::WindowManager>(
       config.workload.num_items, config.g2pl, &store(), std::move(callbacks));
+}
+
+ShardedG2plEngine::Obligation& ShardedG2plEngine::SlotOn(TxnState& ts,
+                                                         ItemId item) {
+  auto it = std::find_if(ts.slots.begin(), ts.slots.end(),
+                         [item](const Obligation& ob) {
+                           return ob.item == item;
+                         });
+  GTPL_CHECK(it != ts.slots.end()) << "no forward-list slot on item " << item;
+  return *it;
 }
 
 ShardedG2plEngine::TxnState& ShardedG2plEngine::EnsureTxn(
@@ -86,7 +97,7 @@ void ShardedG2plEngine::WmDispatch(
     for (const core::FlMember& m : fl->entry(e).members) {
       TxnState& ts = EnsureTxn(m.txn, m.client - 1);
       ++ts.slots_outstanding;
-      ts.slot_items.push_back(item);
+      ts.slots.emplace_back().item = item;
     }
   }
   DeliverToEntry(ServerSiteOf(shard), item, version, std::move(fl), 0);
@@ -115,7 +126,7 @@ void ShardedG2plEngine::WmExpand(ItemId item, Version version,
   }
   TxnState& ts = EnsureTxn(txn, client_site - 1);
   ++ts.slots_outstanding;
-  ts.slot_items.push_back(item);
+  ts.slots.emplace_back().item = item;
   network().Send(ServerSiteOf(shard), client_site, "data(expand)",
                  [this, txn, item, version, fl = std::move(fl),
                   member_index] {
@@ -169,7 +180,8 @@ void ShardedG2plEngine::OnData(TxnId txn, ItemId item, Version version,
                                int32_t early_releases) {
   auto state = txns_.find(txn);
   if (state == txns_.end()) return;  // drained
-  Obligation& ob = obligations_[ObKey{txn, item}];
+  TxnState& ts = state->second;
+  Obligation& ob = SlotOn(ts, item);
   if (ob.data_arrived) {
     if (early_releases > 0) ob.releases_needed = early_releases;
   } else {
@@ -181,11 +193,12 @@ void ShardedG2plEngine::OnData(TxnId txn, ItemId item, Version version,
     ob.version = version;
     if (early_releases > 0) ob.releases_needed = early_releases;
   }
-  if (state->second.finished) {
-    TryForward(txn, item);
+  if (ts.finished) {
+    TryForward(txn, ts, ob);
+    CheckDrain(txn);
     return;
   }
-  MaybeGrant(txn, item, ob);
+  MaybeGrant(txn, ob);
 }
 
 void ShardedG2plEngine::OnReaderRelease(
@@ -201,7 +214,8 @@ void ShardedG2plEngine::OnReaderRelease(
     event.shard = ShardOf(item);
     tracer().Emit(std::move(event));
   }
-  Obligation& ob = obligations_[ObKey{writer_txn, item}];
+  TxnState& ts = state->second;
+  Obligation& ob = SlotOn(ts, item);
   if (ob.fl == nullptr) {
     ob.fl = std::move(fl);
     ob.entry = writer_entry_index;
@@ -217,14 +231,15 @@ void ShardedG2plEngine::OnReaderRelease(
     ob.version = version;
   }
   if (ob.forwarded) return;
-  if (state->second.finished) {
-    TryForward(writer_txn, item);
+  if (ts.finished) {
+    TryForward(writer_txn, ts, ob);
+    CheckDrain(writer_txn);
   } else {
-    MaybeGrant(writer_txn, item, ob);
+    MaybeGrant(writer_txn, ob);
   }
 }
 
-void ShardedG2plEngine::MaybeGrant(TxnId txn, ItemId item, Obligation& ob) {
+void ShardedG2plEngine::MaybeGrant(TxnId txn, Obligation& ob) {
   if (ob.granted || !ob.data_arrived) return;
   if (!config().g2pl.mr1w && ob.releases_received < ob.releases_needed) {
     return;
@@ -232,22 +247,17 @@ void ShardedG2plEngine::MaybeGrant(TxnId txn, ItemId item, Obligation& ob) {
   TxnRun* run = FindRun(txn);
   GTPL_CHECK(run != nullptr) << "live g-2PL txn without a run";
   if (run->doomed) return;
-  GTPL_CHECK_EQ(run->op().item, item)
+  GTPL_CHECK_EQ(run->op().item, ob.item)
       << "grant does not match the sequentially outstanding operation";
   ob.granted = true;
   OpGranted(*run, ob.version);
 }
 
-void ShardedG2plEngine::TryForward(TxnId txn, ItemId item) {
-  auto state = txns_.find(txn);
-  if (state == txns_.end()) return;  // drained
-  auto it = obligations_.find(ObKey{txn, item});
-  if (it == obligations_.end()) return;
-  Obligation& ob = it->second;
-  TxnState& ts = state->second;
+void ShardedG2plEngine::TryForward(TxnId txn, TxnState& ts, Obligation& ob) {
   if (ob.forwarded || !ob.data_arrived || !ts.finished) return;
   if (ts.committed && ob.releases_received < ob.releases_needed) return;
   ob.forwarded = true;
+  const ItemId item = ob.item;
   if (ts.committed && ob.is_writer && tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kWriterRelease;
@@ -303,7 +313,6 @@ void ShardedG2plEngine::TryForward(TxnId txn, ItemId item) {
   }
   --ts.slots_outstanding;
   GTPL_CHECK_GE(ts.slots_outstanding, 0);
-  CheckDrain(txn);
 }
 
 void ShardedG2plEngine::CheckDrain(TxnId txn) {
@@ -312,30 +321,23 @@ void ShardedG2plEngine::CheckDrain(TxnId txn) {
   const TxnState& ts = state->second;
   if (!ts.finished || ts.slots_outstanding != 0) return;
   wm_->OnTxnDrained(txn);
-  for (ItemId item : ts.slot_items) obligations_.erase(ObKey{txn, item});
   // Retire the state too, so memory tracks in-flight transactions rather
   // than run length; a missing entry is what later messages read as
   // "drained".
   txns_.erase(state);
 }
 
-void ShardedG2plEngine::DoCommit(TxnRun& run) {
+void ShardedG2plEngine::Finish(TxnRun& run, bool committed) {
   TxnState& ts = EnsureTxn(run.id, run.client_index);
   ts.finished = true;
-  ts.committed = true;
-  const std::vector<ItemId> items = ts.slot_items;  // TryForward may drain
-  for (ItemId item : items) TryForward(run.id, item);
+  ts.committed = committed;
+  for (Obligation& ob : ts.slots) TryForward(run.id, ts, ob);
   CheckDrain(run.id);
 }
 
-void ShardedG2plEngine::OnClientAborted(TxnRun& run) {
-  TxnState& ts = EnsureTxn(run.id, run.client_index);
-  ts.finished = true;
-  ts.committed = false;
-  const std::vector<ItemId> items = ts.slot_items;
-  for (ItemId item : items) TryForward(run.id, item);
-  CheckDrain(run.id);
-}
+void ShardedG2plEngine::DoCommit(TxnRun& run) { Finish(run, true); }
+
+void ShardedG2plEngine::OnClientAborted(TxnRun& run) { Finish(run, false); }
 
 bool ShardedG2plEngine::ShardVote(int32_t shard, TxnId txn,
                                   bool speculative) {

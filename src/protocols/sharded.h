@@ -44,20 +44,9 @@ class ShardedG2plEngine : public EngineBase {
   void OnCommitDecision(int32_t shard, TxnId txn) override;
 
  private:
-  /// Transaction state that outlives the client's TxnRun: a finished
-  /// transaction still occupies forward-list slots until every one of them
-  /// has been forwarded (only then is it *drained*: it leaves the
-  /// precedence graph, and its state is erased). Created at the first
-  /// request, so a txn without an entry has drained.
-  struct TxnState {
-    int32_t client_index = 0;
-    bool finished = false;
-    bool committed = false;
-    int32_t slots_outstanding = 0;
-    std::vector<ItemId> slot_items;
-  };
-
+  /// One occupied forward-list slot (see the class comment).
   struct Obligation {
+    ItemId item = kInvalidItem;
     std::shared_ptr<const core::ForwardList> fl;
     int32_t entry = 0;
     int32_t member = 0;
@@ -70,17 +59,19 @@ class ShardedG2plEngine : public EngineBase {
     bool forwarded = false;
   };
 
-  struct ObKey {
-    TxnId txn;
-    ItemId item;
-    bool operator==(const ObKey& other) const {
-      return txn == other.txn && item == other.item;
-    }
-  };
-  struct ObKeyHash {
-    size_t operator()(const ObKey& key) const {
-      return std::hash<int64_t>()(key.txn * 1000003 + key.item);
-    }
+  /// Transaction state that outlives the client's TxnRun: a finished
+  /// transaction still occupies forward-list slots until every one of them
+  /// has been forwarded (only then is it *drained*: it leaves the
+  /// precedence graph, and its state is erased). Created at the first
+  /// request, so a txn without an entry has drained.
+  struct TxnState {
+    int32_t client_index = 0;
+    bool finished = false;
+    bool committed = false;
+    int32_t slots_outstanding = 0;
+    /// One per slot, in dispatch order; a transaction holds at most one
+    /// slot per item.
+    std::vector<Obligation> slots;
   };
 
   void WmDispatch(ItemId item, Version version,
@@ -99,17 +90,22 @@ class ShardedG2plEngine : public EngineBase {
   void OnReaderRelease(TxnId writer_txn, ItemId item, Version version,
                        std::shared_ptr<const core::ForwardList> fl,
                        int32_t writer_entry_index);
-  void MaybeGrant(TxnId txn, ItemId item, Obligation& ob);
-  void TryForward(TxnId txn, ItemId item);
+  void MaybeGrant(TxnId txn, Obligation& ob);
+  /// Forwards `ob` downstream once the data and (after a commit) every
+  /// reader release are in. Never drains `ts`; callers run CheckDrain.
+  void TryForward(TxnId txn, TxnState& ts, Obligation& ob);
+  /// The run finished (committed or aborted): forward every slot that can
+  /// go, then drain if none is left.
+  void Finish(TxnRun& run, bool committed);
   void CheckDrain(TxnId txn);
   TxnState& EnsureTxn(TxnId txn, int32_t client_index);
+  static Obligation& SlotOn(TxnState& ts, ItemId item);
 
   std::unique_ptr<core::WindowManager> wm_;
   // Shard whose OnRequest/OnReturn call is running; abort notices leave
   // from its server site.
   int32_t current_shard_ = 0;
   std::unordered_map<TxnId, TxnState> txns_;
-  std::unordered_map<ObKey, Obligation, ObKeyHash> obligations_;
 };
 
 }  // namespace gtpl::proto

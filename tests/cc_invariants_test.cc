@@ -44,12 +44,8 @@ proto::SimConfig RandomConfig(proto::Protocol protocol, uint64_t seed) {
 proto::RunResult CheckRun(const proto::SimConfig& config) {
   proto::RunResult result = proto::RunSimulation(config);
   EXPECT_FALSE(result.timed_out);
-  const std::vector<proto::ProtocolEvent> events =
-      proto::ProtocolEventsFromTrace(result.obs_trace);
   std::string why;
-  EXPECT_TRUE(proto::CheckAcyclicity(events, &why)) << why;
-  EXPECT_TRUE(proto::CheckForwardListOrderConsistency(events, &why)) << why;
-  EXPECT_TRUE(proto::CheckMr1wDiscipline(events, &why)) << why;
+  EXPECT_TRUE(proto::CheckProtocolInvariants(result.obs_trace, &why)) << why;
   EXPECT_TRUE(proto::HistoryIsSerializable(result.history, &why)) << why;
   return result;
 }
@@ -87,13 +83,10 @@ TEST(CcInvariantsTest, NewEnginesRunTwoPhaseCommitRounds) {
     int64_t prepares = 0;
     int64_t yes_votes = 0;
     int64_t decisions = 0;
-    for (const proto::ProtocolEvent& event :
-         proto::ProtocolEventsFromTrace(result.obs_trace)) {
-      prepares += event.kind == proto::ProtocolEventKind::kPrepareArrived;
-      yes_votes +=
-          event.kind == proto::ProtocolEventKind::kVoteArrived && event.flag;
-      decisions +=
-          event.kind == proto::ProtocolEventKind::kCommitDecisionArrived;
+    for (const obs::TraceEvent& event : result.obs_trace) {
+      prepares += event.kind == obs::EventKind::kPrepare;
+      yes_votes += event.kind == obs::EventKind::kVote && event.flag;
+      decisions += event.kind == obs::EventKind::kDecide;
     }
     EXPECT_GT(prepares, 0);
     EXPECT_GE(prepares, decisions);

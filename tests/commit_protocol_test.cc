@@ -144,10 +144,7 @@ TEST(CommitPathBatteryTest, EveryEngineTimesEveryVariantStaysSerializable) {
         EXPECT_GT(result.commits, 0);
         std::string why;
         EXPECT_TRUE(HistoryIsSerializable(result.history, &why)) << why;
-        const std::vector<ProtocolEvent> events =
-            ProtocolEventsFromTrace(result.obs_trace);
-        EXPECT_TRUE(CheckAcyclicity(events, &why)) << why;
-        EXPECT_TRUE(CheckMr1wDiscipline(events, &why)) << why;
+        EXPECT_TRUE(CheckProtocolInvariants(result.obs_trace, &why)) << why;
         CheckCommittedTxns(result, config, occ_engine);
         if (servers > 1) {
           EXPECT_GT(result.cross_server_commits, 0);

@@ -85,7 +85,9 @@ TEST(CliTest, RejectsUnknownAndMalformed) {
   char prog[] = "bench";
   char bogus[] = "--bogus";
   char* argv[] = {prog, bogus};
-  EXPECT_FALSE(ParseCli(2, argv, &options).ok());
+  const Status status = ParseCli(2, argv, &options);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.message(), "unknown flag --bogus");
   char bad[] = "--txns=abc";
   char* argv2[] = {prog, bad};
   EXPECT_FALSE(ParseCli(2, argv2, &options).ok());
@@ -189,7 +191,7 @@ TEST(CliTest, StrictValueParsersRejectPartialAndMalformedInput) {
 }
 
 // A bad flag rejects the whole invocation even when earlier flags parsed,
-// and --help surfaces as a non-ok status so callers print usage and exit.
+// and --help / -h print the usage and exit 0: asking for help is no error.
 TEST(CliTest, StopsAtFirstBadFlagAndTreatsHelpAsExit) {
   CliOptions options;
   char prog[] = "bench";
@@ -197,12 +199,14 @@ TEST(CliTest, StopsAtFirstBadFlagAndTreatsHelpAsExit) {
   char bad[] = "--runs=0";
   char* argv[] = {prog, good, bad};
   EXPECT_FALSE(ParseCli(3, argv, &options).ok());
-  CliOptions help_options;
   char help[] = "--help";
   char* argv2[] = {prog, help};
-  const Status status = ParseCli(2, argv2, &help_options);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "help requested");
+  EXPECT_EXIT(ParseCli(2, argv2, &options), ::testing::ExitedWithCode(0),
+              "usage: bench");
+  char short_help[] = "-h";
+  char* argv3[] = {prog, short_help};
+  EXPECT_EXIT(ParseCli(2, argv3, &options), ::testing::ExitedWithCode(0),
+              "usage: bench");
 }
 
 // --commit resolves through the commit-path registry with the same strict

@@ -82,8 +82,7 @@ TEST(LeaseProtocolTest, EveryEngineStaysSerializableUnderLeases) {
           ASSERT_FALSE(result.timed_out);
           EXPECT_GT(result.commits, 0);
           std::string why;
-          EXPECT_TRUE(proto::CheckProtocolInvariants(
-              proto::ProtocolEventsFromTrace(result.obs_trace), &why))
+          EXPECT_TRUE(proto::CheckProtocolInvariants(result.obs_trace, &why))
               << why;
           EXPECT_TRUE(proto::HistoryIsSerializable(result.history, &why))
               << why;
