@@ -105,7 +105,6 @@ void PrintUsage(const char* prog) {
       "  --expand-reads       g-2PL read-group expansion (off)\n"
       "  --ordering=fifo|reads-first|writes-first   g-2PL FL order (fifo)\n"
       "  --charged-abort-notice   charge one latency for abort notices\n"
-      "  --wal-force-delay=N  simulated log-force latency (0)\n"
       "  --sim-threads=N      intra-run worker threads (1 = the serial\n"
       "                       engine; N > 1 runs the conservative per-shard\n"
       "                       parallel engine, bit-identical at any N)\n"
@@ -276,8 +275,6 @@ bool ParseFlag(const std::string& arg, Flags* flags) {
     }
   } else if (arg == "--charged-abort-notice") {
     config.instant_abort_notice = false;
-  } else if (const char* v17 = value_of("--wal-force-delay=")) {
-    return ParseInt64Flag("--wal-force-delay", v17, &config.wal_force_delay);
   } else if (const char* vst = value_of("--sim-threads=")) {
     // Strict: 0, negatives, and malformed values all fail (non-zero exit).
     int32_t threads = 0;

@@ -141,7 +141,6 @@ bool WindowManager::ResolveCycle(ItemId item, const PendingRequest& request,
 }
 
 void WindowManager::AbortTxn(TxnId txn, SiteId client, ItemId decided_at) {
-  ++avoidance_aborts_;
   if (adaptive_ != nullptr && decided_at != kInvalidItem) {
     adaptive_->OnAbortFeedback(decided_at);
   }
@@ -354,20 +353,18 @@ void WindowManager::DispatchWindow(ItemId item) {
   if (!state.pending.empty()) {
     std::unordered_set<TxnId> batch_set(order.begin(), order.end());
     const FlEntry& last = fl->entry(fl->num_entries() - 1);
-    std::vector<TxnId> doomed;
+    std::vector<PendingRequest> doomed;
     for (const PendingRequest& p : state.pending) {
       if (!graph_.ReachableAmong(p.txn, batch_set).empty()) {
-        doomed.push_back(p.txn);
+        doomed.push_back(p);
         continue;
       }
       for (const FlMember& m : last.members) {
         graph_.AddEdge(m.txn, p.txn, kRequestEdge);
       }
     }
-    for (TxnId txn : doomed) {
-      auto it = txn_client_.find(txn);
-      GTPL_CHECK(it != txn_client_.end());
-      AbortTxn(txn, it->second, item);  // also purges it from state.pending
+    for (const PendingRequest& p : doomed) {
+      AbortTxn(p.txn, p.client, item);  // also purges it from state.pending
       ++aborts_at_dispatch_pending_;
     }
   }

@@ -123,9 +123,9 @@ class WindowManager {
 
   /// Counters for metrics and tests.
   int64_t windows_dispatched() const { return windows_dispatched_; }
-  int64_t avoidance_aborts() const { return avoidance_aborts_; }
-  /// Split of avoidance aborts by the moment the cycle was found.
-  int64_t aborts_at_request() const { return aborts_at_request_; }
+  /// Avoidance aborts found while dispatching a window: batch members that
+  /// already precede a past accessor, and pending requests that precede a
+  /// batch member.
   int64_t aborts_at_dispatch_batch() const { return aborts_at_dispatch_batch_; }
   int64_t aborts_at_dispatch_pending() const {
     return aborts_at_dispatch_pending_;
@@ -222,7 +222,8 @@ class WindowManager {
   // a second feedback signal (the decision already did).
   ItemId purge_feedback_suppressed_item_ = kInvalidItem;
   PrecedenceGraph graph_;
-  // txn -> client site (for abort routing); erased at retirement.
+  // txn -> client site, read only by ResolveCycle's aging path to name the
+  // client of a window member it aborts; erased at retirement.
   std::unordered_map<TxnId, SiteId> txn_client_;
   // Drained but not yet retired (something still points into them).
   std::unordered_set<TxnId> ghosts_;
@@ -232,8 +233,6 @@ class WindowManager {
   std::unordered_map<TxnId, ItemId> outstanding_request_;
   int64_t windows_dispatched_ = 0;
   int64_t total_dispatched_requests_ = 0;
-  int64_t avoidance_aborts_ = 0;
-  int64_t aborts_at_request_ = 0;
   int64_t aborts_at_dispatch_batch_ = 0;
   int64_t aborts_at_dispatch_pending_ = 0;
   int64_t expansions_ = 0;

@@ -4,11 +4,6 @@
 
 namespace gtpl::db {
 
-WriteAheadLog::WriteAheadLog(SimTime force_delay)
-    : force_delay_(force_delay) {
-  GTPL_CHECK_GE(force_delay, 0);
-}
-
 int64_t WriteAheadLog::Append(LogRecordKind kind, TxnId txn, ItemId item,
                               Version version) {
   const int64_t lsn = next_lsn_++;
@@ -16,12 +11,11 @@ int64_t WriteAheadLog::Append(LogRecordKind kind, TxnId txn, ItemId item,
   return lsn;
 }
 
-SimTime WriteAheadLog::Force(int64_t lsn) {
+void WriteAheadLog::Force(int64_t lsn) {
   GTPL_CHECK_LT(lsn, next_lsn_);
-  if (lsn <= durable_lsn_) return 0;
+  if (lsn <= durable_lsn_) return;
   durable_lsn_ = lsn;
   ++forces_;
-  return force_delay_;
 }
 
 void WriteAheadLog::TruncateThrough(int64_t lsn) {

@@ -33,33 +33,28 @@ struct LogRecord {
 /// where each site uses WAL and garbage collects its log once the data are
 /// made permanent at the server". This class provides that substrate:
 /// append, force (durability point), and truncation once the server
-/// acknowledges permanence. Forcing may carry a simulated delay, applied by
-/// the caller via force_delay(); it defaults to 0 so recovery bookkeeping
-/// does not perturb the reproduced performance numbers.
+/// acknowledges permanence. As in the paper's model, which prices a commit
+/// in WAN message rounds, a force costs no simulated time.
 class WriteAheadLog {
  public:
-  explicit WriteAheadLog(SimTime force_delay = 0);
-
   /// Appends a record; returns its LSN. Records are durable once a Force()
   /// with lsn >= record.lsn completes.
   int64_t Append(LogRecordKind kind, TxnId txn, ItemId item, Version version);
 
-  /// Marks everything up to `lsn` durable; returns the simulated delay the
-  /// caller must charge (0 when already durable).
-  SimTime Force(int64_t lsn);
+  /// Marks everything up to `lsn` durable (a no-op when already durable).
+  void Force(int64_t lsn);
 
   /// Garbage-collects records with lsn <= `lsn` (data permanent at server).
   void TruncateThrough(int64_t lsn);
 
   /// Forces every appended record and truncates through it: the log
-  /// checkpoint of a site whose updates are all permanent. Charges no
-  /// delay, and leaves an empty or already-checkpointed log unchanged.
+  /// checkpoint of a site whose updates are all permanent. Leaves an empty
+  /// or already-checkpointed log unchanged.
   void Checkpoint();
 
   int64_t next_lsn() const { return next_lsn_; }
   int64_t durable_lsn() const { return durable_lsn_; }
   int64_t truncated_lsn() const { return truncated_lsn_; }
-  SimTime force_delay() const { return force_delay_; }
 
   /// Records still retained (not yet truncated).
   const std::deque<LogRecord>& records() const { return records_; }
@@ -70,7 +65,6 @@ class WriteAheadLog {
   int64_t forces() const { return forces_; }
 
  private:
-  SimTime force_delay_;
   std::deque<LogRecord> records_;
   int64_t next_lsn_ = 1;
   int64_t durable_lsn_ = 0;

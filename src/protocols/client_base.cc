@@ -20,7 +20,7 @@ std::vector<ClientState> MakeClients(const SimConfig& config) {
     client.index = i;
     client.generator = std::make_unique<workload::WorkloadGenerator>(
         config.workload, seeder.Next64());
-    client.wal = std::make_unique<db::WriteAheadLog>(config.wal_force_delay);
+    client.wal = std::make_unique<db::WriteAheadLog>();
   }
   return clients;
 }
@@ -107,7 +107,7 @@ void RecordOp(TxnRun& run, db::WriteAheadLog& wal) {
 
 void RecordVotedCommit(TxnRun& run, const CommitCtx& ctx, SimTime now,
                        bool measured, RunResult& result) {
-  run.span.commit_vote = now - ctx.sent_time - run.span.commit_prepare;
+  run.span.commit_vote = now - run.commit_start - run.span.commit_prepare;
   GTPL_CHECK_GE(run.span.commit_vote, 0);
   run.commit_flights = ctx.flights;
   if (measured) {
@@ -201,6 +201,22 @@ void EmitTxnBegin(const TxnRun& run, obs::Tracer& tracer) {
   event.txn = run.id;
   event.site = run.site();
   event.payload = static_cast<int64_t>(run.spec.ops.size());
+  tracer.Emit(std::move(event));
+}
+
+void EmitLockRequest(TxnId txn, SiteId site, ItemId item, LockMode mode,
+                     int32_t shard, SimTime propagation, SimTime queueing,
+                     obs::Tracer& tracer) {
+  if (!tracer.enabled()) return;
+  obs::TraceEvent event;
+  event.kind = obs::EventKind::kLockRequest;
+  event.txn = txn;
+  event.site = site;
+  event.item = item;
+  event.mode = static_cast<int32_t>(mode);
+  event.shard = shard;
+  event.d0 = propagation;
+  event.d1 = queueing;
   tracer.Emit(std::move(event));
 }
 
@@ -325,7 +341,7 @@ EngineBase::EngineBase(const SimConfig& config) : config_(config) {
   network_->SetTracer(&tracer_);
   result_ = EmptyResult(config);
   store_ = std::make_unique<db::DataStore>(config.workload.num_items);
-  server_wal_ = std::make_unique<db::WriteAheadLog>(config.wal_force_delay);
+  server_wal_ = std::make_unique<db::WriteAheadLog>();
   clients_ = MakeClients(config);
   gc_queues_.resize(static_cast<size_t>(config.num_clients));
 }
@@ -461,32 +477,17 @@ void EngineBase::CommitLocally(TxnRun& run) {
   GTPL_CHECK(!run.doomed);
   ClientState& client = clients_[static_cast<size_t>(run.client_index)];
   // WAL discipline: the commit record is forced before the transaction
-  // reports commit; force_delay defaults to 0.
+  // reports commit.
   const int64_t commit_lsn = client.wal->Append(db::LogRecordKind::kCommit,
                                                 run.id, kInvalidItem, 0);
-  const SimTime force_delay = client.wal->Force(commit_lsn);
-  if (force_delay > 0) {
-    const TxnId txn = run.id;
-    sim_.Schedule(force_delay, [this, txn, index = run.client_index] {
-      TxnRun* current = clients_[static_cast<size_t>(index)].current.get();
-      if (current == nullptr || current->id != txn) return;
-      if (current->doomed) return;
-      FinalizeCommit(*current);
-    });
-    return;
-  }
-  FinalizeCommit(run);
-}
-
-void EngineBase::FinalizeCommit(TxnRun& run) {
-  ClientState& client = clients_[static_cast<size_t>(run.client_index)];
+  client.wal->Force(commit_lsn);
   client.restart_streak = 0;
   RecordCommit(run, sim_.Now(), measuring(), config_.record_history, result_,
                tracer_);
   // Queue the commit's updates for client-log garbage collection once the
   // server has made them permanent.
   PendingGc gc;
-  gc.lsn = client.wal->next_lsn() - 1;
+  gc.lsn = commit_lsn;
   for (const OpRecord& record : run.records) {
     if (record.mode == LockMode::kExclusive) {
       gc.updates.push_back({record.item, record.version_written});
@@ -593,26 +594,16 @@ void EngineBase::NoteRequestAtServer(TxnId txn, ItemId item, LockMode mode,
                                      int32_t shard) {
   TxnRun* run = FindRun(txn);
   const net::DeliveryInfo& d = network_->current_delivery();
+  const SimTime propagation = d.active ? d.Propagation() : 0;
+  const SimTime queueing = d.active ? d.Queueing() : 0;
   if (run != nullptr && !run->finished && d.active &&
       run->current_op < run->spec.ops.size() &&
       run->op().item == item) {
-    run->req_prop = d.Propagation();
-    run->req_queue = d.Queueing();
+    run->req_prop = propagation;
+    run->req_queue = queueing;
   }
-  if (tracer_.enabled()) {
-    obs::TraceEvent event;
-    event.kind = obs::EventKind::kLockRequest;
-    event.txn = txn;
-    event.site = run == nullptr ? SiteId{-1} : run->site();
-    event.item = item;
-    event.mode = static_cast<int32_t>(mode);
-    event.shard = shard;
-    if (d.active) {
-      event.d0 = d.Propagation();
-      event.d1 = d.Queueing();
-    }
-    tracer_.Emit(std::move(event));
-  }
+  EmitLockRequest(txn, run == nullptr ? SiteId{-1} : run->site(), item, mode,
+                  shard, propagation, queueing, tracer_);
 }
 
 void EngineBase::AbortNoticeArrived(TxnId txn, int32_t client_index) {

@@ -94,13 +94,12 @@ void EngineBase::StartCommit(TxnRun& run) {
 
 void EngineBase::StartClassic(TxnRun& run, std::vector<int32_t> participants,
                               bool fallback) {
-  const TxnId txn = run.id;
   ClientState& client = ClientAt(run.client_index);
   // Phase one: the coordinator (client) forces its prepare record, then
   // asks every participant server to vote.
-  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, txn,
+  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, run.id,
                                          kInvalidItem, 0);
-  const SimTime force_delay = client.wal->Force(lsn);
+  client.wal->Force(lsn);
   CommitCtx& ctx = run.commit.emplace();
   ctx.votes_pending = static_cast<int32_t>(participants.size());
   ctx.prepares_pending = static_cast<int32_t>(participants.size());
@@ -108,23 +107,7 @@ void EngineBase::StartClassic(TxnRun& run, std::vector<int32_t> participants,
   ctx.flights = 2;
   ctx.vote_site = run.site();
   ctx.fallback = fallback;
-  auto send_prepares = [this, txn] {
-    TxnRun* current = FindRun(txn);
-    if (current == nullptr || current->finished) return;
-    if (current->doomed) {
-      current->commit.reset();
-      return;
-    }
-    current->commit->sent_time = sim_.Now();
-    for (int32_t shard : current->commit->participants) {
-      SendPrepare(shard, *current);
-    }
-  };
-  if (force_delay > 0) {
-    sim_.Schedule(force_delay, std::move(send_prepares));
-  } else {
-    send_prepares();
-  }
+  for (int32_t shard : ctx.participants) SendPrepare(shard, run);
 }
 
 void EngineBase::SendPrepare(int32_t shard, TxnRun& run) {
@@ -164,40 +147,28 @@ void EngineBase::PreRequestHook(TxnRun& run) {
 }
 
 void EngineBase::StartEarly(TxnRun& run, std::vector<int32_t> participants) {
-  const TxnId txn = run.id;
   ClientState& client = ClientAt(run.client_index);
   // The coordinator still forces its prepare record — the commit point must
   // be recoverable — but the prepares themselves already flew with the
   // operations, so it then only waits for votes not yet home.
-  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, txn,
+  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, run.id,
                                          kInvalidItem, 0);
-  const SimTime force_delay = client.wal->Force(lsn);
-  auto begin_wait = [this, txn, participants = std::move(participants)] {
-    TxnRun* current = FindRun(txn);
-    if (current == nullptr || current->finished || current->doomed) return;
-    GTPL_CHECK(current->early && current->early->active)
-        << "kEarly commit without speculative prepares";
-    const EarlyCtx& early = *current->early;
-    GTPL_CHECK_EQ(early.prepares_sent,
-                  static_cast<int32_t>(participants.size()));
-    int32_t have = 0;
-    for (int32_t shard : participants) {
-      have += early.votes.count(shard) > 0 ? 1 : 0;
-    }
-    CommitCtx& ctx = current->commit.emplace();
-    ctx.participants = participants;
-    ctx.vote_site = current->site();
-    ctx.sent_time = sim_.Now();
-    ctx.prepares_pending = 0;  // all prepares were speculative; sub-span 0
-    ctx.votes_pending = static_cast<int32_t>(participants.size()) - have;
-    ctx.flights = ctx.votes_pending == 0 ? 0 : 1;
-    if (ctx.votes_pending == 0) FinishVotedCommit(*current);
-  };
-  if (force_delay > 0) {
-    sim_.Schedule(force_delay, std::move(begin_wait));
-  } else {
-    begin_wait();
+  client.wal->Force(lsn);
+  GTPL_CHECK(run.early && run.early->active)
+      << "kEarly commit without speculative prepares";
+  const EarlyCtx& early = *run.early;
+  GTPL_CHECK_EQ(early.prepares_sent, static_cast<int32_t>(participants.size()));
+  int32_t have = 0;
+  for (int32_t shard : participants) {
+    have += early.votes.count(shard) > 0 ? 1 : 0;
   }
+  CommitCtx& ctx = run.commit.emplace();
+  ctx.votes_pending = static_cast<int32_t>(participants.size()) - have;
+  ctx.participants = std::move(participants);
+  ctx.vote_site = run.site();
+  ctx.prepares_pending = 0;  // all prepares were speculative; sub-span 0
+  ctx.flights = ctx.votes_pending == 0 ? 0 : 1;
+  if (ctx.votes_pending == 0) FinishVotedCommit(run);
 }
 
 void EngineBase::StartFastPath(TxnRun& run,
@@ -275,14 +246,13 @@ int32_t EngineBase::ChooseCoordinator(
 
 void EngineBase::StartCoord(TxnRun& run, std::vector<int32_t> participants,
                             int32_t coord_shard) {
-  const TxnId txn = run.id;
   ClientState& client = ClientAt(run.client_index);
   // The client still forces its prepare record, then hands the whole 2PC to
   // the coordinator server: handoff -> prepares -> votes (at the
   // coordinator) -> decisions (from the coordinator) -> ack to the client.
-  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, txn,
+  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, run.id,
                                          kInvalidItem, 0);
-  const SimTime force_delay = client.wal->Force(lsn);
+  client.wal->Force(lsn);
   CommitCtx& ctx = run.commit.emplace();
   ctx.votes_pending = static_cast<int32_t>(participants.size());
   ctx.prepares_pending = static_cast<int32_t>(participants.size());
@@ -290,25 +260,10 @@ void EngineBase::StartCoord(TxnRun& run, std::vector<int32_t> participants,
   ctx.flights = 4;  // handoff + prepare + vote + ack on the response path
   ctx.vote_site = ServerSiteOf(coord_shard);
   ctx.coord_shard = coord_shard;
-  const SiteId from = run.site();
-  auto send_handoff = [this, txn, from, coord_shard] {
-    TxnRun* current = FindRun(txn);
-    if (current == nullptr || current->finished) return;
-    if (current->doomed) {
-      current->commit.reset();
-      return;
-    }
-    current->commit->sent_time = sim_.Now();
-    network().Send(from, ServerSiteOf(coord_shard), "commit-handoff",
-                   [this, coord_shard, txn] {
-                     OnHandoffArrived(coord_shard, txn);
-                   });
-  };
-  if (force_delay > 0) {
-    sim_.Schedule(force_delay, std::move(send_handoff));
-  } else {
-    send_handoff();
-  }
+  network().Send(run.site(), ServerSiteOf(coord_shard), "commit-handoff",
+                 [this, coord_shard, txn = run.id] {
+                   OnHandoffArrived(coord_shard, txn);
+                 });
 }
 
 void EngineBase::OnHandoffArrived(int32_t coord_shard, TxnId txn) {
@@ -369,7 +324,7 @@ SiteId EngineBase::PrepareLanded(TxnRun& run) {
   CommitCtx& ctx = *run.commit;
   if (--ctx.prepares_pending == 0) {
     // Last prepare of the fan-out landed: close the prepare sub-span.
-    run.span.commit_prepare = sim_.Now() - ctx.sent_time;
+    run.span.commit_prepare = sim_.Now() - run.commit_start;
   }
   return ctx.vote_site;
 }

@@ -128,9 +128,6 @@ Status SimConfig::Validate() const {
       return Status::InvalidArgument("adaptive hysteresis must be >= 1");
     }
   }
-  if (wal_force_delay < 0) {
-    return Status::InvalidArgument("wal_force_delay must be >= 0");
-  }
   if (max_sim_time < 0) {
     return Status::InvalidArgument("max_sim_time must be >= 0");
   }

@@ -143,10 +143,6 @@ struct SimConfig {
   /// disables sampling.
   SimTime metrics_interval = 0;
 
-  /// Simulated delay of a log force at commit/install; 0 keeps the recovery
-  /// substrate free so it does not perturb the reproduced numbers.
-  SimTime wal_force_delay = 0;
-
   /// Abort notices take effect instantly at the victim (default), matching
   /// the paper's model: its round accounting has no abort messages, and its
   /// reported g-2PL gains at ~40% abort rates are only reachable when a

@@ -31,9 +31,6 @@ struct CommitCtx {
   int32_t votes_pending = 0;
   bool all_yes = true;
   std::vector<int32_t> participants;
-  /// When the prepare fan-out (or vote wait, for kEarly) actually began —
-  /// after the coordinator's WAL force. Anchors the commit sub-spans.
-  SimTime sent_time = 0;
   /// Non-speculative prepares still in flight; hits 0 when the last one
   /// arrives, closing the span.commit_prepare sub-span.
   int32_t prepares_pending = 0;
@@ -63,8 +60,8 @@ struct EarlyCtx {
 /// One in-flight transaction at a client: the paper's system-model record,
 /// shared by EngineBase and the parallel engine (protocols/parsim.cc). The
 /// parallel engine uses the lifecycle and span fields and, for 2PC, the
-/// votes_pending / participants / sent_time of `commit`; the rest is
-/// EngineBase's (doomed, committing, kEarly, kCoord, leases).
+/// votes_pending / participants of `commit`; the rest is EngineBase's
+/// (doomed, committing, kEarly, kCoord, leases).
 struct TxnRun {
   TxnId id = kInvalidTxn;
   int32_t client_index = 0;  // 0-based; site = client_index + 1
@@ -89,7 +86,8 @@ struct TxnRun {
   /// request is finally granted, folded into span.lease_revoke_wait
   /// (clamped to the op's lock wait) when the grant reaches the client.
   SimTime pending_revoke_wait = 0;
-  /// When the commit phase started (last op's think elapsed).
+  /// When the commit phase started (last op's think elapsed). A vote round
+  /// opens in this tick, so it also anchors the commit sub-spans.
   SimTime commit_start = 0;
   /// True once the commit phase started. A committing transaction has no
   /// outstanding request and must never be chosen as an abort victim
@@ -187,6 +185,12 @@ void RecordAbort(TxnId txn, SiteId client_site, SiteId server_site,
 /// Trace events of the lifecycle and of 2PC. Each is a no-op when the
 /// tracer is disabled.
 void EmitTxnBegin(const TxnRun& run, obs::Tracer& tracer);
+/// `txn`'s request for `item` reached shard `shard`'s server from the
+/// client at `site` (-1 once the run is gone); `propagation` and
+/// `queueing` are the request flight's network components.
+void EmitLockRequest(TxnId txn, SiteId site, ItemId item, LockMode mode,
+                     int32_t shard, SimTime propagation, SimTime queueing,
+                     obs::Tracer& tracer);
 void EmitPrepare(TxnId txn, int32_t shard, SiteId site, const char* label,
                  obs::Tracer& tracer);
 void EmitVote(TxnId txn, int32_t shard, bool yes, obs::Tracer& tracer);
@@ -375,7 +379,9 @@ class EngineBase {
   }
 
   /// The client's local commit: forces the commit record to the client
-  /// WAL, then FinalizeCommit. Every commit path ends here.
+  /// WAL, records the commit (metrics, history), queues its updates for
+  /// client-log GC, runs DoCommit and schedules the client's next
+  /// transaction. Every commit path ends here.
   void CommitLocally(TxnRun& run);
 
   /// kClassic from the coordinator's side: force the prepare record, then
@@ -409,9 +415,6 @@ class EngineBase {
   void ScheduleNextTxn(ClientState& client);
   void FinishOp(TxnRun& run);
   void AbortNoticeArrived(TxnId txn, int32_t client_index);
-  /// Records the commit (metrics, history), emits DoCommit, and schedules
-  /// the client's next transaction.
-  void FinalizeCommit(TxnRun& run);
 
   // --- commit paths (protocols/commit.cc) ------------------------------
   void StartEarly(TxnRun& run, std::vector<int32_t> participants);

@@ -45,9 +45,10 @@ struct TxnSpan {
   /// (both 0 otherwise, and 0 when a variant removed the round). The
   /// prepare round runs fan-out to the last prepare arrival at a
   /// participant (under kCoord it includes the handoff leg); the vote
-  /// round runs from there until the coordinator tallied every vote. What
-  /// remains of `commit` is CommitResidual(): WAL forces and, under
-  /// kCoord, the ack leg back to the client. Always:
+  /// round runs from there until the coordinator tallied every vote. Both
+  /// are measured from the commit start. What remains of `commit` is
+  /// CommitResidual(): under kCoord, the ack leg back to the client; for
+  /// a single-shard commit, the whole phase. Always:
   ///   0 <= commit_prepare, 0 <= commit_vote,
   ///   commit_prepare + commit_vote <= commit
   /// (span_accounting_test pins this for every engine x commit path).

@@ -66,7 +66,6 @@ class ParallelEngine {
   void FinishOp(int32_t client_index, TxnId txn);
   void StartCommit(ClientState& client);
   void StartLocalCommit(ClientState& client);
-  void FinalizeCommit(ClientState& client);
   void SendReleases(ClientState& client);
   void ClientOnVote(int32_t client_index, TxnId txn, int32_t voting_shard);
   void ClientOnAbortNotice(int32_t client_index, TxnId txn,
@@ -82,9 +81,11 @@ class ParallelEngine {
   void ServerOnRelease(int32_t shard, TxnId txn,
                        std::vector<db::ItemVersion> updates);
   void ServerOnAbortRelease(int32_t shard, TxnId txn);
+  /// Drops every lock `txn` holds on `shard` and sends the grants the
+  /// release unblocks.
+  void ReleaseLocks(int32_t shard, TxnId txn);
 
   // --- observability (DESIGN.md §16) ----------------------------------
-  bool tracing() const { return merger_ != nullptr; }
   obs::Tracer& TracerOf(int32_t lp) {
     return *tracers_[static_cast<size_t>(lp)];
   }
@@ -133,7 +134,7 @@ ParallelEngine::ParallelEngine(const SimConfig& config)
   for (Shard& shard : shards_) {
     shard.locks = std::make_unique<db::LockTable>(config.workload.num_items);
     shard.store = std::make_unique<db::DataStore>(config.workload.num_items);
-    shard.wal = std::make_unique<db::WriteAheadLog>(config.wal_force_delay);
+    shard.wal = std::make_unique<db::WriteAheadLog>();
   }
   // One at a time: a temporary to copy from would hold a fourth set of
   // histograms at the peak.
@@ -311,25 +312,14 @@ void ParallelEngine::StartCommit(ClientState& client) {
   ctx.participants = std::move(participants);
   const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, run.id,
                                          kInvalidItem, 0);
-  const SimTime force_delay = client.wal->Force(lsn);
-  const int32_t src_lp = LpOfClient(client.index);
-  auto send_prepares = [this, client_index = client.index, txn = run.id] {
-    ClientState& cl = clients_[static_cast<size_t>(client_index)];
-    TxnRun* current = cl.current.get();
-    if (current == nullptr || current->id != txn || current->finished) return;
-    const int32_t lp = LpOfClient(client_index);
-    current->commit->sent_time = psim_->lp(lp).Now();
-    for (int32_t shard : current->commit->participants) {
-      SendMsg(lp, shard, current->site(), ServerSiteOf(config_, shard),
-              net::kControlPayload, [this, shard, txn, client_index] {
-                ServerOnPrepare(shard, txn, client_index);
-              });
-    }
-  };
-  if (force_delay > 0) {
-    psim_->lp(src_lp).Schedule(force_delay, std::move(send_prepares));
-  } else {
-    send_prepares();
+  client.wal->Force(lsn);
+  const int32_t lp = LpOfClient(client.index);
+  for (int32_t shard : ctx.participants) {
+    SendMsg(lp, shard, run.site(), ServerSiteOf(config_, shard),
+            net::kControlPayload,
+            [this, shard, txn = run.id, client_index = client.index] {
+              ServerOnPrepare(shard, txn, client_index);
+            });
   }
 }
 
@@ -337,21 +327,16 @@ void ParallelEngine::StartLocalCommit(ClientState& client) {
   TxnRun& run = *client.current;
   const int64_t lsn = client.wal->Append(db::LogRecordKind::kCommit, run.id,
                                          kInvalidItem, 0);
-  const SimTime force_delay = client.wal->Force(lsn);
-  if (force_delay > 0) {
-    psim_->lp(LpOfClient(client.index))
-        .Schedule(force_delay, [this, client_index = client.index,
-                                txn = run.id] {
-          ClientState& cl = clients_[static_cast<size_t>(client_index)];
-          TxnRun* current = cl.current.get();
-          if (current == nullptr || current->id != txn || current->finished) {
-            return;
-          }
-          FinalizeCommit(cl);
-        });
-    return;
-  }
-  FinalizeCommit(client);
+  client.wal->Force(lsn);
+  const int32_t lp = LpOfClient(client.index);
+  RecordCommit(run, psim_->lp(lp).Now(), measuring_, config_.record_history,
+               slices_[static_cast<size_t>(lp)], TracerOf(lp));
+  SendReleases(client);
+  // Client-log GC at the local commit (documented simplification of the
+  // serial engines' server-acknowledged truncation): the commit's installs
+  // are on their way and will be permanent before any dependent read.
+  client.wal->Checkpoint();
+  ScheduleNextTxn(client);
 }
 
 void ParallelEngine::ServerOnPrepare(int32_t shard, TxnId txn,
@@ -390,19 +375,6 @@ void ParallelEngine::ClientOnVote(int32_t client_index, TxnId txn,
                     slices_[static_cast<size_t>(lp)]);
   run->commit.reset();
   StartLocalCommit(client);
-}
-
-void ParallelEngine::FinalizeCommit(ClientState& client) {
-  const int32_t lp = LpOfClient(client.index);
-  RecordCommit(*client.current, psim_->lp(lp).Now(), measuring_,
-               config_.record_history, slices_[static_cast<size_t>(lp)],
-               TracerOf(lp));
-  SendReleases(client);
-  // Client-log GC at commit finalize (documented simplification of the
-  // serial engines' server-acknowledged truncation): the commit's installs
-  // are on their way and will be permanent before any dependent read.
-  client.wal->Checkpoint();
-  ScheduleNextTxn(client);
 }
 
 void ParallelEngine::SendReleases(ClientState& client) {
@@ -445,16 +417,8 @@ void ParallelEngine::ServerOnRequest(int32_t shard, TxnId txn,
                                      int32_t client_index, ItemId item,
                                      LockMode mode, SimTime txn_start,
                                      int64_t held_ops) {
-  if (tracing()) {
-    obs::TraceEvent event;
-    event.kind = obs::EventKind::kLockRequest;
-    event.txn = txn;
-    event.site = client_index + 1;
-    event.item = item;
-    event.mode = static_cast<int32_t>(mode);
-    event.shard = shard;
-    TracerOf(shard).Emit(std::move(event));
-  }
+  EmitLockRequest(txn, client_index + 1, item, mode, shard, 0, 0,
+                  TracerOf(shard));
   Shard& state = shards_[static_cast<size_t>(shard)];
   const db::LockResult outcome = state.locks->Request(txn, item, mode);
   if (outcome == db::LockResult::kGranted) {
@@ -484,12 +448,7 @@ void ParallelEngine::ServerOnRequest(int32_t shard, TxnId txn,
   RecordAbort(txn, client_index + 1, ServerSiteOf(config_, shard),
               psim_->lp(shard).Now() - txn_start, held_ops, measuring_,
               slices_[static_cast<size_t>(shard)], TracerOf(shard));
-  state.locks->ReleaseAll(txn,
-                          [this, shard](TxnId granted, ItemId gitem,
-                                        LockMode gmode) {
-                            (void)gmode;
-                            SendGrant(shard, granted, gitem);
-                          });
+  ReleaseLocks(shard, txn);
   SendMsg(shard, LpOfClient(client_index), ServerSiteOf(config_, shard),
           client_index + 1, net::kControlPayload,
           [this, client_index, txn, shard] {
@@ -523,19 +482,18 @@ void ParallelEngine::ServerOnRelease(int32_t shard, TxnId txn,
   state.wal->Checkpoint();
   // Installs land before promotions, so a promoted reader sees the new
   // version (the strict-2PL reads-from edge the serializability test pins).
-  state.locks->ReleaseAll(
-      txn, [this, shard](TxnId granted, ItemId item, LockMode mode) {
-        (void)mode;
-        SendGrant(shard, granted, item);
-      });
+  ReleaseLocks(shard, txn);
 }
 
 void ParallelEngine::ServerOnAbortRelease(int32_t shard, TxnId txn) {
   EmitRelease(txn, shard, ServerSiteOf(config_, shard), 0, "abort",
               TracerOf(shard));
+  ReleaseLocks(shard, txn);
+}
+
+void ParallelEngine::ReleaseLocks(int32_t shard, TxnId txn) {
   shards_[static_cast<size_t>(shard)].locks->ReleaseAll(
-      txn, [this, shard](TxnId granted, ItemId item, LockMode mode) {
-        (void)mode;
+      txn, [this, shard](TxnId granted, ItemId item, LockMode) {
         SendGrant(shard, granted, item);
       });
 }

@@ -30,7 +30,7 @@ namespace gtpl::proto {
 /// serial instantaneous coordination plane; Validate requires
 /// --charged-abort-notice for this reason), the 2PC decision rides the
 /// release messages, prepare/vote sub-spans are computed from the uniform
-/// latency, and client logs truncate at commit finalize.
+/// latency, and client logs truncate at the local commit.
 ///
 /// `config` must satisfy the sim_threads > 1 subset of
 /// SimConfig::Validate (checked here even when config.sim_threads == 1,

@@ -74,60 +74,48 @@ void ShardedG2plEngine::SendRequest(TxnRun& run) {
                  });
 }
 
+void ShardedG2plEngine::EmitWindow(obs::EventKind kind, TxnId txn,
+                                   ItemId item, Version version,
+                                   const core::ForwardList& fl) {
+  if (!tracer().enabled()) return;
+  const int32_t shard = ShardOf(item);
+  obs::TraceEvent event;
+  event.kind = kind;
+  event.txn = txn;
+  event.item = item;
+  event.shard = shard;
+  event.payload = static_cast<int64_t>(version);
+  event.entries = SnapshotForwardList(fl);
+  tracer().Emit(std::move(event));
+  obs::TraceEvent audit;
+  audit.kind = obs::EventKind::kGraphCheck;
+  audit.item = item;
+  audit.shard = shard;
+  audit.flag = wm_->graph().IsAcyclic();
+  tracer().Emit(std::move(audit));
+}
+
 void ShardedG2plEngine::WmDispatch(
     ItemId item, Version version,
     std::shared_ptr<const core::ForwardList> fl) {
-  const int32_t shard = ShardOf(item);
-  if (tracer().enabled()) {
-    obs::TraceEvent event;
-    event.kind = obs::EventKind::kWindowDispatch;
-    event.item = item;
-    event.shard = shard;
-    event.payload = static_cast<int64_t>(version);
-    event.entries = SnapshotForwardList(*fl);
-    tracer().Emit(std::move(event));
-    obs::TraceEvent audit;
-    audit.kind = obs::EventKind::kGraphCheck;
-    audit.item = item;
-    audit.shard = shard;
-    audit.flag = wm_->graph().IsAcyclic();
-    tracer().Emit(std::move(audit));
-  }
+  EmitWindow(obs::EventKind::kWindowDispatch, kInvalidTxn, item, version,
+             *fl);
   for (int32_t e = 0; e < fl->num_entries(); ++e) {
     for (const core::FlMember& m : fl->entry(e).members) {
-      TxnState& ts = EnsureTxn(m.txn, m.client - 1);
-      ++ts.slots_outstanding;
-      ts.slots.emplace_back().item = item;
+      EnsureTxn(m.txn, m.client - 1).slots.emplace_back().item = item;
     }
   }
-  DeliverToEntry(ServerSiteOf(shard), item, version, std::move(fl), 0);
+  DeliverToEntry(ServerSiteOf(ShardOf(item)), item, version, std::move(fl),
+                 0);
 }
 
 void ShardedG2plEngine::WmExpand(ItemId item, Version version,
                                  std::shared_ptr<const core::ForwardList> fl,
                                  TxnId txn, SiteId client_site,
                                  int32_t member_index) {
-  const int32_t shard = ShardOf(item);
-  if (tracer().enabled()) {
-    obs::TraceEvent event;
-    event.kind = obs::EventKind::kWindowExpand;
-    event.txn = txn;
-    event.item = item;
-    event.shard = shard;
-    event.payload = static_cast<int64_t>(version);
-    event.entries = SnapshotForwardList(*fl);
-    tracer().Emit(std::move(event));
-    obs::TraceEvent audit;
-    audit.kind = obs::EventKind::kGraphCheck;
-    audit.item = item;
-    audit.shard = shard;
-    audit.flag = wm_->graph().IsAcyclic();
-    tracer().Emit(std::move(audit));
-  }
-  TxnState& ts = EnsureTxn(txn, client_site - 1);
-  ++ts.slots_outstanding;
-  ts.slots.emplace_back().item = item;
-  network().Send(ServerSiteOf(shard), client_site, "data(expand)",
+  EmitWindow(obs::EventKind::kWindowExpand, txn, item, version, *fl);
+  EnsureTxn(txn, client_site - 1).slots.emplace_back().item = item;
+  network().Send(ServerSiteOf(ShardOf(item)), client_site, "data(expand)",
                  [this, txn, item, version, fl = std::move(fl),
                   member_index] {
                    OnData(txn, item, version, fl, 0, member_index, 0);
@@ -311,15 +299,17 @@ void ShardedG2plEngine::TryForward(TxnId txn, TxnState& ts, Obligation& ob) {
   } else {
     DeliverToEntry(from, item, version_out, ob.fl, ob.entry + 1);
   }
-  --ts.slots_outstanding;
-  GTPL_CHECK_GE(ts.slots_outstanding, 0);
 }
 
 void ShardedG2plEngine::CheckDrain(TxnId txn) {
   auto state = txns_.find(txn);
   if (state == txns_.end()) return;  // drained
   const TxnState& ts = state->second;
-  if (!ts.finished || ts.slots_outstanding != 0) return;
+  if (!ts.finished) return;
+  if (std::any_of(ts.slots.begin(), ts.slots.end(),
+                  [](const Obligation& ob) { return !ob.forwarded; })) {
+    return;
+  }
   wm_->OnTxnDrained(txn);
   // Retire the state too, so memory tracks in-flight transactions rather
   // than run length; a missing entry is what later messages read as

@@ -68,12 +68,16 @@ class ShardedG2plEngine : public EngineBase {
     int32_t client_index = 0;
     bool finished = false;
     bool committed = false;
-    int32_t slots_outstanding = 0;
     /// One per slot, in dispatch order; a transaction holds at most one
     /// slot per item.
     std::vector<Obligation> slots;
   };
 
+  /// Emits the window event of `kind` (`txn` is kInvalidTxn for a
+  /// dispatch, the admitted reader for an expansion) and the graph_check
+  /// audit that follows it.
+  void EmitWindow(obs::EventKind kind, TxnId txn, ItemId item,
+                  Version version, const core::ForwardList& fl);
   void WmDispatch(ItemId item, Version version,
                   std::shared_ptr<const core::ForwardList> fl);
   void WmExpand(ItemId item, Version version,

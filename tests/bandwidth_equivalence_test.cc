@@ -157,10 +157,9 @@ TEST(BandwidthEquivalenceTest, G2plHeterogeneousLatency) {
   RunEquivalence(config);
 }
 
-TEST(BandwidthEquivalenceTest, G2plDelayedAbortNoticeAndWalDelay) {
+TEST(BandwidthEquivalenceTest, G2plDelayedAbortNotice) {
   SimConfig config = BaseConfig(Protocol::kG2pl);
   config.instant_abort_notice = false;
-  config.wal_force_delay = 5;
   RunEquivalence(config);
 }
 

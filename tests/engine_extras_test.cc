@@ -89,20 +89,6 @@ TEST(SkewTest, ZipfWorkloadKeepsInvariantsAndLengthensForwardLists) {
   EXPECT_GT(hot.mean_forward_list_length, flat.mean_forward_list_length);
 }
 
-TEST(WalDelayTest, ForceDelayAppliesToEveryPessimisticProtocol) {
-  for (Protocol protocol :
-       {Protocol::kS2pl, Protocol::kG2pl, Protocol::kC2pl, Protocol::kCbl}) {
-    SimConfig config = MidConfig(protocol);
-    config.measured_txns = 300;
-    const RunResult fast = RunSimulation(config);
-    config.wal_force_delay = 40;
-    const RunResult slow = RunSimulation(config);
-    ASSERT_FALSE(slow.timed_out) << ToString(protocol);
-    EXPECT_GT(slow.response.mean(), fast.response.mean())
-        << ToString(protocol);
-  }
-}
-
 // Randomized differential test: PrecedenceGraph reachability against a
 // brute-force Floyd-Warshall closure over random DAG mutations.
 // Regression (ISSUE 4 satellite): the aging mechanism under sharding. The

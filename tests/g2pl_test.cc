@@ -251,15 +251,5 @@ TEST(G2plTest, ZeroLatencyDegenerateCaseWorks) {
   EXPECT_EQ(result.commits, 500);
 }
 
-TEST(G2plTest, WalForceDelayExtendsResponse) {
-  SimConfig config = HotItemConfig(Protocol::kG2pl);
-  const RunResult fast = RunSimulation(config);
-  config.wal_force_delay = 50;
-  const RunResult slow = RunSimulation(config);
-  ASSERT_FALSE(slow.timed_out);
-  EXPECT_GT(slow.response.mean(), fast.response.mean());
-  EXPECT_GT(slow.wal_forces, 0);
-}
-
 }  // namespace
 }  // namespace gtpl::proto

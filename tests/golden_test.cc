@@ -489,11 +489,6 @@ TEST(GoldenTest, TraceDigests) {
     }
   }
   {
-    proto::SimConfig config = parallel(proto::Protocol::kNoWait, 4);
-    config.wal_force_delay = 20;
-    rows.push_back({"parsim/nowait/shards=4/wal-force=20", config, true, true});
-  }
-  {
     proto::SimConfig config = parallel(proto::Protocol::kWaitDie, 4);
     config.shard_routing = proto::ShardRouting::kRange;
     rows.push_back({"parsim/waitdie/shards=4/routing=range", config, true,
