@@ -9,7 +9,7 @@
 // queued clients showing the saving grow with the forward-list length.
 
 #include "bench_common.h"
-#include "exec/parallel.h"
+#include "exec/thread_pool.h"
 
 namespace gtpl::bench {
 namespace {
@@ -43,12 +43,13 @@ void Run(const harness::CliOptions& options) {
     configs.push_back(ExampleConfig(proto::Protocol::kS2pl, clients));
     configs.push_back(ExampleConfig(proto::Protocol::kG2pl, clients));
   }
-  exec::ThreadPool pool(exec::ResolveJobs(options.jobs));
-  const std::vector<proto::RunResult> results = exec::ParallelMap(
-      pool, configs,
-      [](const proto::SimConfig& config) {
-        return proto::RunSimulation(config);
-      });
+  std::vector<proto::RunResult> results(configs.size());
+  exec::ThreadPool pool(std::min(exec::ResolveJobs(options.jobs),
+                                 static_cast<int>(configs.size())));
+  pool.Run(static_cast<int64_t>(configs.size()), [&](int64_t i) {
+    results[static_cast<size_t>(i)] =
+        proto::RunSimulation(configs[static_cast<size_t>(i)]);
+  });
   for (size_t i = 0; i < kClients.size(); ++i) {
     SimTime span[2];
     uint64_t msgs[2];

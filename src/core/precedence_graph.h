@@ -32,9 +32,6 @@ class PrecedenceGraph {
  public:
   PrecedenceGraph() = default;
 
-  /// True iff adding a -> b would close a cycle (i.e., b already reaches a).
-  bool WouldCloseCycle(TxnId a, TxnId b) const { return CanReach(b, a); }
-
   /// Adds a -> b with the given kind (or adds the kind to an existing edge).
   /// Callers must have established that no cycle results.
   void AddEdge(TxnId a, TxnId b, EdgeKind kind);

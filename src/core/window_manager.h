@@ -131,9 +131,6 @@ class WindowManager {
     return aborts_at_dispatch_pending_;
   }
   int64_t expansions() const { return expansions_; }
-  int64_t total_dispatched_requests() const {
-    return total_dispatched_requests_;
-  }
   /// Mean forward-list length over dispatched windows.
   double MeanForwardListLength() const;
 

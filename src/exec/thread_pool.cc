@@ -1,16 +1,13 @@
 #include "exec/thread_pool.h"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
 
 namespace gtpl::exec {
 
 ThreadPool::ThreadPool(int num_threads) {
-  if (num_threads < 1) num_threads = 1;
-  workers_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
+  for (int i = 1; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -22,49 +19,40 @@ ThreadPool::~ThreadPool() {
   }
   work_available_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // Workers only exit with an empty queue; late enqueues from running tasks
-  // were drained before the last join returned.
-  GTPL_CHECK(queue_.empty());
 }
 
-int64_t ThreadPool::tasks_executed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return executed_;
+void ThreadPool::Run(int64_t n,
+                     const std::function<void(int64_t)>& fn) noexcept {
+  GTPL_CHECK_GE(n, 0);
+  std::unique_lock<std::mutex> lock(mutex_);
+  fn_ = &fn;
+  n_ = n;
+  next_ = 0;
+  returned_ = 0;
+  work_available_.notify_all();
+  RunClaimed(lock);  // the caller claims indices too; alone, it claims all
+  all_returned_.wait(lock, [this] { return returned_ == n_; });
+  fn_ = nullptr;
 }
 
-ThreadPool::CountOnExit::~CountOnExit() {
-  std::lock_guard<std::mutex> lock(pool_->mutex_);
-  ++pool_->executed_;
-}
-
-void ThreadPool::Post(std::function<void()> task) {
-  GTPL_CHECK(task != nullptr);
-  Enqueue([this, task = std::move(task)] {
-    const CountOnExit count(this);
-    task();
-  });
-}
-
-void ThreadPool::Enqueue(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
+void ThreadPool::RunClaimed(std::unique_lock<std::mutex>& lock) {
+  while (next_ < n_) {
+    const int64_t i = next_++;
+    const std::function<void(int64_t)>& fn = *fn_;
+    lock.unlock();
+    fn(i);
+    lock.lock();
+    if (++returned_ == n_) all_returned_.notify_one();
   }
-  work_available_.notify_one();
 }
 
 void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(
-          lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutting down and fully drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();  // counts itself (CountOnExit)
+    work_available_.wait(lock,
+                         [this] { return shutting_down_ || next_ < n_; });
+    if (shutting_down_) return;
+    RunClaimed(lock);
   }
 }
 

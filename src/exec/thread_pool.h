@@ -2,90 +2,66 @@
 #define GTPL_EXEC_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace gtpl::exec {
 
-/// Fixed-size worker pool with a FIFO task queue.
+/// Fork-join worker pool: Run(n, fn) calls fn(i) once for every index and
+/// returns when all calls have. The sweep grid, the Figure 1 bench and the
+/// parallel kernel's windows all run on it.
 ///
 /// Guarantees:
-///  * Run-to-completion shutdown — the destructor executes every task that
-///    was ever enqueued (including tasks that running tasks enqueue during
-///    the drain) before joining the workers.
-///  * Exceptions thrown by a task submitted via Submit() are captured in the
-///    returned future and rethrown by future::get().
-///  * A task may enqueue further tasks from inside the pool without risk of
-///    deadlock: workers only retire once the queue is empty, and a task that
-///    enqueues runs on a worker that re-checks the queue afterwards.
+///  * The calling thread counts as one of `num_threads`; the workers persist
+///    across Run calls.
+///  * One mutex/condvar hand-off orders everything the caller did before
+///    Run ahead of every fn(i), and every fn(i) ahead of Run's return, so
+///    writes made by one Run's calls are visible to the caller and to the
+///    next Run's calls on any thread.
+///  * With no workers (num_threads <= 1) Run calls fn inline, in index order.
+///  * A throw inside fn terminates the process, like an uncaught throw
+///    anywhere else in this project.
 ///
-/// Do not call Submit()/Post() from a thread outside the pool once the
-/// destructor may have started; tasks already running may enqueue freely.
+/// Run is not reentrant: fn must not call Run on the same pool, and only one
+/// thread may call Run at a time.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (clamped to >= 1).
+  /// Spawns `num_threads - 1` workers (none when `num_threads <= 1`).
   explicit ThreadPool(int num_threads);
 
-  /// Drains the queue to completion, then joins all workers.
+  /// Joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  /// Threads that run indices, the caller included.
+  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Tasks fully executed so far (diagnostic). A task is counted before its
-  /// Submit() future becomes ready: once every future a caller holds is
-  /// ready, the count includes all of those tasks.
-  int64_t tasks_executed() const;
-
-  /// Enqueues a fire-and-forget task.
-  void Post(std::function<void()> task);
-
-  /// Enqueues `fn` and returns a future for its result (or its exception).
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    // `count` is destroyed as `fn` returns or throws, before packaged_task
-    // stores the outcome and makes the future ready.
-    auto task = std::make_shared<std::packaged_task<R()>>(
-        [this, fn = std::forward<F>(fn)]() mutable -> R {
-          const CountOnExit count(this);
-          return fn();
-        });
-    std::future<R> future = task->get_future();
-    Enqueue([task] { (*task)(); });
-    return future;
-  }
+  /// Calls fn(i) exactly once for each i in [0, n); the workers and the
+  /// caller claim indices one at a time. Returns when every call returned.
+  void Run(int64_t n, const std::function<void(int64_t)>& fn) noexcept;
 
  private:
-  /// Counts one executed task when it leaves scope, also on a throw.
-  class CountOnExit {
-   public:
-    explicit CountOnExit(ThreadPool* pool) : pool_(pool) {}
-    ~CountOnExit();
-    CountOnExit(const CountOnExit&) = delete;
-    CountOnExit& operator=(const CountOnExit&) = delete;
-
-   private:
-    ThreadPool* pool_;
-  };
-
-  void Enqueue(std::function<void()> task);
+  /// Claims and runs indices until none is left unclaimed. `lock` holds
+  /// mutex_ on entry and on return, and is released around each fn call.
+  void RunClaimed(std::unique_lock<std::mutex>& lock);
   void WorkerLoop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_available_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  int64_t executed_ = 0;
+  std::condition_variable all_returned_;
+  // The current Run, guarded by mutex_: indices below next_ are claimed,
+  // and returned_ of them have returned.
+  const std::function<void(int64_t)>* fn_ = nullptr;
+  int64_t n_ = 0;
+  int64_t next_ = 0;
+  int64_t returned_ = 0;
   bool shutting_down_ = false;
+  std::vector<std::thread> workers_;
 };
 
 /// Resolves a job-count request: `jobs >= 1` is taken as-is; `jobs <= 0`

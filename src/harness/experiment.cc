@@ -1,10 +1,11 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "common/check.h"
-#include "exec/sweep.h"
+#include "exec/thread_pool.h"
 #include "rng/rng.h"
 
 namespace gtpl::harness {
@@ -207,18 +208,28 @@ PointResult AggregateReplications(std::vector<ReplicaRun>& runs) {
 SweepResult RunSweepImpl(const std::vector<proto::SimConfig>& points,
                          int32_t runs, int jobs, bool mix_point_seeds) {
   GTPL_CHECK_GE(runs, 1);
-  exec::SweepRunner<ReplicaRun> runner(jobs);
-  std::vector<std::vector<ReplicaRun>> grid = runner.Run(
-      points.size(), runs,
-      [&points, runs, mix_point_seeds](size_t point, int32_t rep) {
-        const proto::SimConfig& config = points[point];
-        const uint64_t point_seed =
-            mix_point_seeds ? PointSeed(config.seed, point) : config.seed;
-        return RunOneReplica(config, ReplicaSeed(point_seed, rep), rep, runs);
-      });
+  const auto started = std::chrono::steady_clock::now();
+  // Every cell writes only its own slot, and the points are folded below in
+  // (point, rep) order, so the results are bit-identical at any job count.
+  std::vector<std::vector<ReplicaRun>> grid(
+      points.size(), std::vector<ReplicaRun>(static_cast<size_t>(runs)));
+  const int64_t cells = static_cast<int64_t>(points.size()) * runs;
+  exec::ThreadPool pool(
+      static_cast<int>(std::min<int64_t>(exec::ResolveJobs(jobs), cells)));
+  pool.Run(cells, [&](int64_t cell) {
+    const auto point = static_cast<size_t>(cell / runs);
+    const auto rep = static_cast<int32_t>(cell % runs);
+    const proto::SimConfig& config = points[point];
+    const uint64_t point_seed =
+        mix_point_seeds ? PointSeed(config.seed, point) : config.seed;
+    grid[point][static_cast<size_t>(rep)] =
+        RunOneReplica(config, ReplicaSeed(point_seed, rep), rep, runs);
+  });
   SweepResult out;
-  out.jobs = runner.jobs();
-  out.wall_seconds = runner.elapsed_seconds();
+  out.jobs = pool.num_threads();
+  out.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - started)
+                         .count();
   out.points.reserve(grid.size());
   for (std::vector<ReplicaRun>& point_runs : grid) {
     out.points.push_back(AggregateReplications(point_runs));

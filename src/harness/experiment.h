@@ -124,7 +124,7 @@ struct SweepResult {
   std::vector<PointResult> points;  // one per input config, in input order
   double wall_seconds = 0.0;    // elapsed wall clock of the whole grid
   double serial_seconds = 0.0;  // sum of all per-replication wall clocks
-  int jobs = 1;                 // worker threads actually used
+  int jobs = 1;                 // threads actually used, caller included
 };
 
 /// Fans `points.size() × runs` simulations out across `jobs` worker threads

@@ -75,6 +75,7 @@ class CblEngine : public EngineBase {
     }
     FlushDeferredAcks(run.client_index);
     const TxnId txn = run.id;
+    bool sent = false;
     for (int32_t shard = 0; shard < num_servers(); ++shard) {
       std::vector<db::ItemVersion>& updates =
           updates_by[static_cast<size_t>(shard)];
@@ -87,8 +88,12 @@ class CblEngine : public EngineBase {
             ServerOnCommit(shard, txn, updates);
           },
           payload);
+      sent = true;
     }
     cc.pins.clear();
+    // A read-only commit installs nothing, so no ServerOnCommit will run
+    // the log GC for it: its client log can truncate now.
+    if (!sent) MaybeGcClientLogs();
   }
 
   void OnClientAborted(TxnRun& run) override {

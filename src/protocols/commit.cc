@@ -333,16 +333,17 @@ void EngineBase::OnVoteArrived(TxnId txn, int32_t shard, bool yes) {
   EmitVote(txn, shard, yes, tracer_);
   TxnRun* run = FindRun(txn);
   if (run == nullptr || run->finished) return;  // votes of dead runs drop
+  // A shard votes no only for a transaction already dead there, and that
+  // abort doomed the run before the vote left.
+  GTPL_CHECK(yes || run->doomed) << "no vote for live txn " << txn;
   if (!run->commit) {
     // kEarly: a speculative vote arriving before the commit point. Bank it
     // for StartEarly's tally.
     if (run->doomed || !run->early || !run->early->active) return;
-    if (yes) run->early->votes.insert(shard);
+    run->early->votes.insert(shard);
     return;
   }
-  CommitCtx& ctx = *run->commit;
-  ctx.all_yes = ctx.all_yes && yes;
-  if (--ctx.votes_pending > 0) return;
+  if (--run->commit->votes_pending > 0) return;
   FinishVotedCommit(*run);
 }
 
@@ -350,12 +351,6 @@ void EngineBase::FinishVotedCommit(TxnRun& run) {
   const CommitCtx ctx = std::move(*run.commit);
   run.commit.reset();
   if (run.finished || run.doomed) return;
-  if (!ctx.all_yes) {
-    // A no vote means that shard's server had already aborted the
-    // transaction, and its abort decision doomed the run instantly — so
-    // this branch is unreachable in practice; kept as a safety net.
-    return;
-  }
   RecordVotedCommit(run, ctx, sim_.Now(), measuring(), result_);
   // Phase two: the decision travels to every participant; the local commit
   // (forced commit record, then the protocol's release messages) proceeds

@@ -29,7 +29,6 @@ namespace gtpl::proto {
 /// the run dies first.
 struct CommitCtx {
   int32_t votes_pending = 0;
-  bool all_yes = true;
   std::vector<int32_t> participants;
   /// Non-speculative prepares still in flight; hits 0 when the last one
   /// arrives, closing the span.commit_prepare sub-span.

@@ -1,12 +1,10 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
+#include "exec/thread_pool.h"
 
 namespace gtpl::sim {
 
@@ -63,68 +61,6 @@ bool ShardSim::RunWindow(SimTime horizon) {
 
 // ---------------------------------------------------------------------------
 // ParallelSim
-
-/// Persistent worker team with a window barrier: RunWindow(fn) executes
-/// fn(worker_id) on every worker (the caller doubles as worker 0) and
-/// returns when all are done. A generation counter under one mutex hands
-/// out windows; the mutex/condvar pair also provides the happens-before
-/// edges that make each window's LP writes visible to the next window's
-/// (possibly different) workers and to the main thread.
-struct ParallelSim::Pool {
-  explicit Pool(int threads) {
-    for (int w = 1; w < threads; ++w) {
-      workers.emplace_back([this, w] { WorkerLoop(w); });
-    }
-  }
-
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      shutdown = true;
-    }
-    start_cv.notify_all();
-    for (std::thread& t : workers) t.join();
-  }
-
-  void RunWindow(const std::function<void(int)>& fn) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      task = &fn;
-      pending = static_cast<int>(workers.size());
-      ++generation;
-    }
-    start_cv.notify_all();
-    fn(0);  // the caller is worker 0
-    std::unique_lock<std::mutex> lock(mutex);
-    done_cv.wait(lock, [this] { return pending == 0; });
-    task = nullptr;
-  }
-
-  void WorkerLoop(int worker_id) {
-    uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mutex);
-    while (true) {
-      start_cv.wait(lock,
-                    [&] { return shutdown || generation != seen; });
-      if (shutdown) return;
-      seen = generation;
-      const std::function<void(int)>* fn = task;
-      lock.unlock();
-      (*fn)(worker_id);
-      lock.lock();
-      if (--pending == 0) done_cv.notify_one();
-    }
-  }
-
-  std::mutex mutex;
-  std::condition_variable start_cv;
-  std::condition_variable done_cv;
-  std::vector<std::thread> workers;
-  const std::function<void(int)>* task = nullptr;
-  uint64_t generation = 0;
-  int pending = 0;
-  bool shutdown = false;
-};
 
 ParallelSim::ParallelSim(int32_t num_lps, SimTime lookahead, int num_threads)
     : lookahead_(lookahead), num_threads_(std::max(num_threads, 1)) {
@@ -191,7 +127,7 @@ ParallelRunStats ParallelSim::Run(SimTime until) {
   stop_requested_.store(false, std::memory_order_relaxed);
   const int threads = std::min<int>(num_threads_, num_lps());
   if (threads > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<Pool>(threads);
+    pool_ = std::make_unique<exec::ThreadPool>(threads);
   }
   std::vector<uint8_t> ran(lps_.size(), 0);
   while (true) {
@@ -221,16 +157,14 @@ ParallelRunStats ParallelSim::Run(SimTime until) {
     }
     SimTime horizon = floor + lookahead_;
     if (until >= 0) horizon = std::min(horizon, until + 1);
-    auto window = [this, horizon, threads, &ran](int worker) {
-      for (int32_t i = worker; i < num_lps(); i += threads) {
-        ran[static_cast<size_t>(i)] =
-            lps_[static_cast<size_t>(i)]->RunWindow(horizon) ? 1 : 0;
-      }
+    auto window = [this, horizon, &ran](int64_t i) {
+      ran[static_cast<size_t>(i)] =
+          lps_[static_cast<size_t>(i)]->RunWindow(horizon) ? 1 : 0;
     };
     if (threads > 1) {
-      pool_->RunWindow(window);
+      pool_->Run(num_lps(), window);
     } else {
-      window(0);
+      for (int32_t i = 0; i < num_lps(); ++i) window(i);
     }
     ++stats.windows;
     for (uint8_t r : ran) {

@@ -10,6 +10,10 @@
 #include "common/types.h"
 #include "sim/event_queue.h"
 
+namespace gtpl::exec {
+class ThreadPool;
+}  // namespace gtpl::exec
+
 namespace gtpl::sim {
 
 class ParallelSim;
@@ -165,8 +169,9 @@ class ParallelSim {
   /// threads; a stop is a monotone flag, so the unordered writes cannot
   /// perturb determinism (it is only read at barriers).
   std::atomic<bool> stop_requested_{false};
-  struct Pool;  // lazily created worker pool (only when num_threads_ > 1)
-  std::unique_ptr<Pool> pool_;
+  /// Runs the windows, one index per LP; created by the first Run that
+  /// uses more than one thread.
+  std::unique_ptr<exec::ThreadPool> pool_;
 };
 
 }  // namespace gtpl::sim

@@ -16,12 +16,12 @@ TEST(PrecedenceGraphTest, ReachabilityAlongPath) {
   EXPECT_TRUE(graph.CanReach(1, 1));
 }
 
-TEST(PrecedenceGraphTest, WouldCloseCycleDetectsBackEdge) {
+TEST(PrecedenceGraphTest, ReachabilityAlongRequestEdges) {
   PrecedenceGraph graph;
   graph.AddEdge(1, 2, kRequestEdge);
   graph.AddEdge(2, 3, kRequestEdge);
-  EXPECT_TRUE(graph.WouldCloseCycle(3, 1));
-  EXPECT_FALSE(graph.WouldCloseCycle(1, 3));
+  EXPECT_TRUE(graph.CanReach(1, 3));
+  EXPECT_FALSE(graph.CanReach(3, 1));
 }
 
 TEST(PrecedenceGraphTest, ReachableAmongFiltersCandidates) {

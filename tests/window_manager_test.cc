@@ -250,7 +250,6 @@ TEST_F(WindowManagerTest, MeanForwardListLengthExcludesDispatchAbortedMembers) {
   ASSERT_EQ(dispatches_.size(), 4u);
   EXPECT_EQ(dispatches_[3].fl->DebugString(), "[W{T3}]");
   EXPECT_EQ(wm_->windows_dispatched(), 4);
-  EXPECT_EQ(wm_->total_dispatched_requests(), 4);
   EXPECT_DOUBLE_EQ(wm_->MeanForwardListLength(), 1.0);
 }
 
