@@ -28,7 +28,7 @@ const std::vector<int32_t> kCaps = {1, 2, 3, 5, 10, 0, kAdaptive};
 proto::SimConfig WithCap(proto::SimConfig config, int32_t cap) {
   if (cap == kAdaptive) {
     config.g2pl.max_forward_list_length = 0;
-    config.g2pl.adaptive.enabled = true;
+    config.g2pl.adaptive_window = true;
   } else {
     config.g2pl.max_forward_list_length = cap;
   }

@@ -67,7 +67,7 @@ void Run(const harness::CliOptions& options) {
                                1),
                   std::to_string(msgs[0]), std::to_string(msgs[1])});
   }
-  table.Print();
+  table.Print(options.csv_path);
   std::printf(
       "\nPaper (3 clients): 12 units (g-2PL) vs 15 units (s-2PL), 20%% "
       "reduction.\nThe hand-off saving is L per queued client; with 2-unit "

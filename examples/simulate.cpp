@@ -12,6 +12,7 @@
 #include <string>
 
 #include "cc/registry.h"
+#include "core/adaptive_window.h"
 #include "harness/cli.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
@@ -66,7 +67,6 @@ void PrintUsage(const char* prog) {
       "                       %s\n"
       "  --clients=N          number of client sites (default 50)\n"
       "  --servers=N          data servers the items shard across (1)\n"
-      "  --routing=hash|range item-to-shard routing (hash)\n"
       "  --commit=NAME        cross-server commit path (classic). Paths:\n"
       "                       %s\n"
       "  --server-latency=N   server<->server one-way latency override;\n"
@@ -96,12 +96,6 @@ void PrintUsage(const char* prog) {
       "  --mr1w=0|1           g-2PL MR1W optimization (1)\n"
       "  --fl-cap=N           g-2PL forward-list length cap, 0 = none (0)\n"
       "  --adaptive-window    g-2PL per-item adaptive FL cap (off)\n"
-      "  --adaptive-init=N    adaptive: initial cap per item (4)\n"
-      "  --adaptive-min=N     adaptive: cap floor, >= 1 (1)\n"
-      "  --adaptive-max=N     adaptive: cap ceiling (32)\n"
-      "  --adaptive-shrink=F  adaptive: multiplicative decrease in (0,1) (0.5)\n"
-      "  --adaptive-grow=N    adaptive: additive increase step (1)\n"
-      "  --adaptive-hysteresis=N  adaptive: clean windows before growth (2)\n"
       "  --expand-reads       g-2PL read-group expansion (off)\n"
       "  --ordering=fifo|reads-first|writes-first   g-2PL FL order (fifo)\n"
       "  --charged-abort-notice   charge one latency for abort notices\n"
@@ -153,15 +147,6 @@ bool ParseFlag(const std::string& arg, Flags* flags) {
     return ParseInt32Flag("--clients", v2, &config.num_clients);
   } else if (const char* vs = value_of("--servers=")) {
     return ParseInt32Flag("--servers", vs, &config.num_servers);
-  } else if (const char* vr = value_of("--routing=")) {
-    const std::string name = vr;
-    if (name == "hash") {
-      config.shard_routing = gtpl::proto::ShardRouting::kHash;
-    } else if (name == "range") {
-      config.shard_routing = gtpl::proto::ShardRouting::kRange;
-    } else {
-      return BadValue("--routing", vr);
-    }
   } else if (const char* vcp = value_of("--commit=")) {
     // Strict: unknown names fail (non-zero exit) listing the registry.
     const gtpl::Status status =
@@ -241,25 +226,7 @@ bool ParseFlag(const std::string& arg, Flags* flags) {
     return ParseInt32Flag("--fl-cap", v15,
                           &config.g2pl.max_forward_list_length);
   } else if (arg == "--adaptive-window") {
-    config.g2pl.adaptive.enabled = true;
-  } else if (const char* va1 = value_of("--adaptive-init=")) {
-    return ParseInt32Flag("--adaptive-init", va1,
-                          &config.g2pl.adaptive.initial_cap);
-  } else if (const char* va2 = value_of("--adaptive-min=")) {
-    return ParseInt32Flag("--adaptive-min", va2,
-                          &config.g2pl.adaptive.min_cap);
-  } else if (const char* va3 = value_of("--adaptive-max=")) {
-    return ParseInt32Flag("--adaptive-max", va3,
-                          &config.g2pl.adaptive.max_cap);
-  } else if (const char* va4 = value_of("--adaptive-shrink=")) {
-    return ParseDoubleFlag("--adaptive-shrink", va4,
-                           &config.g2pl.adaptive.decrease_factor);
-  } else if (const char* va5 = value_of("--adaptive-grow=")) {
-    return ParseInt32Flag("--adaptive-grow", va5,
-                          &config.g2pl.adaptive.increase_step);
-  } else if (const char* va6 = value_of("--adaptive-hysteresis=")) {
-    return ParseInt32Flag("--adaptive-hysteresis", va6,
-                          &config.g2pl.adaptive.hysteresis);
+    config.g2pl.adaptive_window = true;
   } else if (arg == "--expand-reads") {
     config.g2pl.expand_read_groups = true;
   } else if (const char* v16 = value_of("--ordering=")) {
@@ -404,9 +371,8 @@ int main(int argc, char** argv) {
                 flags.config.cross_traffic_load);
   }
   if (flags.config.num_servers > 1) {
-    std::printf("%d servers, %s routing, commit path %s",
+    std::printf("%d servers, hash routing, commit path %s",
                 flags.config.num_servers,
-                gtpl::proto::ToString(flags.config.shard_routing),
                 gtpl::proto::ToString(flags.config.commit_path));
     if (flags.config.server_latency >= 0) {
       std::printf(", server-server latency %lld",
@@ -426,12 +392,14 @@ int main(int argc, char** argv) {
                 flags.config.sim_threads,
                 static_cast<long long>(flags.config.latency));
   }
-  if (flags.config.g2pl.adaptive.enabled) {
-    const gtpl::core::AdaptiveWindowOptions& a = flags.config.g2pl.adaptive;
+  if (flags.config.g2pl.adaptive_window) {
     std::printf("adaptive window: cap %d in [%d,%d], shrink %.2f, grow %d, "
                 "hysteresis %d\n",
-                a.initial_cap, a.min_cap, a.max_cap, a.decrease_factor,
-                a.increase_step, a.hysteresis);
+                gtpl::core::kAdaptiveInitialCap, gtpl::core::kAdaptiveMinCap,
+                gtpl::core::kAdaptiveMaxCap,
+                gtpl::core::kAdaptiveDecreaseFactor,
+                gtpl::core::kAdaptiveIncreaseStep,
+                gtpl::core::kAdaptiveHysteresis);
   }
   std::printf("\n");
 
@@ -497,7 +465,7 @@ int main(int argc, char** argv) {
   if (flags.config.protocol == gtpl::proto::Protocol::kG2pl) {
     table.AddRow({"mean forward-list length",
                   gtpl::harness::Fmt(point.fl_length.mean, 2)});
-    if (flags.config.g2pl.adaptive.enabled) {
+    if (flags.config.g2pl.adaptive_window) {
       table.AddRow({"mean effective cap",
                     gtpl::harness::Fmt(point.mean_effective_cap, 2)});
       table.AddRow({"final effective cap",

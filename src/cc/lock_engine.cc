@@ -228,7 +228,7 @@ void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
   proto::EmitRelease(txn, shard, ServerSiteOf(shard),
                      static_cast<int64_t>(updates.size()), "", tracer());
   for (const db::ItemVersion& update : updates) {
-    InstallAtServer(txn, update);
+    InstallAtServer(update);
   }
   MaybeGcClientLogs();
   // The transaction leaves the policy's books only once its last shard
@@ -257,7 +257,7 @@ void LockCcEngine::ReleaseShardEarly(int32_t shard, TxnRun& run) {
   for (const proto::OpRecord& record : run.records) {
     if (ShardOf(record.item) != shard) continue;
     if (record.mode != LockMode::kExclusive) continue;
-    InstallAtServer(txn, {record.item, record.version_written});
+    InstallAtServer({record.item, record.version_written});
     if (sticky_) ServerInstalledItem(shard, record.item);
   }
   run.released_shards.push_back(shard);

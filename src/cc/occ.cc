@@ -123,7 +123,7 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
     }
     // Validate + install are atomic at the server: the validation instant
     // is the serialization point, then the commit-ok closes the round.
-    InstallOnShard(shard, txn, client_site, records);
+    InstallOnShard(shard, client_site, records);
     network().Send(ServerSiteOf(shard), client_site, "commit-ok",
                    [this, txn] {
                      TxnRun* target = FindRun(txn);
@@ -139,9 +139,7 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
     Reserve(shard, txn, records);
     prepared_[static_cast<size_t>(shard)][txn] = std::move(records);
     // The participant forces its own prepare record before voting yes.
-    const int64_t lsn = server_wal().Append(db::LogRecordKind::kPrepare, txn,
-                                            kInvalidItem, 0);
-    server_wal().Force(lsn);
+    server_wal().Force(server_wal().Append());
   } else if (alive) {
     ServerAbortDecision(txn, ServerSiteOf(shard));
   }
@@ -204,12 +202,11 @@ void OccEngine::ClearReservations(
   }
 }
 
-void OccEngine::InstallOnShard(int32_t shard, TxnId txn,
-                               SiteId committer_site,
+void OccEngine::InstallOnShard(int32_t shard, SiteId committer_site,
                                const std::vector<proto::OpRecord>& records) {
   for (const proto::OpRecord& record : records) {
     if (record.mode != LockMode::kExclusive) continue;
-    InstallAtServer(txn, {record.item, record.version_written});
+    InstallAtServer({record.item, record.version_written});
     if (!cache_data_) continue;
     auto& copies = copy_sets_[static_cast<size_t>(record.item)];
     for (SiteId other : copies) {
@@ -280,8 +277,7 @@ void OccEngine::OnCommitDecision(int32_t shard, TxnId txn) {
   const std::vector<proto::OpRecord> records = std::move(it->second);
   shard_prepared.erase(it);
   TxnRun* run = FindRun(txn);
-  InstallOnShard(shard, txn, run != nullptr ? run->site() : kInvalidSite,
-                 records);
+  InstallOnShard(shard, run != nullptr ? run->site() : kInvalidSite, records);
   ClearReservations(shard, records);
 }
 

@@ -89,7 +89,7 @@ class OccEngine : public proto::EngineBase {
   /// Installs the validated writes on `shard`. With a cache, each write
   /// also invalidates every copy except `committer_site`'s (kInvalidSite
   /// when the committer's run is already gone: no copy survives).
-  void InstallOnShard(int32_t shard, TxnId txn, SiteId committer_site,
+  void InstallOnShard(int32_t shard, SiteId committer_site,
                       const std::vector<proto::OpRecord>& records);
 
   std::vector<std::unordered_map<ItemId, Slot>> reserved_;   // per shard

@@ -7,30 +7,19 @@
 
 namespace gtpl::core {
 
-AdaptiveWindowController::AdaptiveWindowController(
-    int32_t num_items, const AdaptiveWindowOptions& options)
-    : options_(options), items_(static_cast<size_t>(num_items)) {
+AdaptiveWindowController::AdaptiveWindowController(int32_t num_items)
+    : items_(static_cast<size_t>(num_items)) {
   GTPL_CHECK_GT(num_items, 0);
-  GTPL_CHECK_GE(options_.min_cap, 1);
-  GTPL_CHECK_GE(options_.max_cap, options_.min_cap);
-  GTPL_CHECK_GE(options_.initial_cap, options_.min_cap);
-  GTPL_CHECK_LE(options_.initial_cap, options_.max_cap);
-  GTPL_CHECK_GT(options_.decrease_factor, 0.0);
-  GTPL_CHECK_LT(options_.decrease_factor, 1.0);
-  GTPL_CHECK_GE(options_.increase_step, 1);
-  GTPL_CHECK_GE(options_.hysteresis, 1);
-  for (ItemControl& control : items_) {
-    control.cap = static_cast<double>(options_.initial_cap);
-  }
 }
 
 int32_t AdaptiveWindowController::EffectiveCap(
     const ItemControl& control) const {
-  // The continuous cap is kept in [min_cap, max_cap]; the effective integer
-  // cap is its floor, re-floored at min_cap so a multiplicative decrease
-  // that lands between integers still admits at least min_cap requests.
+  // The continuous cap is kept in [kAdaptiveMinCap, kAdaptiveMaxCap]; the
+  // effective integer cap is its floor, re-floored at kAdaptiveMinCap so a
+  // multiplicative decrease that lands between integers still admits at
+  // least that many requests.
   const auto floored = static_cast<int32_t>(std::floor(control.cap));
-  return std::clamp(floored, options_.min_cap, options_.max_cap);
+  return std::clamp(floored, kAdaptiveMinCap, kAdaptiveMaxCap);
 }
 
 int32_t AdaptiveWindowController::CapFor(ItemId item) const {
@@ -50,11 +39,11 @@ int32_t AdaptiveWindowController::NextWindowCap(ItemId item) {
     control.dirty = false;  // decrease already applied at feedback time
   } else {
     ++control.clean_streak;
-    if (control.clean_streak >= options_.hysteresis) {
+    if (control.clean_streak >= kAdaptiveHysteresis) {
       control.clean_streak = 0;
       const double grown =
-          std::min(static_cast<double>(options_.max_cap),
-                   control.cap + static_cast<double>(options_.increase_step));
+          std::min(static_cast<double>(kAdaptiveMaxCap),
+                   control.cap + static_cast<double>(kAdaptiveIncreaseStep));
       if (grown > control.cap) {
         control.cap = grown;
         ++cap_increases_;
@@ -73,8 +62,8 @@ void AdaptiveWindowController::OnAbortFeedback(ItemId item) {
   ItemControl& control = items_[static_cast<size_t>(item)];
   control.dirty = true;
   control.clean_streak = 0;
-  const double shrunk = std::max(static_cast<double>(options_.min_cap),
-                                 control.cap * options_.decrease_factor);
+  const double shrunk = std::max(static_cast<double>(kAdaptiveMinCap),
+                                 control.cap * kAdaptiveDecreaseFactor);
   if (shrunk < control.cap) {
     control.cap = shrunk;
     ++cap_decreases_;

@@ -8,43 +8,33 @@
 
 namespace gtpl::core {
 
-/// Knobs of the per-item adaptive forward-list cap controller (an online
-/// alternative to the static `max_forward_list_length` of Figure 11). Off by
-/// default; when off the engines are bit-identical to the static-cap path.
-struct AdaptiveWindowOptions {
-  /// Master switch. When false no controller is constructed and
-  /// `G2plOptions::max_forward_list_length` applies unchanged.
-  bool enabled = false;
+// Fixed parameters of the per-item adaptive forward-list cap controller
+// (an online alternative to the static `max_forward_list_length` of
+// Figure 11; DESIGN.md §10).
 
-  /// Cap every item starts at. Must lie in [min_cap, max_cap].
-  int32_t initial_cap = 4;
-
-  /// Floor of the effective cap (>= 1: a window always admits one request).
-  int32_t min_cap = 1;
-
-  /// Ceiling of the effective cap.
-  int32_t max_cap = 32;
-
-  /// Multiplicative-decrease factor in (0, 1): applied to the item's cap on
-  /// every deadlock-avoidance or aging abort charged to that item.
-  double decrease_factor = 0.5;
-
-  /// Additive-increase step (requests) applied after `hysteresis`
-  /// consecutive clean windows of the item.
-  int32_t increase_step = 1;
-
-  /// Number of consecutive clean (abort-free) windows an item must complete
-  /// before its cap grows by `increase_step`. >= 1.
-  int32_t hysteresis = 2;
-};
+/// Cap every item starts at.
+inline constexpr int32_t kAdaptiveInitialCap = 4;
+/// Floor of the effective cap: a window always admits one request.
+inline constexpr int32_t kAdaptiveMinCap = 1;
+/// Ceiling of the effective cap.
+inline constexpr int32_t kAdaptiveMaxCap = 32;
+/// Multiplicative decrease applied to an item's cap on every
+/// deadlock-avoidance or aging abort charged to that item.
+inline constexpr double kAdaptiveDecreaseFactor = 0.5;
+/// Additive increase (requests) after `kAdaptiveHysteresis` clean windows.
+inline constexpr int32_t kAdaptiveIncreaseStep = 1;
+/// Consecutive clean (abort-free) windows an item must complete before its
+/// cap grows by `kAdaptiveIncreaseStep`.
+inline constexpr int32_t kAdaptiveHysteresis = 2;
 
 /// Per-item AIMD controller for the effective forward-list cap.
 ///
 /// Signals: every deadlock-avoidance rejection or aging abort that a window
 /// decision charges to an item multiplicatively shrinks that item's cap
-/// (`decrease_factor`), floored at `min_cap`; a window interval that passes
-/// with no such signal counts as "clean", and after `hysteresis` consecutive
-/// clean windows the cap grows by `increase_step`, capped at `max_cap`.
+/// (`kAdaptiveDecreaseFactor`), floored at `kAdaptiveMinCap`; a window
+/// interval that passes with no such signal counts as "clean", and after
+/// `kAdaptiveHysteresis` consecutive clean windows the cap grows by
+/// `kAdaptiveIncreaseStep`, capped at `kAdaptiveMaxCap`.
 ///
 /// Determinism contract: the controller is pure state driven by the
 /// simulation's event order — no clocks, no randomness — so runs with equal
@@ -54,14 +44,14 @@ struct AdaptiveWindowOptions {
 /// manager decides and purges.
 class AdaptiveWindowController {
  public:
-  AdaptiveWindowController(int32_t num_items,
-                           const AdaptiveWindowOptions& options);
+  explicit AdaptiveWindowController(int32_t num_items);
 
   AdaptiveWindowController(const AdaptiveWindowController&) = delete;
   AdaptiveWindowController& operator=(const AdaptiveWindowController&) =
       delete;
 
-  /// The integer cap currently in effect for `item` (in [min_cap, max_cap]).
+  /// The integer cap currently in effect for `item` (in
+  /// [kAdaptiveMinCap, kAdaptiveMaxCap]).
   /// Pure read — no state change (used by read-group expansion checks).
   int32_t CapFor(ItemId item) const;
 
@@ -89,11 +79,10 @@ class AdaptiveWindowController {
   /// Mean end-of-run cap over items that dispatched at least one window.
   double FinalEffectiveCap() const;
 
-  const AdaptiveWindowOptions& options() const { return options_; }
-
  private:
   struct ItemControl {
-    double cap = 0.0;            // continuous cap, clamped to [min, max]
+    // Continuous cap, clamped to [kAdaptiveMinCap, kAdaptiveMaxCap].
+    double cap = static_cast<double>(kAdaptiveInitialCap);
     int32_t clean_streak = 0;    // consecutive clean windows
     bool dirty = false;          // abort feedback since the last window
     bool touched = false;        // dispatched at least one window
@@ -103,7 +92,6 @@ class AdaptiveWindowController {
   double FinalCapSum() const;
   int64_t TouchedItems() const;
 
-  AdaptiveWindowOptions options_;
   std::vector<ItemControl> items_;
   int64_t cap_increases_ = 0;
   int64_t cap_decreases_ = 0;

@@ -13,9 +13,8 @@ WindowManager::WindowManager(int32_t num_items, const G2plOptions& options,
       store_(store),
       callbacks_(std::move(callbacks)),
       items_(static_cast<size_t>(num_items)),
-      adaptive_(options.adaptive.enabled
-                    ? std::make_unique<AdaptiveWindowController>(
-                          num_items, options.adaptive)
+      adaptive_(options.adaptive_window
+                    ? std::make_unique<AdaptiveWindowController>(num_items)
                     : nullptr) {
   GTPL_CHECK_GT(num_items, 0);
   GTPL_CHECK(store_ != nullptr);
@@ -70,30 +69,33 @@ void WindowManager::OnRequest(TxnId txn, SiteId client, ItemId item,
   }
 
   // Read-group expansion (extension, off by default): a shared request may
-  // join a dispatched pure-read window instead of waiting for it to close.
-  // The expanded reader is unordered w.r.t. the group it joins but ordered
-  // after older undrained accessors, which must not already follow it.
+  // join a dispatched pure-read window instead of waiting for it to close,
+  // unless a write is queued for the item. The expanded reader is
+  // unordered w.r.t. the group it joins but ordered after older undrained
+  // accessors, which must not already follow it.
   const bool pure_read_window =
       state.fl != nullptr && state.fl->num_entries() == 1 &&
       state.fl->entry(0).is_read_group;
+  const auto is_write = [](const PendingRequest& r) {
+    return r.mode == LockMode::kExclusive;
+  };
   const int32_t expansion_cap = ExpansionCap(item);
   if (options_.expand_read_groups && mode == LockMode::kShared &&
-      pure_read_window && !state.has_pending_write &&
+      pure_read_window &&
+      std::none_of(state.pending.begin(), state.pending.end(), is_write) &&
       (expansion_cap == 0 || state.fl->num_members() < expansion_cap) &&
       !ReachesOlderAccessor(item, txn)) {
     graph_.PromoteRequestEdgesInto(txn);
     AddAccessorOrderEdges(item, txn, /*skip_current_window=*/true);
     std::vector<FlEntry> entries{state.fl->entry(0)};
     entries[0].members.push_back(FlMember{txn, client});
-    const auto member_index = static_cast<int32_t>(entries[0].members.size() - 1);
     state.fl = std::make_shared<const ForwardList>(std::move(entries));
     state.undrained_members.insert(txn);
     member_of_[txn].push_back(item);
     ++state.returns_expected;
     ++expansions_;
     GTPL_CHECK(callbacks_.expand != nullptr);
-    callbacks_.expand(item, store_->VersionOf(item), state.fl, txn, client,
-                      member_index);
+    callbacks_.expand(item, store_->VersionOf(item), state.fl, txn, client);
     return;
   }
 
@@ -111,7 +113,6 @@ void WindowManager::OnRequest(TxnId txn, SiteId client, ItemId item,
   for (TxnId member : state.undrained_members) {
     graph_.AddEdge(member, txn, kRequestEdge);
   }
-  if (mode == LockMode::kExclusive) state.has_pending_write = true;
   state.pending.push_back(request);
   outstanding_request_[txn] = item;
 }
@@ -181,7 +182,6 @@ void WindowManager::OnTxnAborted(TxnId txn) {
         adaptive_->OnAbortFeedback(it->second);
       }
     }
-    RecomputePendingWriteFlag(state);
     outstanding_request_.erase(it);
   }
   // Leave the waits that flow through the victim (contraction) and take it
@@ -287,7 +287,6 @@ void WindowManager::DispatchWindow(ItemId item) {
                                         static_cast<long>(cap));
   state.pending.erase(state.pending.begin(),
                       state.pending.begin() + static_cast<long>(cap));
-  RecomputePendingWriteFlag(state);
 
   // A batch member that already precedes an undrained past accessor of the
   // item cannot be granted after it without making the grant orders
@@ -411,16 +410,6 @@ bool WindowManager::ReachesOlderAccessor(ItemId item, TxnId txn) {
     if (current.count(accessor) == 0) older.insert(accessor);
   }
   return !graph_.ReachableAmong(txn, older).empty();
-}
-
-void WindowManager::RecomputePendingWriteFlag(ItemState& state) {
-  state.has_pending_write = false;
-  for (const PendingRequest& r : state.pending) {
-    if (r.mode == LockMode::kExclusive) {
-      state.has_pending_write = true;
-      break;
-    }
-  }
 }
 
 double WindowManager::MeanForwardListLength() const {

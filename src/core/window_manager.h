@@ -45,10 +45,11 @@ struct G2plOptions {
   /// (the paper's aging mechanism against cyclic restarts).
   int32_t aging_threshold = std::numeric_limits<int32_t>::max();
 
-  /// Online per-item AIMD tuning of the effective forward-list cap
-  /// (DESIGN.md §10). When enabled it replaces `max_forward_list_length`;
-  /// off by default, and off is bit-identical to the static-cap path.
-  AdaptiveWindowOptions adaptive;
+  /// Online per-item AIMD tuning of the effective forward-list cap, with the
+  /// fixed parameters of core/adaptive_window.h (DESIGN.md §10). When on it
+  /// replaces `max_forward_list_length`; off by default, and off is
+  /// bit-identical to the static-cap path.
+  bool adaptive_window = false;
 };
 
 /// The data servers' window state machine — the core of the g-2PL protocol.
@@ -79,10 +80,10 @@ class WindowManager {
     /// Abort `txn` at `client` (deadlock-avoidance victim).
     std::function<void(TxnId txn, SiteId client)> abort;
     /// Read-group expansion admitted `txn`: ship it a copy of `item` at
-    /// `version`; it occupies `member_index` of entry 0 of `fl`.
+    /// `version`; it is the last member of entry 0 of `fl`.
     std::function<void(ItemId item, Version version,
                        std::shared_ptr<const ForwardList> fl, TxnId txn,
-                       SiteId client, int32_t member_index)>
+                       SiteId client)>
         expand;
     /// Whether `txn` may still be chosen as an abort victim (false once it
     /// committed or is already doomed). Optional; absent = always true.
@@ -134,7 +135,7 @@ class WindowManager {
   /// Mean forward-list length over dispatched windows.
   double MeanForwardListLength() const;
 
-  /// The adaptive cap controller, or null when `adaptive.enabled` is false.
+  /// The adaptive cap controller, or null when `adaptive_window` is false.
   const AdaptiveWindowController* adaptive_controller() const {
     return adaptive_.get();
   }
@@ -155,7 +156,6 @@ class WindowManager {
     int32_t returns_expected = 0;
     int32_t returns_received = 0;
     Version return_version = -1;
-    bool has_pending_write = false;  // disables read-group expansion
     std::deque<PendingRequest> pending;
   };
 
@@ -204,15 +204,13 @@ class WindowManager {
   /// window older than the current one (expansion would be inconsistent).
   bool ReachesOlderAccessor(ItemId item, TxnId txn);
 
-  void RecomputePendingWriteFlag(ItemState& state);
-
   ItemState& StateOf(ItemId item);
 
   G2plOptions options_;
   db::DataStore* store_;
   Callbacks callbacks_;
   std::vector<ItemState> items_;
-  // Non-null iff options_.adaptive.enabled; tunes the per-item cap.
+  // Non-null iff options_.adaptive_window; tunes the per-item cap.
   std::unique_ptr<AdaptiveWindowController> adaptive_;
   // While AbortTxn purges the victim for a decision made at this item, the
   // purge of the victim's own pending entry at the same item must not charge

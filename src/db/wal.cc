@@ -4,13 +4,6 @@
 
 namespace gtpl::db {
 
-int64_t WriteAheadLog::Append(LogRecordKind kind, TxnId txn, ItemId item,
-                              Version version) {
-  const int64_t lsn = next_lsn_++;
-  records_.push_back(LogRecord{lsn, kind, txn, item, version});
-  return lsn;
-}
-
 void WriteAheadLog::Force(int64_t lsn) {
   GTPL_CHECK_LT(lsn, next_lsn_);
   if (lsn <= durable_lsn_) return;
@@ -21,9 +14,6 @@ void WriteAheadLog::Force(int64_t lsn) {
 void WriteAheadLog::TruncateThrough(int64_t lsn) {
   GTPL_CHECK_LE(lsn, durable_lsn_)
       << "cannot garbage-collect records that were never made durable";
-  while (!records_.empty() && records_.front().lsn <= lsn) {
-    records_.pop_front();
-  }
   if (lsn > truncated_lsn_) truncated_lsn_ = lsn;
 }
 

@@ -1,31 +1,10 @@
 #ifndef GTPL_DB_WAL_H_
 #define GTPL_DB_WAL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <vector>
-
-#include "common/types.h"
 
 namespace gtpl::db {
-
-/// Kind of a write-ahead-log record.
-enum class LogRecordKind : uint8_t {
-  kUpdate = 0,   // a client's local update (before-image discipline implied)
-  kCommit = 1,
-  kAbort = 2,
-  kInstall = 3,  // server made a version permanent
-  kPrepare = 4,  // cross-server 2PC: coordinator/participant prepared
-};
-
-/// One WAL record. Contents are not modeled; versions identify updates.
-struct LogRecord {
-  int64_t lsn = 0;
-  LogRecordKind kind = LogRecordKind::kUpdate;
-  TxnId txn = kInvalidTxn;
-  ItemId item = kInvalidItem;
-  Version version = 0;
-};
 
 /// Write-ahead log for one site.
 ///
@@ -34,12 +13,15 @@ struct LogRecord {
 /// made permanent at the server". This class provides that substrate:
 /// append, force (durability point), and truncation once the server
 /// acknowledges permanence. As in the paper's model, which prices a commit
-/// in WAN message rounds, a force costs no simulated time.
+/// in WAN message rounds, a force costs no simulated time. Record contents
+/// are not modeled (recovery is out of scope), so the log keeps only its
+/// LSN counters: records get consecutive LSNs and truncation drops a
+/// prefix.
 class WriteAheadLog {
  public:
   /// Appends a record; returns its LSN. Records are durable once a Force()
-  /// with lsn >= record.lsn completes.
-  int64_t Append(LogRecordKind kind, TxnId txn, ItemId item, Version version);
+  /// with lsn >= the record's LSN completes.
+  int64_t Append() { return next_lsn_++; }
 
   /// Marks everything up to `lsn` durable (a no-op when already durable).
   void Force(int64_t lsn);
@@ -57,15 +39,15 @@ class WriteAheadLog {
   int64_t truncated_lsn() const { return truncated_lsn_; }
 
   /// Records still retained (not yet truncated).
-  const std::deque<LogRecord>& records() const { return records_; }
-  size_t size() const { return records_.size(); }
+  size_t size() const {
+    return static_cast<size_t>(next_lsn_ - 1 - truncated_lsn_);
+  }
 
   /// Total appends / forces performed (for metrics & tests).
   int64_t appends() const { return next_lsn_ - 1; }
   int64_t forces() const { return forces_; }
 
  private:
-  std::deque<LogRecord> records_;
   int64_t next_lsn_ = 1;
   int64_t durable_lsn_ = 0;
   int64_t truncated_lsn_ = 0;

@@ -100,12 +100,6 @@ Status ParseCli(int argc, char** argv, CliOptions* options) {
         return Status::InvalidArgument("bad --lease-max-held");
       }
       options->lease_options.max_held = static_cast<int32_t>(value);
-    } else if (const char* v12 = value_of("--sim-threads=")) {
-      if (!ParseInt64Value(v12, &value) || value < 1 || value > 256) {
-        return Status::InvalidArgument(
-            "bad --sim-threads (must be an integer >= 1)");
-      }
-      options->sim_threads = static_cast<int32_t>(value);
     } else if (arg == "--full") {
       options->scale.measured_txns = 50000;
       options->scale.warmup_txns = 5000;
@@ -122,7 +116,7 @@ Status ParseCli(int argc, char** argv, CliOptions* options) {
       std::fprintf(stderr,
                    "usage: %s [--txns=N] [--warmup=N] [--runs=N] [--seed=N] "
                    "[--jobs=N] [--cc=NAME] [--commit=NAME] [--lease=NAME] "
-                   "[--lease-ttl=N] [--lease-max-held=N] [--sim-threads=N] "
+                   "[--lease-ttl=N] [--lease-max-held=N] "
                    "[--full] [--quick] [--smoke] [--csv=PATH]\n  engines: %s\n"
                    "  commit paths: %s\n  lease modes: %s\n",
                    argv[0], cc::Engines().Names().c_str(),

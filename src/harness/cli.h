@@ -26,10 +26,6 @@ namespace gtpl::harness {
 ///                like --cc)
 ///   --lease-ttl=N  lease lifetime in sim time units (0 = infinite)
 ///   --lease-max-held=N  max unpinned leases a client retains (0 = unlimited)
-///   --sim-threads=N  intra-run worker threads (default 1 = the serial
-///                engine; N > 1 runs the conservative per-shard parallel
-///                engine, bit-identical at any N; strict: 0 or malformed
-///                values fail)
 ///   --full       paper scale: 50000 measured txns, 5 replications
 ///   --quick      smoke scale: 800 measured txns, 2 replications
 ///   --smoke      CI scale: 200 measured txns, 1 replication
@@ -53,9 +49,6 @@ struct CliOptions {
   /// leases, independent of whether --lease itself was passed.
   std::string lease;
   lease::LeaseOptions lease_options;
-  /// Intra-run worker threads from --sim-threads (SimConfig::sim_threads):
-  /// 1 = the legacy serial engine, N > 1 = the parallel per-shard engine.
-  int32_t sim_threads = 1;
 };
 
 /// Strict numeric parsing for CLI flag values (std::from_chars; the whole

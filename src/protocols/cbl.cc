@@ -332,7 +332,7 @@ class CblEngine : public EngineBase {
     EmitRelease(txn, shard, ServerSiteOf(shard),
                 static_cast<int64_t>(updates.size()), "", tracer());
     for (const db::ItemVersion& update : updates) {
-      InstallAtServer(txn, update);
+      InstallAtServer(update);
       ItemCbl& it = items_[static_cast<size_t>(update.item)];
       GTPL_CHECK_EQ(it.x_holder, txn);
       it.x_holder = kInvalidTxn;

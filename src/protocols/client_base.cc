@@ -100,8 +100,7 @@ void RecordOp(TxnRun& run, db::WriteAheadLog& wal) {
       op.mode == LockMode::kExclusive ? run.pending_version + 1 : 0;
   run.records.push_back(record);
   if (op.mode == LockMode::kExclusive) {
-    wal.Append(db::LogRecordKind::kUpdate, run.id, op.item,
-               record.version_written);
+    wal.Append();  // the update record
   }
 }
 
@@ -255,12 +254,10 @@ void EmitRelease(TxnId txn, int32_t shard, SiteId site, int64_t updates,
   tracer.Emit(std::move(event));
 }
 
-void InstallAt(db::DataStore& store, db::WriteAheadLog& wal, TxnId txn,
+void InstallAt(db::DataStore& store, db::WriteAheadLog& wal,
                db::ItemVersion update) {
   store.Install(update.item, update.version);
-  const int64_t lsn = wal.Append(db::LogRecordKind::kInstall, txn,
-                                 update.item, update.version);
-  wal.Force(lsn);
+  wal.Force(wal.Append());  // the install record
 }
 
 // ---------------------------------------------------------------------------
@@ -478,8 +475,7 @@ void EngineBase::CommitLocally(TxnRun& run) {
   ClientState& client = clients_[static_cast<size_t>(run.client_index)];
   // WAL discipline: the commit record is forced before the transaction
   // reports commit.
-  const int64_t commit_lsn = client.wal->Append(db::LogRecordKind::kCommit,
-                                                run.id, kInvalidItem, 0);
+  const int64_t commit_lsn = client.wal->Append();
   client.wal->Force(commit_lsn);
   client.restart_streak = 0;
   RecordCommit(run, sim_.Now(), measuring(), config_.record_history, result_,
@@ -504,8 +500,8 @@ void EngineBase::CommitLocally(TxnRun& run) {
   ScheduleNextTxn(client);
 }
 
-void EngineBase::InstallAtServer(TxnId txn, db::ItemVersion update) {
-  InstallAt(*store_, *server_wal_, txn, update);
+void EngineBase::InstallAtServer(db::ItemVersion update) {
+  InstallAt(*store_, *server_wal_, update);
 }
 
 void EngineBase::MaybeGcClientLogs() {
@@ -611,7 +607,7 @@ void EngineBase::AbortNoticeArrived(TxnId txn, int32_t client_index) {
   TxnRun* run = client.current.get();
   if (run == nullptr || run->id != txn || run->finished) return;
   run->finished = true;
-  client.wal->Append(db::LogRecordKind::kAbort, txn, kInvalidItem, 0);
+  client.wal->Append();  // the abort record
   ++client.restart_streak;
   OnClientAborted(*run);
   ScheduleNextTxn(client);

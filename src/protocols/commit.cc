@@ -97,9 +97,7 @@ void EngineBase::StartClassic(TxnRun& run, std::vector<int32_t> participants,
   ClientState& client = ClientAt(run.client_index);
   // Phase one: the coordinator (client) forces its prepare record, then
   // asks every participant server to vote.
-  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, run.id,
-                                         kInvalidItem, 0);
-  client.wal->Force(lsn);
+  client.wal->Force(client.wal->Append());
   CommitCtx& ctx = run.commit.emplace();
   ctx.votes_pending = static_cast<int32_t>(participants.size());
   ctx.prepares_pending = static_cast<int32_t>(participants.size());
@@ -151,9 +149,7 @@ void EngineBase::StartEarly(TxnRun& run, std::vector<int32_t> participants) {
   // The coordinator still forces its prepare record — the commit point must
   // be recoverable — but the prepares themselves already flew with the
   // operations, so it then only waits for votes not yet home.
-  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, run.id,
-                                         kInvalidItem, 0);
-  client.wal->Force(lsn);
+  client.wal->Force(client.wal->Append());
   GTPL_CHECK(run.early && run.early->active)
       << "kEarly commit without speculative prepares";
   const EarlyCtx& early = *run.early;
@@ -250,9 +246,7 @@ void EngineBase::StartCoord(TxnRun& run, std::vector<int32_t> participants,
   // The client still forces its prepare record, then hands the whole 2PC to
   // the coordinator server: handoff -> prepares -> votes (at the
   // coordinator) -> decisions (from the coordinator) -> ack to the client.
-  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, run.id,
-                                         kInvalidItem, 0);
-  client.wal->Force(lsn);
+  client.wal->Force(client.wal->Append());
   CommitCtx& ctx = run.commit.emplace();
   ctx.votes_pending = static_cast<int32_t>(participants.size());
   ctx.prepares_pending = static_cast<int32_t>(participants.size());
@@ -302,9 +296,7 @@ void EngineBase::OnPrepareArrived(int32_t shard, TxnId txn,
   const bool yes = ShardVote(shard, txn, speculative);
   // The participant forces its own prepare record before voting yes.
   if (yes) {
-    const int64_t lsn = server_wal_->Append(db::LogRecordKind::kPrepare, txn,
-                                            kInvalidItem, 0);
-    server_wal_->Force(lsn);
+    server_wal_->Force(server_wal_->Append());
   }
   TxnRun* run = FindRun(txn);
   if (run == nullptr) return;  // coordinator already moved on; drop the vote
@@ -385,7 +377,7 @@ void EngineBase::OnDecisionArrived(int32_t shard, TxnId txn) {
     event.site = ServerSiteOf(shard);
     tracer_.Emit(std::move(event));
   }
-  server_wal_->Append(db::LogRecordKind::kCommit, txn, kInvalidItem, 0);
+  server_wal_->Append();  // the decision record
   OnCommitDecision(shard, txn);
 }
 

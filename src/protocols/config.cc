@@ -2,16 +2,6 @@
 
 namespace gtpl::proto {
 
-const char* ToString(ShardRouting routing) {
-  switch (routing) {
-    case ShardRouting::kHash:
-      return "hash";
-    case ShardRouting::kRange:
-      return "range";
-  }
-  return "unknown";
-}
-
 Status SimConfig::Validate() const {
   if (num_clients < 1) {
     return Status::InvalidArgument("num_clients must be >= 1");
@@ -104,29 +94,6 @@ Status SimConfig::Validate() const {
   }
   if (g2pl.aging_threshold < 0) {
     return Status::InvalidArgument("aging_threshold must be >= 0");
-  }
-  if (g2pl.adaptive.enabled) {
-    const core::AdaptiveWindowOptions& a = g2pl.adaptive;
-    if (a.min_cap < 1) {
-      return Status::InvalidArgument("adaptive min_cap must be >= 1");
-    }
-    if (a.max_cap < a.min_cap) {
-      return Status::InvalidArgument("adaptive max_cap must be >= min_cap");
-    }
-    if (a.initial_cap < a.min_cap || a.initial_cap > a.max_cap) {
-      return Status::InvalidArgument(
-          "adaptive initial_cap must be in [min_cap, max_cap]");
-    }
-    if (a.decrease_factor <= 0.0 || a.decrease_factor >= 1.0) {
-      return Status::InvalidArgument(
-          "adaptive decrease_factor must be in (0,1)");
-    }
-    if (a.increase_step < 1) {
-      return Status::InvalidArgument("adaptive increase_step must be >= 1");
-    }
-    if (a.hysteresis < 1) {
-      return Status::InvalidArgument("adaptive hysteresis must be >= 1");
-    }
   }
   if (max_sim_time < 0) {
     return Status::InvalidArgument("max_sim_time must be >= 0");

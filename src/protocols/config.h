@@ -1,7 +1,6 @@
 #ifndef GTPL_PROTOCOLS_CONFIG_H_
 #define GTPL_PROTOCOLS_CONFIG_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -34,15 +33,6 @@ enum class Protocol {
 /// label, so this is defined in cc/registry.cc.
 const char* ToString(Protocol protocol);
 
-/// How a sharded server group partitions the item space (extension; the
-/// paper's model is a single server owning every item).
-enum class ShardRouting {
-  kHash = 0,   // item % num_servers
-  kRange = 1,  // contiguous ranges of ceil(num_items / num_servers) items
-};
-
-const char* ToString(ShardRouting routing);
-
 /// Full configuration of one simulation run (paper Table 1 defaults:
 /// 1 server, 50 clients, 25 hot items, 1-5 items/txn, think U[1,3],
 /// idle U[2,10], MPL 1, latency swept over Table 2).
@@ -56,9 +46,9 @@ struct SimConfig {
   /// engines; N > 1 runs the sharded engines with client-coordinated
   /// two-phase commit across the servers a transaction touched. Server 0
   /// keeps site id kServerSite (0); extra server k >= 1 gets site id
-  /// num_clients + k.
+  /// num_clients + k. Items are hash-routed: item i lives on shard
+  /// i % num_servers (ShardOf).
   int32_t num_servers = 1;
-  ShardRouting shard_routing = ShardRouting::kHash;
 
   /// Cross-server commit-path variant (protocols/commit.h, DESIGN.md §13).
   /// kClassic (default) is bit-identical to the pre-registry 2PC; the other
@@ -174,14 +164,8 @@ struct SimConfig {
   Status Validate() const;
 };
 
-/// Shard owning `item` under the configured routing.
+/// Shard owning `item`: hash routing, item % num_servers.
 inline int32_t ShardOf(const SimConfig& config, ItemId item) {
-  if (config.shard_routing == ShardRouting::kRange) {
-    const int32_t items_per_shard =
-        (config.workload.num_items + config.num_servers - 1) /
-        config.num_servers;
-    return std::min(item / items_per_shard, config.num_servers - 1);
-  }
   return item % config.num_servers;
 }
 

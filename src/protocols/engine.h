@@ -155,7 +155,7 @@ void RecordGrant(TxnRun& run, SimTime wait, SimTime propagation,
                  obs::Tracer& tracer);
 
 /// Appends `run`'s current operation to its records; a write also appends
-/// its kUpdate record to the client's `wal`.
+/// its update record to the client's `wal`.
 void RecordOp(TxnRun& run, db::WriteAheadLog& wal);
 
 /// The last vote of `run`'s 2PC round `ctx` came home at `now`, all yes:
@@ -199,7 +199,7 @@ void EmitRelease(TxnId txn, int32_t shard, SiteId site, int64_t updates,
 
 /// Installs `update` in `store` and forces the install record to the
 /// server's `wal`.
-void InstallAt(db::DataStore& store, db::WriteAheadLog& wal, TxnId txn,
+void InstallAt(db::DataStore& store, db::WriteAheadLog& wal,
                db::ItemVersion update);
 
 /// The one base of every serial protocol engine. It owns:
@@ -400,7 +400,7 @@ class EngineBase {
 
   /// Installs `update` at its server and forces the install record to the
   /// server WAL — the durability step of every commit path.
-  void InstallAtServer(TxnId txn, db::ItemVersion update);
+  void InstallAtServer(db::ItemVersion update);
 
   /// Client-log garbage collection (the paper's recovery assumption: "each
   /// site uses WAL and garbage collects its log once the data are made

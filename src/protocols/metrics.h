@@ -160,7 +160,7 @@ struct RunResult {
   int64_t read_group_expansions = 0;
 
   // Adaptive collection-window controller (g-2PL with
-  // g2pl.adaptive.enabled; all 0 otherwise). `mean_effective_cap` averages
+  // g2pl.adaptive_window; all 0 otherwise). `mean_effective_cap` averages
   // the cap consulted at every window dispatch; `final_effective_cap`
   // averages the end-of-run cap over items that dispatched at least one
   // window; the counters tally caps that actually moved.

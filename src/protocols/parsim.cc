@@ -310,9 +310,7 @@ void ParallelEngine::StartCommit(ClientState& client) {
   CommitCtx& ctx = run.commit.emplace();
   ctx.votes_pending = static_cast<int32_t>(participants.size());
   ctx.participants = std::move(participants);
-  const int64_t lsn = client.wal->Append(db::LogRecordKind::kPrepare, run.id,
-                                         kInvalidItem, 0);
-  client.wal->Force(lsn);
+  client.wal->Force(client.wal->Append());
   const int32_t lp = LpOfClient(client.index);
   for (int32_t shard : ctx.participants) {
     SendMsg(lp, shard, run.site(), ServerSiteOf(config_, shard),
@@ -325,9 +323,7 @@ void ParallelEngine::StartCommit(ClientState& client) {
 
 void ParallelEngine::StartLocalCommit(ClientState& client) {
   TxnRun& run = *client.current;
-  const int64_t lsn = client.wal->Append(db::LogRecordKind::kCommit, run.id,
-                                         kInvalidItem, 0);
-  client.wal->Force(lsn);
+  client.wal->Force(client.wal->Append());  // the commit record
   const int32_t lp = LpOfClient(client.index);
   RecordCommit(run, psim_->lp(lp).Now(), measuring_, config_.record_history,
                slices_[static_cast<size_t>(lp)], TracerOf(lp));
@@ -346,9 +342,7 @@ void ParallelEngine::ServerOnPrepare(int32_t shard, TxnId txn,
   // participant forces its own prepare record before voting.
   Shard& state = shards_[static_cast<size_t>(shard)];
   EmitPrepare(txn, shard, ServerSiteOf(config_, shard), "", TracerOf(shard));
-  const int64_t lsn =
-      state.wal->Append(db::LogRecordKind::kPrepare, txn, kInvalidItem, 0);
-  state.wal->Force(lsn);
+  state.wal->Force(state.wal->Append());
   SendMsg(shard, LpOfClient(client_index), ServerSiteOf(config_, shard),
           client_index + 1, net::kControlPayload, [this, client_index, txn,
                                                   shard] {
@@ -475,7 +469,7 @@ void ParallelEngine::ServerOnRelease(int32_t shard, TxnId txn,
               static_cast<int64_t>(updates.size()), "", TracerOf(shard));
   Shard& state = shards_[static_cast<size_t>(shard)];
   for (const db::ItemVersion& update : updates) {
-    InstallAt(*state.store, *state.wal, txn, update);
+    InstallAt(*state.store, *state.wal, update);
   }
   // Continuous server checkpointing (as in the serial engines): installed
   // versions are already in the store, so the whole log truncates.
@@ -504,7 +498,7 @@ void ParallelEngine::ClientOnAbortNotice(int32_t client_index, TxnId txn,
   TxnRun* run = client.current.get();
   if (run == nullptr || run->id != txn || run->finished) return;
   run->finished = true;
-  client.wal->Append(db::LogRecordKind::kAbort, txn, kInvalidItem, 0);
+  client.wal->Append();  // the abort record
   // Release the victim's locks on every other shard it touched (the
   // deciding shard already dropped them at decision time).
   const int32_t src_lp = LpOfClient(client_index);

@@ -26,9 +26,8 @@ ShardedG2plEngine::ShardedG2plEngine(const SimConfig& config)
   };
   callbacks.expand = [this](ItemId item, Version version,
                             std::shared_ptr<const core::ForwardList> fl,
-                            TxnId txn, SiteId client_site,
-                            int32_t member_index) {
-    WmExpand(item, version, std::move(fl), txn, client_site, member_index);
+                            TxnId txn, SiteId client_site) {
+    WmExpand(item, version, std::move(fl), txn, client_site);
   };
   callbacks.can_abort = [this](TxnId txn) {
     TxnRun* run = FindRun(txn);
@@ -111,14 +110,12 @@ void ShardedG2plEngine::WmDispatch(
 
 void ShardedG2plEngine::WmExpand(ItemId item, Version version,
                                  std::shared_ptr<const core::ForwardList> fl,
-                                 TxnId txn, SiteId client_site,
-                                 int32_t member_index) {
+                                 TxnId txn, SiteId client_site) {
   EmitWindow(obs::EventKind::kWindowExpand, txn, item, version, *fl);
   EnsureTxn(txn, client_site - 1).slots.emplace_back().item = item;
   network().Send(ServerSiteOf(ShardOf(item)), client_site, "data(expand)",
-                 [this, txn, item, version, fl = std::move(fl),
-                  member_index] {
-                   OnData(txn, item, version, fl, 0, member_index, 0);
+                 [this, txn, item, version, fl = std::move(fl)] {
+                   OnData(txn, item, version, fl, 0, 0);
                  });
 }
 
@@ -134,17 +131,16 @@ void ShardedG2plEngine::DeliverToEntry(
     network().Send(
         from_site, writer.client, "data",
         [this, txn = writer.txn, item, version, fl, entry_index] {
-          OnData(txn, item, version, fl, entry_index, 0, 0);
+          OnData(txn, item, version, fl, entry_index, 0);
         },
         payload);
     return;
   }
-  for (int32_t j = 0; j < entry.size(); ++j) {
-    const core::FlMember reader = entry.members[static_cast<size_t>(j)];
+  for (const core::FlMember& reader : entry.members) {
     network().Send(
         from_site, reader.client, "data(copy)",
-        [this, txn = reader.txn, item, version, fl, entry_index, j] {
-          OnData(txn, item, version, fl, entry_index, j, 0);
+        [this, txn = reader.txn, item, version, fl, entry_index] {
+          OnData(txn, item, version, fl, entry_index, 0);
         },
         payload);
   }
@@ -156,7 +152,7 @@ void ShardedG2plEngine::DeliverToEntry(
         from_site, writer.client, "data(early)",
         [this, txn = writer.txn, item, version, fl, entry_index,
          releases = entry.size()] {
-          OnData(txn, item, version, fl, entry_index + 1, 0, releases);
+          OnData(txn, item, version, fl, entry_index + 1, releases);
         },
         payload);
   }
@@ -164,8 +160,7 @@ void ShardedG2plEngine::DeliverToEntry(
 
 void ShardedG2plEngine::OnData(TxnId txn, ItemId item, Version version,
                                std::shared_ptr<const core::ForwardList> fl,
-                               int32_t entry_index, int32_t member_index,
-                               int32_t early_releases) {
+                               int32_t entry_index, int32_t early_releases) {
   auto state = txns_.find(txn);
   if (state == txns_.end()) return;  // drained
   TxnState& ts = state->second;
@@ -175,7 +170,6 @@ void ShardedG2plEngine::OnData(TxnId txn, ItemId item, Version version,
   } else {
     ob.fl = std::move(fl);
     ob.entry = entry_index;
-    ob.member = member_index;
     ob.is_writer = !ob.fl->entry(entry_index).is_read_group;
     ob.data_arrived = true;
     ob.version = version;
@@ -207,7 +201,6 @@ void ShardedG2plEngine::OnReaderRelease(
   if (ob.fl == nullptr) {
     ob.fl = std::move(fl);
     ob.entry = writer_entry_index;
-    ob.member = 0;
     ob.is_writer = true;
     GTPL_CHECK_GT(writer_entry_index, 0);
     ob.releases_needed = ob.fl->entry(writer_entry_index - 1).size();

@@ -49,7 +49,6 @@ class ShardedG2plEngine : public EngineBase {
     ItemId item = kInvalidItem;
     std::shared_ptr<const core::ForwardList> fl;
     int32_t entry = 0;
-    int32_t member = 0;
     bool is_writer = false;
     bool data_arrived = false;
     Version version = -1;
@@ -82,15 +81,14 @@ class ShardedG2plEngine : public EngineBase {
                   std::shared_ptr<const core::ForwardList> fl);
   void WmExpand(ItemId item, Version version,
                 std::shared_ptr<const core::ForwardList> fl, TxnId txn,
-                SiteId client_site, int32_t member_index);
+                SiteId client_site);
 
   void DeliverToEntry(SiteId from_site, ItemId item, Version version,
                       std::shared_ptr<const core::ForwardList> fl,
                       int32_t entry_index);
   void OnData(TxnId txn, ItemId item, Version version,
               std::shared_ptr<const core::ForwardList> fl,
-              int32_t entry_index, int32_t member_index,
-              int32_t early_releases);
+              int32_t entry_index, int32_t early_releases);
   void OnReaderRelease(TxnId writer_txn, ItemId item, Version version,
                        std::shared_ptr<const core::ForwardList> fl,
                        int32_t writer_entry_index);

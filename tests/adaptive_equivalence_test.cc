@@ -1,12 +1,8 @@
-// Standing equivalence suite for the adaptive collection-window controller
-// (ISSUE 4 acceptance): with `g2pl.adaptive.enabled == false` every engine
-// must be bit-identical to the pre-controller code, even when the adaptive
-// knobs are set — the gate is the single `enabled` flag. A second family
-// pins the "neutral-armed" identity: a controller pinned to a single cap
-// (min == max == initial == C) behaves exactly like the static cap C, so
-// the controller's dispatch-path plumbing provably adds no behavior of its
-// own. Finally, adaptive runs themselves are deterministic, single-server
-// and 4-way sharded.
+// Standing equivalence suite for the adaptive collection-window controller:
+// `g2pl.adaptive_window` is read only by the g-2PL window manager, so every
+// other engine runs bit-identically with it on, single-server and 4-way
+// sharded. Adaptive g-2PL runs themselves are deterministic at both shard
+// counts.
 
 #include <gtest/gtest.h>
 
@@ -26,11 +22,9 @@ void ExpectSameWelford(const stats::Welford& a, const stats::Welford& b,
 }
 
 /// Field-for-field equality of everything the protocol *does* — metrics,
-/// event counts, traffic, the committed history, and the whole
-/// observability trace. The adaptive cap telemetry is compared separately
-/// (a pinned controller reports its cap where the static path reports
-/// zeros).
-void ExpectSameBehavior(const RunResult& a, const RunResult& b) {
+/// event counts, traffic, the committed history, the whole observability
+/// trace — and of the adaptive cap telemetry.
+void ExpectSameResult(const RunResult& a, const RunResult& b) {
   ExpectSameWelford(a.response, b.response, "response");
   ExpectSameWelford(a.op_wait, b.op_wait, "op_wait");
   ExpectSameWelford(a.abort_age, b.abort_age, "abort_age");
@@ -76,10 +70,6 @@ void ExpectSameBehavior(const RunResult& a, const RunResult& b) {
   for (size_t i = 0; i < a.obs_trace.size(); ++i) {
     ASSERT_TRUE(a.obs_trace[i] == b.obs_trace[i]) << "trace event " << i;
   }
-}
-
-void ExpectSameResult(const RunResult& a, const RunResult& b) {
-  ExpectSameBehavior(a, b);
   EXPECT_EQ(a.mean_effective_cap, b.mean_effective_cap);
   EXPECT_EQ(a.final_effective_cap, b.final_effective_cap);
   EXPECT_EQ(a.cap_increases, b.cap_increases);
@@ -101,86 +91,27 @@ SimConfig BaseConfig(Protocol protocol) {
   return config;
 }
 
-/// Sets every adaptive knob to a non-default value but leaves the master
-/// switch off: nothing downstream may change.
-void ArmKnobsDisabled(SimConfig* config) {
-  config->g2pl.adaptive.enabled = false;
-  config->g2pl.adaptive.initial_cap = 2;
-  config->g2pl.adaptive.min_cap = 2;
-  config->g2pl.adaptive.max_cap = 6;
-  config->g2pl.adaptive.decrease_factor = 0.25;
-  config->g2pl.adaptive.increase_step = 3;
-  config->g2pl.adaptive.hysteresis = 1;
-}
-
-TEST(AdaptiveEquivalenceTest, DisabledControllerIsInertForEveryProtocol) {
-  for (Protocol protocol : {Protocol::kS2pl, Protocol::kG2pl, Protocol::kC2pl,
-                            Protocol::kCbl, Protocol::kO2pl}) {
-    SimConfig config = BaseConfig(protocol);
-    const RunResult baseline = RunSimulation(config);
-    ArmKnobsDisabled(&config);
-    const RunResult armed = RunSimulation(config);
-    ASSERT_FALSE(baseline.timed_out) << ToString(protocol);
-    ExpectSameResult(baseline, armed);
+TEST(AdaptiveEquivalenceTest, SwitchIsInertOutsideG2pl) {
+  for (int32_t servers : {1, 4}) {
+    for (Protocol protocol : {Protocol::kS2pl, Protocol::kC2pl,
+                              Protocol::kCbl, Protocol::kO2pl}) {
+      SimConfig config = BaseConfig(protocol);
+      config.num_servers = servers;
+      const RunResult baseline = RunSimulation(config);
+      config.g2pl.adaptive_window = true;
+      const RunResult switched = RunSimulation(config);
+      ASSERT_FALSE(baseline.timed_out)
+          << ToString(protocol) << " at " << servers << " server(s)";
+      ExpectSameResult(baseline, switched);
+    }
   }
-}
-
-TEST(AdaptiveEquivalenceTest, DisabledControllerIsInertUnderSharding) {
-  for (Protocol protocol : {Protocol::kS2pl, Protocol::kG2pl}) {
-    SimConfig config = BaseConfig(protocol);
-    config.num_servers = 4;
-    const RunResult baseline = RunSimulation(config);
-    ArmKnobsDisabled(&config);
-    const RunResult armed = RunSimulation(config);
-    ASSERT_FALSE(baseline.timed_out) << ToString(protocol);
-    ExpectSameResult(baseline, armed);
-  }
-}
-
-/// A controller pinned to one cap value must reproduce the static cap's
-/// behavior bit for bit — on the plain engine and 4-way sharded, with and
-/// without aging in play.
-void RunPinnedEquivalence(SimConfig config, int32_t cap) {
-  config.g2pl.max_forward_list_length = cap;
-  config.g2pl.adaptive.enabled = false;
-  const RunResult statically_capped = RunSimulation(config);
-  config.g2pl.max_forward_list_length = 0;
-  config.g2pl.adaptive.enabled = true;
-  config.g2pl.adaptive.initial_cap = cap;
-  config.g2pl.adaptive.min_cap = cap;
-  config.g2pl.adaptive.max_cap = cap;
-  const RunResult pinned = RunSimulation(config);
-  ASSERT_FALSE(statically_capped.timed_out);
-  ExpectSameBehavior(statically_capped, pinned);
-  // The pinned controller's telemetry is the pinned cap itself.
-  EXPECT_EQ(pinned.mean_effective_cap, static_cast<double>(cap));
-  EXPECT_EQ(pinned.cap_increases, 0);
-  EXPECT_EQ(pinned.cap_decreases, 0);
-}
-
-TEST(AdaptiveEquivalenceTest, PinnedControllerMatchesStaticCap) {
-  RunPinnedEquivalence(BaseConfig(Protocol::kG2pl), 3);
-}
-
-TEST(AdaptiveEquivalenceTest, PinnedControllerMatchesStaticCapWithAging) {
-  SimConfig config = BaseConfig(Protocol::kG2pl);
-  config.g2pl.aging_threshold = 2;
-  RunPinnedEquivalence(config, 2);
-}
-
-TEST(AdaptiveEquivalenceTest, PinnedControllerMatchesStaticCapSharded) {
-  SimConfig config = BaseConfig(Protocol::kG2pl);
-  config.num_servers = 4;
-  RunPinnedEquivalence(config, 3);
 }
 
 TEST(AdaptiveEquivalenceTest, AdaptiveRunsAreDeterministic) {
   for (int32_t servers : {1, 4}) {
     SimConfig config = BaseConfig(Protocol::kG2pl);
     config.num_servers = servers;
-    config.g2pl.adaptive.enabled = true;
-    config.g2pl.adaptive.initial_cap = 3;
-    config.g2pl.adaptive.max_cap = 8;
+    config.g2pl.adaptive_window = true;
     config.g2pl.aging_threshold = 2;
     const RunResult a = RunSimulation(config);
     const RunResult b = RunSimulation(config);

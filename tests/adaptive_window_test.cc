@@ -15,20 +15,13 @@
 namespace gtpl::core {
 namespace {
 
-AdaptiveWindowOptions SmallOptions() {
-  AdaptiveWindowOptions options;
-  options.enabled = true;
-  options.initial_cap = 4;
-  options.min_cap = 1;
-  options.max_cap = 8;
-  options.decrease_factor = 0.5;
-  options.increase_step = 1;
-  options.hysteresis = 2;
-  return options;
-}
+// The cases below are written against these values.
+static_assert(kAdaptiveInitialCap == 4 && kAdaptiveMinCap == 1 &&
+              kAdaptiveMaxCap == 32 && kAdaptiveDecreaseFactor == 0.5 &&
+              kAdaptiveIncreaseStep == 1 && kAdaptiveHysteresis == 2);
 
 TEST(AdaptiveWindowControllerTest, StartsAtInitialCap) {
-  AdaptiveWindowController ctl(3, SmallOptions());
+  AdaptiveWindowController ctl(3);
   EXPECT_EQ(ctl.CapFor(0), 4);
   EXPECT_EQ(ctl.CapFor(2), 4);
   EXPECT_EQ(ctl.cap_increases(), 0);
@@ -39,7 +32,7 @@ TEST(AdaptiveWindowControllerTest, StartsAtInitialCap) {
 }
 
 TEST(AdaptiveWindowControllerTest, AdditiveIncreaseAfterHysteresisWindows) {
-  AdaptiveWindowController ctl(1, SmallOptions());
+  AdaptiveWindowController ctl(1);
   // First window only marks the item; growth needs `hysteresis` *completed*
   // clean intervals after it.
   EXPECT_EQ(ctl.NextWindowCap(0), 4);
@@ -52,33 +45,32 @@ TEST(AdaptiveWindowControllerTest, AdditiveIncreaseAfterHysteresisWindows) {
 }
 
 TEST(AdaptiveWindowControllerTest, MultiplicativeDecreaseOnFeedback) {
-  AdaptiveWindowOptions options = SmallOptions();
-  options.initial_cap = 8;
-  AdaptiveWindowController ctl(1, options);
-  ctl.OnAbortFeedback(0);
-  EXPECT_EQ(ctl.CapFor(0), 4);
+  AdaptiveWindowController ctl(1);
   ctl.OnAbortFeedback(0);
   EXPECT_EQ(ctl.CapFor(0), 2);
   ctl.OnAbortFeedback(0);
-  EXPECT_EQ(ctl.CapFor(0), 1);  // floor at min_cap
-  EXPECT_EQ(ctl.cap_decreases(), 3);
+  EXPECT_EQ(ctl.CapFor(0), 1);  // floor at kAdaptiveMinCap
+  EXPECT_EQ(ctl.cap_decreases(), 2);
   // At the floor, feedback no longer counts as an adjustment.
   ctl.OnAbortFeedback(0);
   EXPECT_EQ(ctl.CapFor(0), 1);
-  EXPECT_EQ(ctl.cap_decreases(), 3);
+  EXPECT_EQ(ctl.cap_decreases(), 2);
 }
 
 TEST(AdaptiveWindowControllerTest, FractionalCapFloorsAboveMin) {
-  AdaptiveWindowOptions options = SmallOptions();
-  options.initial_cap = 3;
-  AdaptiveWindowController ctl(1, options);
-  ctl.OnAbortFeedback(0);  // 3 * 0.5 = 1.5
+  AdaptiveWindowController ctl(1);
+  EXPECT_EQ(ctl.NextWindowCap(0), 4);
+  EXPECT_EQ(ctl.NextWindowCap(0), 4);
+  EXPECT_EQ(ctl.NextWindowCap(0), 5);
+  ctl.OnAbortFeedback(0);  // 5 * 0.5 = 2.5
+  EXPECT_EQ(ctl.CapFor(0), 2);
+  ctl.OnAbortFeedback(0);  // 1.25
   EXPECT_EQ(ctl.CapFor(0), 1);
-  EXPECT_EQ(ctl.cap_decreases(), 1);
+  EXPECT_EQ(ctl.cap_decreases(), 2);
 }
 
 TEST(AdaptiveWindowControllerTest, FeedbackResetsHysteresisStreak) {
-  AdaptiveWindowController ctl(1, SmallOptions());
+  AdaptiveWindowController ctl(1);
   EXPECT_EQ(ctl.NextWindowCap(0), 4);
   EXPECT_EQ(ctl.NextWindowCap(0), 4);  // streak 1 of 2
   ctl.OnAbortFeedback(0);              // cap -> 2, streak reset
@@ -90,16 +82,20 @@ TEST(AdaptiveWindowControllerTest, FeedbackResetsHysteresisStreak) {
 }
 
 TEST(AdaptiveWindowControllerTest, ClampsAtMaxCap) {
-  AdaptiveWindowOptions options = SmallOptions();
-  options.initial_cap = 8;  // == max_cap
-  options.hysteresis = 1;
-  AdaptiveWindowController ctl(1, options);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(ctl.NextWindowCap(0), 8);
-  EXPECT_EQ(ctl.cap_increases(), 0);  // pinned at the ceiling, never "moved"
+  AdaptiveWindowController ctl(1);
+  EXPECT_EQ(ctl.NextWindowCap(0), 4);
+  // Every second clean window grows the cap by one: 28 steps reach 32.
+  for (int32_t cap = 5; cap <= 32; ++cap) {
+    EXPECT_EQ(ctl.NextWindowCap(0), cap - 1);
+    EXPECT_EQ(ctl.NextWindowCap(0), cap);
+  }
+  EXPECT_EQ(ctl.cap_increases(), 28);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(ctl.NextWindowCap(0), 32);
+  EXPECT_EQ(ctl.cap_increases(), 28);  // pinned at the ceiling, never "moved"
 }
 
 TEST(AdaptiveWindowControllerTest, ItemsAdaptIndependently) {
-  AdaptiveWindowController ctl(2, SmallOptions());
+  AdaptiveWindowController ctl(2);
   ctl.NextWindowCap(0);
   ctl.NextWindowCap(1);
   ctl.OnAbortFeedback(0);
@@ -108,7 +104,7 @@ TEST(AdaptiveWindowControllerTest, ItemsAdaptIndependently) {
 }
 
 TEST(AdaptiveWindowControllerTest, TracksMeanAndFinalCapOverTouchedItems) {
-  AdaptiveWindowController ctl(4, SmallOptions());
+  AdaptiveWindowController ctl(4);
   EXPECT_EQ(ctl.NextWindowCap(0), 4);
   EXPECT_EQ(ctl.NextWindowCap(1), 4);
   ctl.OnAbortFeedback(0);
@@ -134,8 +130,8 @@ TEST(AdaptiveWindowControllerTest, ReplayedSignalSequenceIsBitIdentical) {
       if (round % 11 == 0) ctl->OnAbortFeedback((item + 1) % 3);
     }
   };
-  AdaptiveWindowController a(3, SmallOptions());
-  AdaptiveWindowController b(3, SmallOptions());
+  AdaptiveWindowController a(3);
+  AdaptiveWindowController b(3);
   std::vector<int32_t> samples_a;
   std::vector<int32_t> samples_b;
   drive(&a, &samples_a);
@@ -169,7 +165,7 @@ class AdaptiveWindowManagerTest : public ::testing::Test {
     };
     callbacks.expand = [this](ItemId, Version,
                               std::shared_ptr<const ForwardList>, TxnId txn,
-                              SiteId, int32_t) { expansions_.push_back(txn); };
+                              SiteId) { expansions_.push_back(txn); };
     wm_ = std::make_unique<WindowManager>(4, options, &store_, callbacks);
   }
 
@@ -188,32 +184,31 @@ TEST_F(AdaptiveWindowManagerTest, ControllerAbsentWhenDisabled) {
 
 TEST_F(AdaptiveWindowManagerTest, AdaptiveCapLimitsDispatchBatch) {
   G2plOptions options;
-  options.adaptive = SmallOptions();
-  options.adaptive.initial_cap = 2;
+  options.adaptive_window = true;
   Init(options);
   ASSERT_NE(wm_->adaptive_controller(), nullptr);
   wm_->OnRequest(1, 1, 0, LockMode::kExclusive, 0);
-  for (TxnId t = 2; t <= 6; ++t) {
+  for (TxnId t = 2; t <= 7; ++t) {
     wm_->OnRequest(t, static_cast<SiteId>(t), 0, LockMode::kExclusive, 0);
   }
   wm_->OnTxnDrained(1);
   wm_->OnReturn(0, 1);
-  // The second window honors the adaptive cap (2), not the static cap (0 =
-  // unbounded): 2 of the 5 waiters are granted, 3 stay pending.
+  // The second window honors the adaptive cap (4), not the static cap (0 =
+  // unbounded): 4 of the 6 waiters are granted, 2 stay pending.
   ASSERT_EQ(dispatched_sizes_.size(), 2u);
-  EXPECT_EQ(dispatched_sizes_[1], 2);
-  EXPECT_EQ(wm_->PendingCount(0), 3);
+  EXPECT_EQ(dispatched_sizes_[1], 4);
+  EXPECT_EQ(wm_->PendingCount(0), 2);
 }
 
 TEST_F(AdaptiveWindowManagerTest, DispatchAbortFeedbackShrinksItemCap) {
   // A deadlock resolved by the dispatch-time pending sweep, not at request
   // time: T4 structurally precedes T2 (item 1's grant order), then queues
-  // for item 0 behind T2 and T3. With the cap at 2, the batch [T2 T3] goes
-  // out and the leftover T4 already precedes a batch member — it is aborted
-  // at dispatch, and the controller shrinks *item 0's* cap.
+  // for item 0 behind T2, T3, T5 and T6. With the cap at 4, the batch
+  // [T2 T3 T5 T6] goes out and the leftover T4 already precedes a batch
+  // member — it is aborted at dispatch, and the controller shrinks *item
+  // 0's* cap.
   G2plOptions options;
-  options.adaptive = SmallOptions();
-  options.adaptive.initial_cap = 2;
+  options.adaptive_window = true;
   Init(options);
   wm_->OnRequest(4, 4, 1, LockMode::kExclusive, 0);  // T4 holds item 1
   wm_->OnRequest(1, 1, 0, LockMode::kExclusive, 0);  // T1 holds item 0
@@ -221,20 +216,22 @@ TEST_F(AdaptiveWindowManagerTest, DispatchAbortFeedbackShrinksItemCap) {
   wm_->OnReturn(1, 1);  // [W{T2}] at item 1: structural edge T4 -> T2
   wm_->OnRequest(2, 2, 0, LockMode::kExclusive, 0);  // T2 pending item 0
   wm_->OnRequest(3, 3, 0, LockMode::kExclusive, 0);  // T3 pending item 0
-  wm_->OnRequest(4, 4, 0, LockMode::kExclusive, 0);  // T4 queues third
-  EXPECT_EQ(wm_->adaptive_controller()->CapFor(0), 2);
+  wm_->OnRequest(5, 5, 0, LockMode::kExclusive, 0);  // T5 pending item 0
+  wm_->OnRequest(6, 6, 0, LockMode::kExclusive, 0);  // T6 pending item 0
+  wm_->OnRequest(4, 4, 0, LockMode::kExclusive, 0);  // T4 queues fifth
+  EXPECT_EQ(wm_->adaptive_controller()->CapFor(0), 4);
   EXPECT_TRUE(aborts_.empty());
-  wm_->OnReturn(0, 1);  // batch [T2 T3]; leftover T4 precedes T2: doomed
+  wm_->OnReturn(0, 1);  // batch [T2 T3 T5 T6]; leftover T4 precedes T2
   ASSERT_EQ(aborts_.size(), 1u);
   EXPECT_EQ(aborts_[0], 4);
   EXPECT_EQ(wm_->aborts_at_dispatch_pending(), 1);
   EXPECT_EQ(wm_->aborts_at_dispatch_batch(), 0);
   ASSERT_FALSE(dispatched_sizes_.empty());
-  EXPECT_EQ(dispatched_sizes_.back(), 2);
+  EXPECT_EQ(dispatched_sizes_.back(), 4);
   EXPECT_EQ(wm_->PendingCount(0), 0);
   // One multiplicative decrease at item 0; item 1 is untouched.
-  EXPECT_EQ(wm_->adaptive_controller()->CapFor(0), 1);
-  EXPECT_EQ(wm_->adaptive_controller()->CapFor(1), 2);
+  EXPECT_EQ(wm_->adaptive_controller()->CapFor(0), 2);
+  EXPECT_EQ(wm_->adaptive_controller()->CapFor(1), 4);
   EXPECT_EQ(wm_->adaptive_controller()->cap_decreases(), 1);
 }
 
@@ -242,7 +239,7 @@ TEST_F(AdaptiveWindowManagerTest, RequestAbortFeedbackChargesDecisionItem) {
   // The paper's read-deadlock shape (§3.3): the cycle closes at request
   // time on item 0, so item 0's controller takes the hit.
   G2plOptions options;
-  options.adaptive = SmallOptions();
+  options.adaptive_window = true;
   Init(options);
   wm_->OnRequest(1, 1, 0, LockMode::kShared, 0);
   wm_->OnRequest(2, 2, 1, LockMode::kShared, 0);
@@ -257,17 +254,17 @@ TEST_F(AdaptiveWindowManagerTest, RequestAbortFeedbackChargesDecisionItem) {
 TEST_F(AdaptiveWindowManagerTest, ExpansionHonorsAdaptiveCap) {
   G2plOptions options;
   options.expand_read_groups = true;
-  options.adaptive = SmallOptions();
-  options.adaptive.initial_cap = 2;
-  options.adaptive.min_cap = 2;  // keep the cap pinned at 2
-  options.adaptive.max_cap = 2;
+  options.adaptive_window = true;
   Init(options);
+  // Expansion reads the cap without settling a window, so it stays at 4.
   wm_->OnRequest(1, 1, 0, LockMode::kShared, 0);
-  wm_->OnRequest(2, 2, 0, LockMode::kShared, 0);  // expands to 2 members
+  for (TxnId t = 2; t <= 4; ++t) {
+    wm_->OnRequest(t, static_cast<SiteId>(t), 0, LockMode::kShared, 0);
+  }
   EXPECT_EQ(wm_->PendingCount(0), 0);
-  EXPECT_EQ(wm_->expansions(), 1);
-  wm_->OnRequest(3, 3, 0, LockMode::kShared, 0);  // cap reached: must queue
-  EXPECT_EQ(wm_->expansions(), 1);
+  EXPECT_EQ(wm_->expansions(), 3);  // 4 members
+  wm_->OnRequest(5, 5, 0, LockMode::kShared, 0);  // cap reached: must queue
+  EXPECT_EQ(wm_->expansions(), 3);
   EXPECT_EQ(wm_->PendingCount(0), 1);
 }
 

@@ -60,9 +60,9 @@ SimConfig BatteryConfig(Protocol protocol, CommitPath path, uint64_t seed) {
   return config;
 }
 
-// The test's own copy of hash routing (the battery configs keep the default
-// ShardRouting::kHash) — recomputed from the committed ops so the flight
-// assertion does not trust the engine's own bookkeeping.
+// The test's own copy of hash routing, the only routing — recomputed from
+// the committed ops so the flight assertion does not trust the engine's own
+// bookkeeping.
 int32_t TestShardOf(ItemId item, int32_t servers) { return item % servers; }
 
 struct TxnShape {

@@ -9,7 +9,6 @@
 
 #include "db/data_store.h"
 #include "db/waits_for_graph.h"
-#include "db/recovery.h"
 #include "db/wal.h"
 
 namespace gtpl::db {
@@ -202,14 +201,14 @@ TEST(DataStoreDeathTest, RejectsStaleInstall) {
 
 TEST(WalTest, AppendAssignsMonotonicLsns) {
   WriteAheadLog wal;
-  EXPECT_EQ(wal.Append(LogRecordKind::kUpdate, 1, 0, 1), 1);
-  EXPECT_EQ(wal.Append(LogRecordKind::kCommit, 1, kInvalidItem, 0), 2);
+  EXPECT_EQ(wal.Append(), 1);
+  EXPECT_EQ(wal.Append(), 2);
   EXPECT_EQ(wal.size(), 2u);
 }
 
 TEST(WalTest, ForceAdvancesDurableLsn) {
   WriteAheadLog wal;
-  const int64_t lsn = wal.Append(LogRecordKind::kUpdate, 1, 0, 1);
+  const int64_t lsn = wal.Append();
   wal.Force(lsn);
   EXPECT_EQ(wal.durable_lsn(), lsn);
   wal.Force(lsn);  // already durable
@@ -218,23 +217,25 @@ TEST(WalTest, ForceAdvancesDurableLsn) {
 
 TEST(WalTest, TruncateGarbageCollectsPrefix) {
   WriteAheadLog wal;
-  for (int i = 0; i < 5; ++i) wal.Append(LogRecordKind::kUpdate, 1, 0, i);
+  for (int i = 0; i < 5; ++i) wal.Append();
   wal.Force(3);
   wal.TruncateThrough(3);
   EXPECT_EQ(wal.size(), 2u);
-  EXPECT_EQ(wal.records().front().lsn, 4);
+  EXPECT_EQ(wal.truncated_lsn(), 3);
+  wal.TruncateThrough(2);  // an older point: the log is unchanged
+  EXPECT_EQ(wal.size(), 2u);
   EXPECT_EQ(wal.truncated_lsn(), 3);
 }
 
 TEST(WalDeathTest, CannotTruncateUndurableRecords) {
   WriteAheadLog wal;
-  wal.Append(LogRecordKind::kUpdate, 1, 0, 1);
+  wal.Append();
   EXPECT_DEATH(wal.TruncateThrough(1), "durable");
 }
 
 TEST(WalTest, CheckpointLeavesNothingRetainedAndEverythingDurable) {
   WriteAheadLog wal;
-  for (int i = 0; i < 4; ++i) wal.Append(LogRecordKind::kInstall, 1, i, 1);
+  for (int i = 0; i < 4; ++i) wal.Append();
   wal.Force(2);
   wal.Checkpoint();
   EXPECT_EQ(wal.size(), 0u);
@@ -245,7 +246,7 @@ TEST(WalTest, CheckpointLeavesNothingRetainedAndEverythingDurable) {
   EXPECT_EQ(wal.forces(), 2);
   EXPECT_EQ(wal.truncated_lsn(), 4);
   // Records appended after a checkpoint go with the next one.
-  wal.Append(LogRecordKind::kCommit, 2, kInvalidItem, 0);
+  wal.Append();
   wal.Checkpoint();
   EXPECT_EQ(wal.size(), 0u);
   EXPECT_EQ(wal.durable_lsn(), 5);
@@ -260,77 +261,6 @@ TEST(WalTest, CheckpointOfAnEmptyLogChangesNothing) {
   EXPECT_EQ(wal.truncated_lsn(), 0);
   EXPECT_EQ(wal.next_lsn(), 1);
   EXPECT_EQ(wal.size(), 0u);
-}
-
-
-TEST(RecoveryTest, RedoesCommittedSkipsLosers) {
-  WriteAheadLog wal;
-  DataStore store(3);
-  wal.Append(LogRecordKind::kUpdate, /*txn=*/1, /*item=*/0, /*version=*/1);
-  wal.Append(LogRecordKind::kUpdate, 1, 1, 1);
-  wal.Append(LogRecordKind::kCommit, 1, kInvalidItem, 0);
-  wal.Append(LogRecordKind::kUpdate, 2, 2, 1);   // loser: aborted
-  wal.Append(LogRecordKind::kAbort, 2, kInvalidItem, 0);
-  wal.Append(LogRecordKind::kUpdate, 3, 0, 2);   // loser: no outcome
-  wal.Force(wal.next_lsn() - 1);
-  const RecoveryResult result = Recover(wal, &store);
-  EXPECT_EQ(result.committed_txns, 1);
-  EXPECT_EQ(result.aborted_txns, 1);
-  EXPECT_EQ(result.redone_updates, 2);
-  EXPECT_EQ(result.skipped_updates, 2);
-  EXPECT_EQ(store.VersionOf(0), 1);
-  EXPECT_EQ(store.VersionOf(1), 1);
-  EXPECT_EQ(store.VersionOf(2), 0);
-}
-
-TEST(RecoveryTest, RedoIsIdempotent) {
-  WriteAheadLog wal;
-  DataStore store(1);
-  wal.Append(LogRecordKind::kUpdate, 1, 0, 1);
-  wal.Append(LogRecordKind::kCommit, 1, kInvalidItem, 0);
-  wal.Force(wal.next_lsn() - 1);
-  Recover(wal, &store);
-  const RecoveryResult again = Recover(wal, &store);
-  EXPECT_EQ(again.redone_updates, 0);
-  EXPECT_EQ(again.skipped_updates, 1);
-  EXPECT_EQ(store.VersionOf(0), 1);
-}
-
-TEST(RecoveryTest, VolatileTailIsNeverRedone) {
-  WriteAheadLog wal;
-  DataStore store(1);
-  const int64_t lsn = wal.Append(LogRecordKind::kUpdate, 1, 0, 1);
-  wal.Append(LogRecordKind::kCommit, 1, kInvalidItem, 0);
-  wal.Force(lsn);  // commit record not durable
-  const RecoveryResult result = Recover(wal, &store);
-  EXPECT_EQ(result.committed_txns, 0);
-  EXPECT_EQ(result.redone_updates, 0);
-  EXPECT_EQ(store.VersionOf(0), 0);
-}
-
-TEST(RecoveryTest, ServerInstallRecordsRedoWithoutCommit) {
-  WriteAheadLog wal;
-  DataStore store(2);
-  wal.Append(LogRecordKind::kInstall, 5, 0, 3);
-  wal.Append(LogRecordKind::kInstall, 6, 1, 2);
-  wal.Force(wal.next_lsn() - 1);
-  const RecoveryResult result = Recover(wal, &store);
-  EXPECT_EQ(result.redone_updates, 2);
-  EXPECT_EQ(store.VersionOf(0), 3);
-  EXPECT_EQ(store.VersionOf(1), 2);
-}
-
-TEST(RecoveryTest, OutOfOrderVersionsConverge) {
-  WriteAheadLog wal;
-  DataStore store(1);
-  wal.Append(LogRecordKind::kInstall, 1, 0, 1);
-  wal.Append(LogRecordKind::kInstall, 2, 0, 2);
-  wal.Append(LogRecordKind::kInstall, 3, 0, 3);
-  wal.Force(wal.next_lsn() - 1);
-  store.Install(0, 2);  // store already ahead of the first two records
-  const RecoveryResult result = Recover(wal, &store);
-  EXPECT_EQ(result.redone_updates, 1);
-  EXPECT_EQ(store.VersionOf(0), 3);
 }
 
 }  // namespace

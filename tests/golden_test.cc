@@ -222,7 +222,7 @@ TEST(GoldenTest, AdaptiveWindowGrid) {
         config.workload.zipf_theta = zipf;
         config.g2pl.aging_threshold = 2;
         if (cap == -1) {
-          config.g2pl.adaptive.enabled = true;
+          config.g2pl.adaptive_window = true;
         } else {
           config.g2pl.max_forward_list_length = cap;
         }
@@ -407,11 +407,12 @@ TEST(GoldenTest, TraceDigests) {
   // metrics CSV. The metric grids above pin averages; this pins every
   // message, vote and release, so a refactor that claims "same bytes" is
   // checked event for event. Serial rows: every registered engine at 1 and
-  // 4 servers (classic commit), each non-classic commit path on a fast
-  // server mesh, sticky leases, and a NIC-queued finite-bandwidth link.
-  // Parallel rows run RunParallelSimulation on one thread (its bytes are
-  // the same at any thread count): nowait and waitdie at 1, 2 and 8 shards,
-  // a forced-WAL delay and range routing.
+  // 4 servers (classic commit); s2pl, ordered and occ on each non-classic
+  // commit path over a fast server mesh; sticky leases on s2pl and on
+  // ordered with the coord path; woundwait on a NIC-queued finite-bandwidth
+  // link. Parallel rows run RunParallelSimulation on one thread (its bytes
+  // are the same at any thread count): nowait and waitdie at 1, 2 and 8
+  // shards.
   struct Row {
     std::string name;
     proto::SimConfig config;
@@ -487,12 +488,6 @@ TEST(GoldenTest, TraceDigests) {
                           "/shards=" + std::to_string(shards),
                       parallel(protocol, shards), true, true});
     }
-  }
-  {
-    proto::SimConfig config = parallel(proto::Protocol::kWaitDie, 4);
-    config.shard_routing = proto::ShardRouting::kRange;
-    rows.push_back({"parsim/waitdie/shards=4/routing=range", config, true,
-                    true});
   }
   std::string fresh = "row,events,trace_fnv1a64,metrics_fnv1a64\n";
   for (Row& row : rows) {

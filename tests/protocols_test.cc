@@ -292,16 +292,6 @@ TEST(ShardsOfTest, HashRoutingWithRepeatedItems) {
       {{9, kS}, {6, kX}, {13, kX}, {9, kX}, {4, kS}, {7, kX}}, 6);
   EXPECT_EQ(ShardsOf(config, run), (Shards{0, 1, 2, 3}));
   EXPECT_EQ(ShardsOf(config, run, /*writes_only=*/true), (Shards{1, 2, 3}));
-}
-
-TEST(ShardsOfTest, RangeRoutingWriteOnly) {
-  SimConfig config;
-  config.num_servers = 4;
-  config.workload.num_items = 10;  // 3 items per shard; shard 3 holds 9
-  config.shard_routing = ShardRouting::kRange;
-  const TxnRun run = RunWith({{9, kX}, {1, kX}, {2, kX}, {5, kX}}, 4);
-  EXPECT_EQ(ShardsOf(config, run), (Shards{0, 1, 3}));
-  EXPECT_EQ(ShardsOf(config, run, /*writes_only=*/true), (Shards{0, 1, 3}));
   // A read-only run writes no shard.
   const TxnRun reads = RunWith({{9, kS}, {3, kS}}, 2);
   EXPECT_EQ(ShardsOf(config, reads), (Shards{1, 3}));

@@ -58,11 +58,10 @@ TEST(ShardingInvariantsTest, G2plRandomizedWorkloadsAcrossShardCounts) {
   }
 }
 
-TEST(ShardingInvariantsTest, G2plRangeRoutingAndExpansion) {
+TEST(ShardingInvariantsTest, G2plReadExpansionAcrossShardCounts) {
   for (int32_t servers : {2, 4, 8}) {
     SimConfig config = RandomConfig(Protocol::kG2pl, 17);
     config.num_servers = servers;
-    config.shard_routing = ShardRouting::kRange;
     config.workload.read_prob = 0.8;
     config.g2pl.expand_read_groups = true;
     SCOPED_TRACE("servers " + std::to_string(servers));

@@ -22,7 +22,7 @@ struct Dispatch {
 struct Expansion {
   ItemId item;
   TxnId txn;
-  int32_t member_index;
+  std::shared_ptr<const ForwardList> fl;
 };
 
 class WindowManagerTest : public ::testing::Test {
@@ -41,11 +41,10 @@ class WindowManagerTest : public ::testing::Test {
     };
     callbacks.expand = [this](ItemId item, Version version,
                               std::shared_ptr<const ForwardList> fl,
-                              TxnId txn, SiteId client, int32_t member_index) {
+                              TxnId txn, SiteId client) {
       (void)version;
-      (void)fl;
       (void)client;
-      expansions_.push_back(Expansion{item, txn, member_index});
+      expansions_.push_back(Expansion{item, txn, std::move(fl)});
     };
     wm_ = std::make_unique<WindowManager>(4, options, &store_, callbacks);
   }
@@ -168,7 +167,10 @@ TEST_F(WindowManagerTest, ExpansionJoinsPureReadWindow) {
   EXPECT_EQ(wm_->PendingCount(0), 0);
   ASSERT_EQ(expansions_.size(), 1u);
   EXPECT_EQ(expansions_[0].txn, 2);
-  EXPECT_EQ(expansions_[0].member_index, 1);
+  // The reader joins the read group as its last member.
+  const FlEntry& group = expansions_[0].fl->entry(0);
+  ASSERT_EQ(group.members.size(), 2u);
+  EXPECT_EQ(group.members[1].txn, 2);
   // Both readers must return before the item is back at the server.
   wm_->OnTxnDrained(1);
   wm_->OnReturn(0, 0);
