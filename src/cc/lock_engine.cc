@@ -197,10 +197,8 @@ void LockCcEngine::DoCommit(TxnRun& run) {
   const auto participants =
       static_cast<int32_t>(std::count(release.begin(), release.end(), true));
   if (participants == 0) {
-    // Every shard released early; the txn already left the server plane,
-    // and its installs are all permanent — client log can truncate.
+    // Every shard released early; the txn already left the server plane.
     policy_->OnTxnFinished(txn);
-    MaybeGcClientLogs();
   } else {
     pending_releases_[txn] = participants;
     for (int32_t shard = 0; shard < num_servers(); ++shard) {
@@ -228,9 +226,8 @@ void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
   proto::EmitRelease(txn, shard, ServerSiteOf(shard),
                      static_cast<int64_t>(updates.size()), "", tracer());
   for (const db::ItemVersion& update : updates) {
-    InstallAtServer(update);
+    store().Install(update.item, update.version);
   }
-  MaybeGcClientLogs();
   // The transaction leaves the policy's books only once its last shard
   // released (it still holds locks elsewhere until then).
   auto pending = pending_releases_.find(txn);
@@ -257,7 +254,7 @@ void LockCcEngine::ReleaseShardEarly(int32_t shard, TxnRun& run) {
   for (const proto::OpRecord& record : run.records) {
     if (ShardOf(record.item) != shard) continue;
     if (record.mode != LockMode::kExclusive) continue;
-    InstallAtServer({record.item, record.version_written});
+    store().Install(record.item, record.version_written);
     if (sticky_) ServerInstalledItem(shard, record.item);
   }
   run.released_shards.push_back(shard);

@@ -138,8 +138,6 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
   if (ok) {
     Reserve(shard, txn, records);
     prepared_[static_cast<size_t>(shard)][txn] = std::move(records);
-    // The participant forces its own prepare record before voting yes.
-    server_wal().Force(server_wal().Append());
   } else if (alive) {
     ServerAbortDecision(txn, ServerSiteOf(shard));
   }
@@ -206,7 +204,7 @@ void OccEngine::InstallOnShard(int32_t shard, SiteId committer_site,
                                const std::vector<proto::OpRecord>& records) {
   for (const proto::OpRecord& record : records) {
     if (record.mode != LockMode::kExclusive) continue;
-    InstallAtServer({record.item, record.version_written});
+    store().Install(record.item, record.version_written);
     if (!cache_data_) continue;
     auto& copies = copy_sets_[static_cast<size_t>(record.item)];
     for (SiteId other : copies) {
@@ -219,7 +217,6 @@ void OccEngine::InstallOnShard(int32_t shard, SiteId committer_site,
     copies.clear();
     if (committer_site != kInvalidSite) copies.insert(committer_site);
   }
-  MaybeGcClientLogs();
 }
 
 // ---------------------------------------------------------------------------

@@ -21,14 +21,6 @@ void DataStore::Install(ItemId item, Version version) {
   GTPL_CHECK_GE(version, versions_[static_cast<size_t>(item)])
       << "attempted to install a stale copy of item " << item;
   versions_[static_cast<size_t>(item)] = version;
-  ++installs_;
-}
-
-Version DataStore::Bump(ItemId item) {
-  GTPL_CHECK_GE(item, 0);
-  GTPL_CHECK_LT(static_cast<size_t>(item), versions_.size());
-  ++installs_;
-  return ++versions_[static_cast<size_t>(item)];
 }
 
 }  // namespace gtpl::db

@@ -8,9 +8,8 @@
 
 namespace gtpl::db {
 
-/// One update a commit ships: the new version of an item it wrote. The
-/// server installs it (proto::InstallAt), and the writer's log keeps the
-/// commit until every one of them is permanent.
+/// One update a commit ships: the new version of an item it wrote, which
+/// the owning server installs (DataStore::Install).
 struct ItemVersion {
   ItemId item = kInvalidItem;
   Version version = 0;
@@ -34,15 +33,8 @@ class DataStore {
   /// version (equal when a circulation made no update).
   void Install(ItemId item, Version version);
 
-  /// Convenience: bumps the version by one (an in-place server-side write).
-  Version Bump(ItemId item);
-
-  /// Total installs performed (including no-op reads returning unchanged).
-  int64_t installs() const { return installs_; }
-
  private:
   std::vector<Version> versions_;
-  int64_t installs_ = 0;
 };
 
 }  // namespace gtpl::db

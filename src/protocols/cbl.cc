@@ -75,7 +75,6 @@ class CblEngine : public EngineBase {
     }
     FlushDeferredAcks(run.client_index);
     const TxnId txn = run.id;
-    bool sent = false;
     for (int32_t shard = 0; shard < num_servers(); ++shard) {
       std::vector<db::ItemVersion>& updates =
           updates_by[static_cast<size_t>(shard)];
@@ -88,12 +87,8 @@ class CblEngine : public EngineBase {
             ServerOnCommit(shard, txn, updates);
           },
           payload);
-      sent = true;
     }
     cc.pins.clear();
-    // A read-only commit installs nothing, so no ServerOnCommit will run
-    // the log GC for it: its client log can truncate now.
-    if (!sent) MaybeGcClientLogs();
   }
 
   void OnClientAborted(TxnRun& run) override {
@@ -332,13 +327,12 @@ class CblEngine : public EngineBase {
     EmitRelease(txn, shard, ServerSiteOf(shard),
                 static_cast<int64_t>(updates.size()), "", tracer());
     for (const db::ItemVersion& update : updates) {
-      InstallAtServer(update);
+      store().Install(update.item, update.version);
       ItemCbl& it = items_[static_cast<size_t>(update.item)];
       GTPL_CHECK_EQ(it.x_holder, txn);
       it.x_holder = kInvalidTxn;
       GrantHead(update.item);
     }
-    MaybeGcClientLogs();
     // Idempotent across the per-shard commit messages of one txn.
     wfg_.RemoveTxn(txn);
   }

@@ -20,7 +20,6 @@ std::vector<ClientState> MakeClients(const SimConfig& config) {
     client.index = i;
     client.generator = std::make_unique<workload::WorkloadGenerator>(
         config.workload, seeder.Next64());
-    client.wal = std::make_unique<db::WriteAheadLog>();
   }
   return clients;
 }
@@ -36,12 +35,6 @@ RunResult EmptyResult(const SimConfig& config) {
   result.op_wait_hist = stats::Histogram(unit * 1024.0, 4096);
   result.xcommit_span_hist = stats::Histogram(unit * 1024.0, 4096);
   return result;
-}
-
-void AddWalCounters(const db::WriteAheadLog& wal, RunResult& result) {
-  result.wal_appends += wal.appends();
-  result.wal_forces += wal.forces();
-  result.wal_retained += static_cast<int64_t>(wal.size());
 }
 
 std::vector<int32_t> ShardsOf(const SimConfig& config, const TxnRun& run,
@@ -90,7 +83,7 @@ void RecordGrant(TxnRun& run, SimTime wait, SimTime propagation,
   }
 }
 
-void RecordOp(TxnRun& run, db::WriteAheadLog& wal) {
+void RecordOp(TxnRun& run) {
   const workload::Operation& op = run.op();
   OpRecord record;
   record.item = op.item;
@@ -99,9 +92,6 @@ void RecordOp(TxnRun& run, db::WriteAheadLog& wal) {
   record.version_written =
       op.mode == LockMode::kExclusive ? run.pending_version + 1 : 0;
   run.records.push_back(record);
-  if (op.mode == LockMode::kExclusive) {
-    wal.Append();  // the update record
-  }
 }
 
 void RecordVotedCommit(TxnRun& run, const CommitCtx& ctx, SimTime now,
@@ -254,12 +244,6 @@ void EmitRelease(TxnId txn, int32_t shard, SiteId site, int64_t updates,
   tracer.Emit(std::move(event));
 }
 
-void InstallAt(db::DataStore& store, db::WriteAheadLog& wal,
-               db::ItemVersion update) {
-  store.Install(update.item, update.version);
-  wal.Force(wal.Append());  // the install record
-}
-
 // ---------------------------------------------------------------------------
 // EngineBase: the client lifecycle
 // ---------------------------------------------------------------------------
@@ -338,9 +322,7 @@ EngineBase::EngineBase(const SimConfig& config) : config_(config) {
   network_->SetTracer(&tracer_);
   result_ = EmptyResult(config);
   store_ = std::make_unique<db::DataStore>(config.workload.num_items);
-  server_wal_ = std::make_unique<db::WriteAheadLog>();
   clients_ = MakeClients(config);
-  gc_queues_.resize(static_cast<size_t>(config.num_clients));
 }
 
 EngineBase::TxnRun* EngineBase::FindRun(TxnId txn) const {
@@ -396,10 +378,6 @@ RunResult EngineBase::Run() {
   if (config_.metrics_interval > 0) {
     result_.metrics = metrics.TakeRows();
     result_.metric_names = metrics.TakeNames();
-  }
-  AddWalCounters(*server_wal_, result_);
-  for (const ClientState& client : clients_) {
-    AddWalCounters(*client.wal, result_);
   }
   FillProtocolMetrics(&result_);
   return std::move(result_);
@@ -457,7 +435,7 @@ void EngineBase::OpGranted(TxnRun& run, Version version_read) {
 
 void EngineBase::FinishOp(TxnRun& run) {
   if (run.doomed || run.finished) return;  // abort decision outran us
-  RecordOp(run, *clients_[static_cast<size_t>(run.client_index)].wal);
+  RecordOp(run);
   if (run.LastOp()) {
     run.commit_start = sim_.Now();
     run.committing = true;
@@ -473,68 +451,15 @@ void EngineBase::CommitLocally(TxnRun& run) {
   GTPL_CHECK(!run.finished);
   GTPL_CHECK(!run.doomed);
   ClientState& client = clients_[static_cast<size_t>(run.client_index)];
-  // WAL discipline: the commit record is forced before the transaction
-  // reports commit.
-  const int64_t commit_lsn = client.wal->Append();
-  client.wal->Force(commit_lsn);
   client.restart_streak = 0;
   RecordCommit(run, sim_.Now(), measuring(), config_.record_history, result_,
                tracer_);
-  // Queue the commit's updates for client-log garbage collection once the
-  // server has made them permanent.
-  PendingGc gc;
-  gc.lsn = commit_lsn;
-  for (const OpRecord& record : run.records) {
-    if (record.mode == LockMode::kExclusive) {
-      gc.updates.push_back({record.item, record.version_written});
-    }
-  }
-  auto& queue = gc_queues_[static_cast<size_t>(run.client_index)];
-  if (queue.empty()) gc_pending_clients_.push_back(run.client_index);
-  queue.push_back(std::move(gc));
   DoCommit(run);
   if (result_.commits >= config_.measured_txns) {
     sim_.Stop();
     return;
   }
   ScheduleNextTxn(client);
-}
-
-void EngineBase::InstallAtServer(db::ItemVersion update) {
-  InstallAt(*store_, *server_wal_, update);
-}
-
-void EngineBase::MaybeGcClientLogs() {
-  // The server checkpoints continuously: every installed version is already
-  // in the data store, so its whole log can be dropped.
-  server_wal_->Checkpoint();
-  // Only clients with pending commits are visited. Each visit touches only
-  // that client's queue and log, so the visiting order is free.
-  for (size_t k = 0; k < gc_pending_clients_.size();) {
-    const auto i = static_cast<size_t>(gc_pending_clients_[k]);
-    auto& queue = gc_queues_[i];
-    db::WriteAheadLog& wal = *clients_[i].wal;
-    while (!queue.empty()) {
-      const PendingGc& front = queue.front();
-      bool permanent = true;
-      for (const db::ItemVersion& update : front.updates) {
-        if (store_->VersionOf(update.item) < update.version) {
-          permanent = false;
-          break;
-        }
-      }
-      if (!permanent) break;
-      wal.Force(front.lsn);
-      wal.TruncateThrough(front.lsn);
-      queue.pop_front();
-    }
-    if (queue.empty()) {
-      gc_pending_clients_[k] = gc_pending_clients_.back();
-      gc_pending_clients_.pop_back();
-    } else {
-      ++k;
-    }
-  }
 }
 
 void EngineBase::RegisterMetrics(obs::MetricsRegistry* metrics) {
@@ -607,7 +532,6 @@ void EngineBase::AbortNoticeArrived(TxnId txn, int32_t client_index) {
   TxnRun* run = client.current.get();
   if (run == nullptr || run->id != txn || run->finished) return;
   run->finished = true;
-  client.wal->Append();  // the abort record
   ++client.restart_streak;
   OnClientAborted(*run);
   ScheduleNextTxn(client);

@@ -94,10 +94,8 @@ void EngineBase::StartCommit(TxnRun& run) {
 
 void EngineBase::StartClassic(TxnRun& run, std::vector<int32_t> participants,
                               bool fallback) {
-  ClientState& client = ClientAt(run.client_index);
-  // Phase one: the coordinator (client) forces its prepare record, then
-  // asks every participant server to vote.
-  client.wal->Force(client.wal->Append());
+  // Phase one: the coordinator (client) asks every participant server to
+  // vote.
   CommitCtx& ctx = run.commit.emplace();
   ctx.votes_pending = static_cast<int32_t>(participants.size());
   ctx.prepares_pending = static_cast<int32_t>(participants.size());
@@ -145,11 +143,8 @@ void EngineBase::PreRequestHook(TxnRun& run) {
 }
 
 void EngineBase::StartEarly(TxnRun& run, std::vector<int32_t> participants) {
-  ClientState& client = ClientAt(run.client_index);
-  // The coordinator still forces its prepare record — the commit point must
-  // be recoverable — but the prepares themselves already flew with the
-  // operations, so it then only waits for votes not yet home.
-  client.wal->Force(client.wal->Append());
+  // The prepares already flew with the operations, so the coordinator only
+  // waits for the votes not yet home.
   GTPL_CHECK(run.early && run.early->active)
       << "kEarly commit without speculative prepares";
   const EarlyCtx& early = *run.early;
@@ -170,7 +165,7 @@ void EngineBase::StartEarly(TxnRun& run, std::vector<int32_t> participants) {
 void EngineBase::StartFastPath(TxnRun& run,
                                const std::vector<int32_t>& participants) {
   // Single-write-shard transaction: no prepare/vote round at all. The
-  // client's forced commit record (CommitLocally) is the commit point, and
+  // client's local commit (CommitLocally) is the commit point, and
   // the engine's ordinary release/forward messages carry the piggybacked
   // validation + decision to every participant — the read-only shards
   // still hold locks for a non-doomed transaction, so the validation cannot
@@ -242,11 +237,9 @@ int32_t EngineBase::ChooseCoordinator(
 
 void EngineBase::StartCoord(TxnRun& run, std::vector<int32_t> participants,
                             int32_t coord_shard) {
-  ClientState& client = ClientAt(run.client_index);
-  // The client still forces its prepare record, then hands the whole 2PC to
-  // the coordinator server: handoff -> prepares -> votes (at the
-  // coordinator) -> decisions (from the coordinator) -> ack to the client.
-  client.wal->Force(client.wal->Append());
+  // The client hands the whole 2PC to the coordinator server: handoff ->
+  // prepares -> votes (at the coordinator) -> decisions (from the
+  // coordinator) -> ack to the client.
   CommitCtx& ctx = run.commit.emplace();
   ctx.votes_pending = static_cast<int32_t>(participants.size());
   ctx.prepares_pending = static_cast<int32_t>(participants.size());
@@ -294,10 +287,6 @@ void EngineBase::OnPrepareArrived(int32_t shard, TxnId txn,
   EmitPrepare(txn, shard, ServerSiteOf(shard),
               speculative ? "speculative" : "", tracer_);
   const bool yes = ShardVote(shard, txn, speculative);
-  // The participant forces its own prepare record before voting yes.
-  if (yes) {
-    server_wal_->Force(server_wal_->Append());
-  }
   TxnRun* run = FindRun(txn);
   if (run == nullptr) return;  // coordinator already moved on; drop the vote
   const SiteId vote_to = speculative ? run->site() : PrepareLanded(*run);
@@ -345,8 +334,8 @@ void EngineBase::FinishVotedCommit(TxnRun& run) {
   if (run.finished || run.doomed) return;
   RecordVotedCommit(run, ctx, sim_.Now(), measuring(), result_);
   // Phase two: the decision travels to every participant; the local commit
-  // (forced commit record, then the protocol's release messages) proceeds
-  // in parallel — or, with a remote coordinator, after the ack flies home.
+  // (the commit point, then the protocol's release messages) proceeds in
+  // parallel — or, with a remote coordinator, after the ack flies home.
   const TxnId txn = run.id;
   const SiteId decision_from =
       ctx.coord_shard >= 0 ? ServerSiteOf(ctx.coord_shard) : run.site();
@@ -377,7 +366,6 @@ void EngineBase::OnDecisionArrived(int32_t shard, TxnId txn) {
     event.site = ServerSiteOf(shard);
     tracer_.Emit(std::move(event));
   }
-  server_wal_->Append();  // the decision record
   OnCommitDecision(shard, txn);
 }
 

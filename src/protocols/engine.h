@@ -2,7 +2,6 @@
 #define GTPL_PROTOCOLS_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -12,7 +11,6 @@
 
 #include "common/types.h"
 #include "db/data_store.h"
-#include "db/wal.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
@@ -111,14 +109,13 @@ struct TxnRun {
   bool LastOp() const { return current_op + 1 == spec.ops.size(); }
 };
 
-/// One client site: its workload generator, its log and the transaction it
-/// is running (null before its first transaction begins).
+/// One client site: its workload generator and the transaction it is
+/// running (null before its first transaction begins).
 struct ClientState {
   int32_t index = 0;
   std::unique_ptr<workload::WorkloadGenerator> generator;
   std::unique_ptr<TxnRun> current;
   int32_t restart_streak = 0;  // consecutive aborts (drives g-2PL aging)
-  std::unique_ptr<db::WriteAheadLog> wal;
 };
 
 // --- shared transaction bookkeeping ---------------------------------------
@@ -126,16 +123,13 @@ struct ClientState {
 // Each takes the result (and tracer) to record into: the serial engine's
 // single result, or one LP's slice of the parallel engine's.
 
-/// The clients of `config`, in index order: generator seeds drawn from the
-/// run seed in client order, and one WAL per client.
+/// The clients of `config`, in index order, with generator seeds drawn from
+/// the run seed in client order.
 std::vector<ClientState> MakeClients(const SimConfig& config);
 
 /// A result with the response / op-wait / cross-commit histograms sized
 /// from the configured latency, so per-engine and per-LP results merge.
 RunResult EmptyResult(const SimConfig& config);
-
-/// Adds `wal`'s append, force and retained-record counts to `result`.
-void AddWalCounters(const db::WriteAheadLog& wal, RunResult& result);
 
 /// Distinct shards of `run`'s completed operations, ascending; of its
 /// writes only under `writes_only`. `records` are the prefix of `spec.ops`
@@ -154,9 +148,8 @@ void RecordGrant(TxnRun& run, SimTime wait, SimTime propagation,
                  SimTime queueing, bool measured, RunResult& result,
                  obs::Tracer& tracer);
 
-/// Appends `run`'s current operation to its records; a write also appends
-/// its update record to the client's `wal`.
-void RecordOp(TxnRun& run, db::WriteAheadLog& wal);
+/// Appends `run`'s current operation to its records.
+void RecordOp(TxnRun& run);
 
 /// The last vote of `run`'s 2PC round `ctx` came home at `now`, all yes:
 /// closes the vote sub-span (what the prepare sub-span did not absorb of
@@ -197,11 +190,6 @@ void EmitVote(TxnId txn, int32_t shard, bool yes, obs::Tracer& tracer);
 void EmitRelease(TxnId txn, int32_t shard, SiteId site, int64_t updates,
                  const char* label, obs::Tracer& tracer);
 
-/// Installs `update` in `store` and forces the install record to the
-/// server's `wal`.
-void InstallAt(db::DataStore& store, db::WriteAheadLog& wal,
-               db::ItemVersion update);
-
 /// The one base of every serial protocol engine. It owns:
 ///  - the per-client transaction lifecycle of the paper's system model
 ///    (idle U[2,10] -> new transaction -> sequential operations with think
@@ -209,18 +197,18 @@ void InstallAt(db::DataStore& store, db::WriteAheadLog& wal,
 ///    *replaced* by fresh ones), plus metrics, warmup and the stop
 ///    condition;
 ///  - routing: the item space is partitioned across `num_servers`
-///    simulated data servers by hash or range (ROADMAP's sharding item),
+///    simulated data servers by hash (ROADMAP's sharding item),
 ///    and each request goes to the owning server's site, so every data
 ///    round pays the WAN latency of net::LatencyModel;
 ///  - the commit paths. A transaction confined to one shard commits
-///    locally (CommitLocally: forced commit record, then DoCommit), so
+///    locally (CommitLocally, the commit point, then DoCommit), so
 ///    `num_servers == 1` is the paper's single-server model with no extra
 ///    message. One that touched several servers runs the configured
 ///    protocols/commit.h path (DESIGN.md §13):
-///     - kClassic, client-coordinated 2PC: the client forces a prepare
-///       record, fans `prepare` to every participant *in parallel* (one
-///       max-RTT, not sum-RTT), collects votes, and on unanimous yes sends
-///       the decision and commits locally — two extra WAN flights;
+///     - kClassic, client-coordinated 2PC: the client fans `prepare` to
+///       every participant *in parallel* (one max-RTT, not sum-RTT),
+///       collects votes, and on unanimous yes sends the decision and
+///       commits locally — two extra WAN flights;
 ///     - kEarly piggybacks a *speculative* prepare on the last operation
 ///       touching each shard (PreRequestHook), so the vote overlaps the
 ///       rest of the execution. Sound because a vote only says "this shard
@@ -229,7 +217,7 @@ void InstallAt(db::DataStore& store, db::WriteAheadLog& wal,
 ///       vote is no commit promise: it never triggers release-at-prepare
 ///       (ShardVote's `speculative` flag);
 ///     - kFastPath commits a transaction whose writes land on one shard
-///       with no prepare/vote round: the forced commit record is the
+///       with no prepare/vote round: the client's local commit is the
 ///       commit point and the ordinary release/forward messages carry the
 ///       decision (the read-only shards still hold their locks);
 ///     - kCoord picks, per transaction, the client or the server of the
@@ -298,7 +286,7 @@ class EngineBase {
   /// it (e.g. release-at-prepare).
   virtual bool ShardVote(int32_t shard, TxnId txn, bool speculative) = 0;
   /// The commit decision arrived at participant `shard` (phase two); the
-  /// base already logged it to the server WAL and recorded the event.
+  /// base already recorded the event.
   virtual void OnCommitDecision(int32_t shard, TxnId txn) = 0;
   /// Copy protocol-specific counters into the result.
   virtual void FillProtocolMetrics(RunResult* result) { (void)result; }
@@ -372,20 +360,18 @@ class EngineBase {
 
   const SimConfig& config() const { return config_; }
   db::DataStore& store() { return *store_; }
-  db::WriteAheadLog& server_wal() { return *server_wal_; }
   bool measuring() const {
     return result_.total_commits >= config_.warmup_txns;
   }
 
-  /// The client's local commit: forces the commit record to the client
-  /// WAL, records the commit (metrics, history), queues its updates for
-  /// client-log GC, runs DoCommit and schedules the client's next
+  /// The client's local commit, the commit point: records the commit
+  /// (metrics, history), runs DoCommit and schedules the client's next
   /// transaction. Every commit path ends here.
   void CommitLocally(TxnRun& run);
 
-  /// kClassic from the coordinator's side: force the prepare record, then
-  /// SendPrepare to every participant. `fallback` marks a certification
-  /// commit standing in for another configured path.
+  /// kClassic from the coordinator's side: SendPrepare to every
+  /// participant. `fallback` marks a certification commit standing in for
+  /// another configured path.
   void StartClassic(TxnRun& run, std::vector<int32_t> participants,
                     bool fallback = false);
 
@@ -397,17 +383,6 @@ class EngineBase {
 
   /// Participant `shard`'s vote on `txn` reached the vote site.
   void OnVoteArrived(TxnId txn, int32_t shard, bool yes);
-
-  /// Installs `update` at its server and forces the install record to the
-  /// server WAL — the durability step of every commit path.
-  void InstallAtServer(db::ItemVersion update);
-
-  /// Client-log garbage collection (the paper's recovery assumption: "each
-  /// site uses WAL and garbage collects its log once the data are made
-  /// permanent at the server"). Protocol code calls this after installing
-  /// new versions; any client whose oldest committed updates are now all
-  /// permanent truncates its log prefix.
-  void MaybeGcClientLogs();
 
  private:
   void BeginTxn(ClientState& client);
@@ -436,12 +411,6 @@ class EngineBase {
   /// commit (or send the ack leg when a remote coordinator ran the rounds).
   void FinishVotedCommit(TxnRun& run);
 
-  /// One committed transaction's log footprint awaiting permanence.
-  struct PendingGc {
-    int64_t lsn = 0;  // client log prefix covered by this transaction
-    std::vector<db::ItemVersion> updates;
-  };
-
   SimConfig config_;
   sim::Simulator sim_;
   obs::Tracer tracer_;
@@ -450,10 +419,7 @@ class EngineBase {
   std::unique_ptr<obs::StreamSink> trace_sink_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<db::DataStore> store_;
-  std::unique_ptr<db::WriteAheadLog> server_wal_;
   std::vector<ClientState> clients_;
-  std::vector<std::deque<PendingGc>> gc_queues_;  // one per client
-  std::vector<int32_t> gc_pending_clients_;  // clients with non-empty queues
   std::unordered_map<TxnId, int32_t> txn_client_;  // active txns only
   TxnId next_txn_id_ = 1;
   RunResult result_;

@@ -38,7 +38,7 @@ struct TxnSpan {
   SimTime queueing = 0;
   /// Client think time after each granted operation.
   SimTime execution = 0;
-  /// Commit phase: WAL force, 2PC prepare + vote rounds, certification.
+  /// Commit phase: 2PC prepare + vote rounds, certification.
   SimTime commit = 0;
 
   /// Per-round decomposition of `commit` for cross-server 2PC commits
@@ -200,13 +200,6 @@ struct RunResult {
   int64_t lease_hits = 0;
   int64_t lease_revokes = 0;
   int64_t lease_releases = 0;
-
-  // Recovery substrate counters. `wal_retained` is the number of log
-  // records still held at end of run; garbage collection (triggered when
-  // updates become permanent at the server) keeps it far below appends.
-  int64_t wal_appends = 0;
-  int64_t wal_forces = 0;
-  int64_t wal_retained = 0;
 
   /// Committed-transaction history (only when record_history was set).
   std::vector<CommittedTxn> history;

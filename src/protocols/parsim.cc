@@ -1,6 +1,6 @@
 // Conservative per-shard parallel engine (DESIGN.md §15).
 //
-// Topology: LP s owns server shard s (lock table, data store, WAL) and the
+// Topology: LP s owns server shard s (lock table, data store) and the
 // clients with index % num_servers == s. All state is partitioned by LP;
 // an event only ever touches its own LP's slice, and every cross-LP
 // interaction is a sim::ShardSim channel message of exactly one WAN
@@ -43,12 +43,11 @@ class ParallelEngine {
   // abort always rides the reply to the one outstanding request, so no
   // stale message can reach a finished run.
 
-  /// A shard's server: the same lock table, data store and WAL as a serial
+  /// A shard's server: the same lock table and data store as a serial
   /// engine's shard (its store spans the item space; only own items move).
   struct Shard {
     std::unique_ptr<db::LockTable> locks;
     std::unique_ptr<db::DataStore> store;
-    std::unique_ptr<db::WriteAheadLog> wal;
   };
 
   int32_t num_shards() const { return config_.num_servers; }
@@ -134,7 +133,6 @@ ParallelEngine::ParallelEngine(const SimConfig& config)
   for (Shard& shard : shards_) {
     shard.locks = std::make_unique<db::LockTable>(config.workload.num_items);
     shard.store = std::make_unique<db::DataStore>(config.workload.num_items);
-    shard.wal = std::make_unique<db::WriteAheadLog>();
   }
   // One at a time: a temporary to copy from would hold a fourth set of
   // histograms at the peak.
@@ -283,7 +281,7 @@ void ParallelEngine::FinishOp(int32_t client_index, TxnId txn) {
   ClientState& client = clients_[static_cast<size_t>(client_index)];
   TxnRun* run = client.current.get();
   if (run == nullptr || run->id != txn || run->finished) return;
-  RecordOp(*run, *client.wal);
+  RecordOp(*run);
   const SimTime now = psim_->lp(LpOfClient(client_index)).Now();
   if (run->LastOp()) {
     run->commit_start = now;
@@ -304,13 +302,12 @@ void ParallelEngine::StartCommit(ClientState& client) {
     StartLocalCommit(client);
     return;
   }
-  // Classic client-coordinated 2PC: force the coordinator's prepare
-  // record, fan prepares out, collect votes, then commit locally — the
-  // decision rides the release messages (2 blocking flights).
+  // Classic client-coordinated 2PC: fan prepares out, collect votes, then
+  // commit locally — the decision rides the release messages (2 blocking
+  // flights).
   CommitCtx& ctx = run.commit.emplace();
   ctx.votes_pending = static_cast<int32_t>(participants.size());
   ctx.participants = std::move(participants);
-  client.wal->Force(client.wal->Append());
   const int32_t lp = LpOfClient(client.index);
   for (int32_t shard : ctx.participants) {
     SendMsg(lp, shard, run.site(), ServerSiteOf(config_, shard),
@@ -323,26 +320,18 @@ void ParallelEngine::StartCommit(ClientState& client) {
 
 void ParallelEngine::StartLocalCommit(ClientState& client) {
   TxnRun& run = *client.current;
-  client.wal->Force(client.wal->Append());  // the commit record
   const int32_t lp = LpOfClient(client.index);
   RecordCommit(run, psim_->lp(lp).Now(), measuring_, config_.record_history,
                slices_[static_cast<size_t>(lp)], TracerOf(lp));
   SendReleases(client);
-  // Client-log GC at the local commit (documented simplification of the
-  // serial engines' server-acknowledged truncation): the commit's installs
-  // are on their way and will be permanent before any dependent read.
-  client.wal->Checkpoint();
   ScheduleNextTxn(client);
 }
 
 void ParallelEngine::ServerOnPrepare(int32_t shard, TxnId txn,
                                      int32_t client_index) {
   // A committing transaction has no blocked request, so it can never be an
-  // abort victim (requester-victim subset): the vote is always yes. The
-  // participant forces its own prepare record before voting.
-  Shard& state = shards_[static_cast<size_t>(shard)];
+  // abort victim (requester-victim subset): the vote is always yes.
   EmitPrepare(txn, shard, ServerSiteOf(config_, shard), "", TracerOf(shard));
-  state.wal->Force(state.wal->Append());
   SendMsg(shard, LpOfClient(client_index), ServerSiteOf(config_, shard),
           client_index + 1, net::kControlPayload, [this, client_index, txn,
                                                   shard] {
@@ -467,13 +456,10 @@ void ParallelEngine::ServerOnRelease(int32_t shard, TxnId txn,
                                      std::vector<db::ItemVersion> updates) {
   EmitRelease(txn, shard, ServerSiteOf(config_, shard),
               static_cast<int64_t>(updates.size()), "", TracerOf(shard));
-  Shard& state = shards_[static_cast<size_t>(shard)];
+  db::DataStore& store = *shards_[static_cast<size_t>(shard)].store;
   for (const db::ItemVersion& update : updates) {
-    InstallAt(*state.store, *state.wal, update);
+    store.Install(update.item, update.version);
   }
-  // Continuous server checkpointing (as in the serial engines): installed
-  // versions are already in the store, so the whole log truncates.
-  state.wal->Checkpoint();
   // Installs land before promotions, so a promoted reader sees the new
   // version (the strict-2PL reads-from edge the serializability test pins).
   ReleaseLocks(shard, txn);
@@ -498,7 +484,6 @@ void ParallelEngine::ClientOnAbortNotice(int32_t client_index, TxnId txn,
   TxnRun* run = client.current.get();
   if (run == nullptr || run->id != txn || run->finished) return;
   run->finished = true;
-  client.wal->Append();  // the abort record
   // Release the victim's locks on every other shard it touched (the
   // deciding shard already dropped them at decision time).
   const int32_t src_lp = LpOfClient(client_index);
@@ -600,10 +585,6 @@ RunResult ParallelEngine::Run() {
     end_time = std::max(end_time, psim_->lp(i).Now());
   }
   result.end_time = end_time;
-  for (const Shard& shard : shards_) AddWalCounters(*shard.wal, result);
-  for (const ClientState& client : clients_) {
-    AddWalCounters(*client.wal, result);
-  }
   if (merger_ != nullptr) {
     merger_->FlushAll();
     if (trace_sink_ != nullptr) {

@@ -8,7 +8,7 @@ namespace gtpl::proto {
 
 /// Runs `config` on the conservative per-shard parallel engine
 /// (DESIGN.md §15): one sim::ShardSim logical process per server shard,
-/// hosting that shard's lock table / data store / WAL plus the clients with
+/// hosting that shard's lock table and data store plus the clients with
 /// index % num_servers == shard. Every client<->server interaction rides a
 /// cross-LP channel message of exactly one WAN latency — the kernel's
 /// lookahead — so LPs execute whole windows concurrently without locks.
@@ -29,8 +29,8 @@ namespace gtpl::proto {
 /// client cleanup messages (decision + notice + release, instead of the
 /// serial instantaneous coordination plane; Validate requires
 /// --charged-abort-notice for this reason), the 2PC decision rides the
-/// release messages, prepare/vote sub-spans are computed from the uniform
-/// latency, and client logs truncate at the local commit.
+/// release messages, and prepare/vote sub-spans are computed from the
+/// uniform latency.
 ///
 /// `config` must satisfy the sim_threads > 1 subset of
 /// SimConfig::Validate (checked here even when config.sim_threads == 1,

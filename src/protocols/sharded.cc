@@ -272,7 +272,6 @@ void ShardedG2plEngine::TryForward(TxnId txn, TxnState& ts, Obligation& ob) {
         [this, shard, item, version_out] {
           current_shard_ = shard;
           wm_->OnReturn(item, version_out);
-          MaybeGcClientLogs();
         },
         net::kControlPayload + net::kDataPayload);
   } else if (!ob.is_writer) {

@@ -47,9 +47,6 @@ void ExpectSameResult(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.read_group_expansions, b.read_group_expansions);
   EXPECT_EQ(a.cross_server_commits, b.cross_server_commits);
   EXPECT_EQ(a.commit_participants.count(), b.commit_participants.count());
-  EXPECT_EQ(a.wal_appends, b.wal_appends);
-  EXPECT_EQ(a.wal_forces, b.wal_forces);
-  EXPECT_EQ(a.wal_retained, b.wal_retained);
   ASSERT_EQ(a.history.size(), b.history.size());
   for (size_t i = 0; i < a.history.size(); ++i) {
     const CommittedTxn& x = a.history[i];

@@ -173,7 +173,6 @@ void ExpectC2plTraceIsS2plTrace(SimConfig config, const std::string& what) {
   }
   EXPECT_GT(validate_grants, 0) << what << ": no grant hit the cache";
   EXPECT_EQ(c2pl.response.mean(), s2pl.response.mean()) << what;
-  EXPECT_EQ(c2pl.wal_appends, s2pl.wal_appends) << what;
 }
 
 SimConfig EquivalenceConfig(int32_t servers) {

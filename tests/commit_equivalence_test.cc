@@ -52,8 +52,6 @@ void ExpectIdenticalRuns(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.end_time, b.end_time) << what;
   EXPECT_EQ(a.response.mean(), b.response.mean()) << what;
   EXPECT_EQ(a.network.messages, b.network.messages) << what;
-  EXPECT_EQ(a.wal_appends, b.wal_appends) << what;
-  EXPECT_EQ(a.wal_forces, b.wal_forces) << what;
   EXPECT_EQ(a.cross_server_commits, b.cross_server_commits) << what;
   EXPECT_EQ(a.span_commit.mean(), b.span_commit.mean()) << what;
   ASSERT_EQ(a.history.size(), b.history.size()) << what;

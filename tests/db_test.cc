@@ -1,5 +1,5 @@
-// Unit tests for the database substrate: lock table, waits-for graph,
-// versioned data store, and the write-ahead log.
+// Unit tests for the database substrate: lock table, waits-for graph and
+// versioned data store.
 
 #include "db/lock_table.h"
 
@@ -9,7 +9,6 @@
 
 #include "db/data_store.h"
 #include "db/waits_for_graph.h"
-#include "db/wal.h"
 
 namespace gtpl::db {
 namespace {
@@ -177,13 +176,13 @@ TEST(DataStoreTest, VersionsStartAtZero) {
   EXPECT_EQ(store.VersionOf(2), 0);
 }
 
-TEST(DataStoreTest, InstallAndBump) {
+TEST(DataStoreTest, InstallSetsTheVersion) {
   DataStore store(2);
   store.Install(0, 1);
   EXPECT_EQ(store.VersionOf(0), 1);
-  EXPECT_EQ(store.Bump(0), 2);
+  store.Install(0, 2);
   EXPECT_EQ(store.VersionOf(0), 2);
-  EXPECT_EQ(store.installs(), 2);
+  EXPECT_EQ(store.VersionOf(1), 0);
 }
 
 TEST(DataStoreTest, ReinstallSameVersionAllowed) {
@@ -197,70 +196,6 @@ TEST(DataStoreDeathTest, RejectsStaleInstall) {
   DataStore store(1);
   store.Install(0, 5);
   EXPECT_DEATH(store.Install(0, 4), "stale");
-}
-
-TEST(WalTest, AppendAssignsMonotonicLsns) {
-  WriteAheadLog wal;
-  EXPECT_EQ(wal.Append(), 1);
-  EXPECT_EQ(wal.Append(), 2);
-  EXPECT_EQ(wal.size(), 2u);
-}
-
-TEST(WalTest, ForceAdvancesDurableLsn) {
-  WriteAheadLog wal;
-  const int64_t lsn = wal.Append();
-  wal.Force(lsn);
-  EXPECT_EQ(wal.durable_lsn(), lsn);
-  wal.Force(lsn);  // already durable
-  EXPECT_EQ(wal.forces(), 1);
-}
-
-TEST(WalTest, TruncateGarbageCollectsPrefix) {
-  WriteAheadLog wal;
-  for (int i = 0; i < 5; ++i) wal.Append();
-  wal.Force(3);
-  wal.TruncateThrough(3);
-  EXPECT_EQ(wal.size(), 2u);
-  EXPECT_EQ(wal.truncated_lsn(), 3);
-  wal.TruncateThrough(2);  // an older point: the log is unchanged
-  EXPECT_EQ(wal.size(), 2u);
-  EXPECT_EQ(wal.truncated_lsn(), 3);
-}
-
-TEST(WalDeathTest, CannotTruncateUndurableRecords) {
-  WriteAheadLog wal;
-  wal.Append();
-  EXPECT_DEATH(wal.TruncateThrough(1), "durable");
-}
-
-TEST(WalTest, CheckpointLeavesNothingRetainedAndEverythingDurable) {
-  WriteAheadLog wal;
-  for (int i = 0; i < 4; ++i) wal.Append();
-  wal.Force(2);
-  wal.Checkpoint();
-  EXPECT_EQ(wal.size(), 0u);
-  EXPECT_EQ(wal.durable_lsn(), 4);
-  EXPECT_EQ(wal.truncated_lsn(), 4);
-  EXPECT_EQ(wal.forces(), 2);
-  wal.Checkpoint();  // already checkpointed: no second force
-  EXPECT_EQ(wal.forces(), 2);
-  EXPECT_EQ(wal.truncated_lsn(), 4);
-  // Records appended after a checkpoint go with the next one.
-  wal.Append();
-  wal.Checkpoint();
-  EXPECT_EQ(wal.size(), 0u);
-  EXPECT_EQ(wal.durable_lsn(), 5);
-  EXPECT_EQ(wal.forces(), 3);
-}
-
-TEST(WalTest, CheckpointOfAnEmptyLogChangesNothing) {
-  WriteAheadLog wal;
-  wal.Checkpoint();
-  EXPECT_EQ(wal.forces(), 0);
-  EXPECT_EQ(wal.durable_lsn(), 0);
-  EXPECT_EQ(wal.truncated_lsn(), 0);
-  EXPECT_EQ(wal.next_lsn(), 1);
-  EXPECT_EQ(wal.size(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests for engine-level extensions: heterogeneous latency, access skew,
-// and the WAL force-delay path, plus a randomized reachability property
-// check for the precedence graph.
+// Tests for engine-level extensions: heterogeneous latency, access skew
+// and restart aging across shards, plus randomized reachability property
+// checks for the precedence graph.
 
 #include <algorithm>
 #include <unordered_set>

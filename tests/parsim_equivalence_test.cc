@@ -68,16 +68,13 @@ std::string Fingerprint(const RunResult& r) {
       static_cast<long long>(r.cross_server_commits));
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "net:%llu,%llu,%llu,%llu,%llu,%llu;wal:%lld,%lld,%lld;",
+                "net:%llu,%llu,%llu,%llu,%llu,%llu;",
                 static_cast<unsigned long long>(r.network.messages),
                 static_cast<unsigned long long>(r.network.server_to_client),
                 static_cast<unsigned long long>(r.network.client_to_server),
                 static_cast<unsigned long long>(r.network.client_to_client),
                 static_cast<unsigned long long>(r.network.server_to_server),
-                static_cast<unsigned long long>(r.network.payload_units),
-                static_cast<long long>(r.wal_appends),
-                static_cast<long long>(r.wal_forces),
-                static_cast<long long>(r.wal_retained));
+                static_cast<unsigned long long>(r.network.payload_units));
   out += buf;
   std::snprintf(buf, sizeof(buf), "sync:%llu,%llu;",
                 static_cast<unsigned long long>(r.sync_windows),

@@ -3,7 +3,6 @@
 
 #include "protocols/engine.h"
 
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -128,104 +127,6 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, EveryProtocolTest,
                            return std::string(
                                cc::Engines().For(param_info.param).name);
                          });
-
-TEST_P(EveryProtocolTest, ClientLogsAreGarbageCollected) {
-  // The paper's recovery assumption: each site garbage collects its WAL
-  // once the data are made permanent at the server. Retained records must
-  // stay far below the total appended: with plenty of updates to log, and
-  // with read-only transactions alone, which install nothing at any server.
-  for (const double read_prob : {0.3, 1.0}) {
-    SCOPED_TRACE(read_prob);
-    SimConfig config = SmallConfig(GetParam());
-    config.workload.read_prob = read_prob;
-    const RunResult result = RunSimulation(config);
-    ASSERT_FALSE(result.timed_out);
-    EXPECT_GT(result.wal_appends, 0);
-    EXPECT_LT(result.wal_retained, result.wal_appends / 4)
-        << "client WALs are not being truncated";
-  }
-}
-
-// Exact WAL counters of a many-client run on every registered engine. A
-// client's log is forced and truncated in the MaybeGcClientLogs call that
-// first finds its oldest pending commit permanent; doing it in any other
-// call moves wal_forces or wal_retained, which no golden pins.
-TEST(ClientLogGcTest, CountersArePinnedOnEveryEngine) {
-  struct Counters {
-    int64_t appends;
-    int64_t forces;
-    int64_t retained;
-  };
-  struct Pinned {
-    const char* engine;
-    int32_t servers;
-    Counters counters;
-  };
-  // c-2PL is s-2PL plus a client data cache, which logs nothing of its own:
-  // its rows are s-2PL's, not figures of their own.
-  constexpr Counters kS2pl1 = {17903, 9471, 355};
-  constexpr Counters kS2pl4 = {31257, 17838, 387};
-  static const Pinned kPinned[] = {
-      {"s2pl", 1, kS2pl1},                {"g2pl", 1, {11885, 3300, 707}},
-      {"c2pl", 1, kS2pl1},                {"cbl", 1, {17652, 9394, 347}},
-      {"o2pl", 1, {26286, 8321, 1564}},   {"nowait", 1, {29517, 7047, 1898}},
-      {"waitdie", 1, {30100, 7755, 2095}},
-      {"woundwait", 1, {19615, 9080, 613}},
-      {"occ", 1, {26431, 8315, 1627}},    {"ordered", 1, {19757, 8201, 731}},
-      {"s2pl", 4, kS2pl4},                {"g2pl", 4, {24808, 13144, 754}},
-      {"c2pl", 4, kS2pl4},                {"cbl", 4, {31185, 17332, 342}},
-      {"o2pl", 4, {46210, 21344, 2453}},  {"nowait", 4, {38365, 11514, 2057}},
-      {"waitdie", 4, {41391, 13232, 2143}},
-      {"woundwait", 4, {31605, 16840, 512}},
-      {"occ", 4, {46491, 21420, 2345}},   {"ordered", 4, {30194, 14973, 703}},
-  };
-  ASSERT_EQ(std::size(kPinned), 2 * cc::Engines().size())
-      << "pin every registered engine at 1 and 4 servers";
-  for (const Pinned& pinned : kPinned) {
-    const cc::EngineInfo* info = cc::FindEngine(pinned.engine);
-    ASSERT_NE(info, nullptr) << pinned.engine;
-    SimConfig config;
-    config.protocol = info->protocol;
-    config.num_clients = 300;
-    config.num_servers = pinned.servers;
-    config.latency = 50;
-    config.workload.num_items = 500;
-    config.workload.read_prob = 0.3;
-    config.measured_txns = 3000;
-    config.warmup_txns = 300;
-    config.seed = 5;
-    config.max_sim_time = 20'000'000'000;
-    const RunResult result = RunSimulation(config);
-    const std::string what =
-        std::string(pinned.engine) + " x " + std::to_string(pinned.servers);
-    ASSERT_FALSE(result.timed_out) << what;
-    EXPECT_EQ(result.wal_appends, pinned.counters.appends) << what;
-    EXPECT_EQ(result.wal_forces, pinned.counters.forces) << what;
-    EXPECT_EQ(result.wal_retained, pinned.counters.retained) << what;
-  }
-}
-
-// Every engine forces the client's commit record before the transaction
-// reports commit (EngineBase::CommitLocally). A lone read-only client
-// installs nothing and never aborts, so that force is each commit's only
-// one: the run forces its logs exactly once per commit.
-TEST(ClientLogGcTest, EveryEngineForcesTheCommitRecord) {
-  for (const cc::EngineInfo& info : cc::Engines()) {
-    SimConfig config;
-    config.protocol = info.protocol;
-    config.num_clients = 1;
-    config.latency = 100;
-    config.workload.num_items = 1000;
-    config.workload.read_prob = 1.0;
-    config.measured_txns = 200;
-    config.seed = 9;
-    config.max_sim_time = 1'000'000'000;
-    const RunResult result = RunSimulation(config);
-    ASSERT_FALSE(result.timed_out) << info.name;
-    ASSERT_GT(result.total_commits, 0) << info.name;
-    EXPECT_EQ(result.wal_forces, result.total_commits) << info.name;
-  }
-}
 
 TEST(PaperShapeTest, G2plBeatsS2plOnUpdateWorkloadInWan) {
   SimConfig config;

@@ -50,8 +50,8 @@ void ExpectSpansSumToResponse(SimConfig config, const std::string& what) {
     EXPECT_GE(txn.span.execution, 0) << what << " txn " << txn.id;
     EXPECT_GE(txn.span.commit, 0) << what << " txn " << txn.id;
     // The per-round commit sub-spans partition `commit`: both non-negative,
-    // their sum never exceeds it (the residual covers WAL forces and the
-    // coord ack leg), and both are 0 for commits that never ran 2PC.
+    // their sum never exceeds it (the residual covers the coord ack leg),
+    // and both are 0 for commits that never ran 2PC.
     EXPECT_GE(txn.span.commit_prepare, 0) << what << " txn " << txn.id;
     EXPECT_GE(txn.span.commit_vote, 0) << what << " txn " << txn.id;
     EXPECT_GE(txn.span.CommitResidual(), 0)
