@@ -117,7 +117,7 @@ void RunClientGrid(const harness::CliOptions& options) {
     AddRow(&table, std::to_string(row.clients), row.cap,
            grid.Result(row.index));
   }
-  table.Print(options.csv_path);
+  table.Print();  // --csv writes the first table only
   grid.PrintSummary();
 }
 

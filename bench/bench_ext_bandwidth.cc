@@ -108,7 +108,7 @@ void RunCrossoverGrid(const harness::CliOptions& options) {
                   harness::Fmt(100 * s2pl.mean_link_utilization, 1),
                   harness::Fmt(100 * g2pl.mean_link_utilization, 1)});
   }
-  table.Print(options.csv_path);
+  table.Print();  // --csv writes the first table only
   grid.PrintSummary();
 }
 
@@ -148,7 +148,7 @@ void RunCrossTrafficGrid(const harness::CliOptions& options) {
                   harness::Fmt(100 * s2pl.mean_link_utilization, 1),
                   harness::Fmt(100 * g2pl.mean_link_utilization, 1)});
   }
-  table.Print(options.csv_path);
+  table.Print();  // --csv writes the first table only
   grid.PrintSummary();
 }
 

@@ -102,7 +102,7 @@ void RunBandwidthBreakdownGrid(const harness::CliOptions& options) {
     AddBreakdownRow(&table, harness::Fmt(row.bandwidth, 2),
                     proto::Protocol::kG2pl, grid.Result(row.g2pl));
   }
-  table.Print(options.csv_path);
+  table.Print();  // --csv writes the first table only
   grid.PrintSummary();
 }
 

@@ -118,7 +118,7 @@ void LockCcEngine::AbortTxn(TxnId victim) {
   TxnRun* run = FindRun(victim);
   GTPL_CHECK(run != nullptr && !run->finished && !run->doomed)
       << "policy victim " << victim << " is not a live txn";
-  policy_->OnTxnFinished(victim);
+  policy_->OnTxnAborted(victim);
   // The victim's locks are dropped on every shard at decision time (the
   // instantaneous coordination plane; see the determinism contract).
   if (sticky_) {
@@ -194,26 +194,18 @@ void LockCcEngine::DoCommit(TxnRun& run) {
     release[static_cast<size_t>(shard)] = false;
   }
   const TxnId txn = run.id;
-  const auto participants =
-      static_cast<int32_t>(std::count(release.begin(), release.end(), true));
-  if (participants == 0) {
-    // Every shard released early; the txn already left the server plane.
-    policy_->OnTxnFinished(txn);
-  } else {
-    pending_releases_[txn] = participants;
-    for (int32_t shard = 0; shard < num_servers(); ++shard) {
-      if (!release[static_cast<size_t>(shard)]) continue;
-      std::vector<db::ItemVersion>& updates =
-          updates_by[static_cast<size_t>(shard)];
-      const uint64_t payload =
-          net::kControlPayload + net::kDataPayload * updates.size();
-      network().Send(
-          run.site(), ServerSiteOf(shard), "release",
-          [this, shard, txn, updates = std::move(updates)] {
-            ServerOnRelease(shard, txn, updates);
-          },
-          payload);
-    }
+  for (int32_t shard = 0; shard < num_servers(); ++shard) {
+    if (!release[static_cast<size_t>(shard)]) continue;
+    std::vector<db::ItemVersion>& updates =
+        updates_by[static_cast<size_t>(shard)];
+    const uint64_t payload =
+        net::kControlPayload + net::kDataPayload * updates.size();
+    network().Send(
+        run.site(), ServerSiteOf(shard), "release",
+        [this, shard, txn, updates = std::move(updates)] {
+          ServerOnRelease(shard, txn, updates);
+        },
+        payload);
   }
   // Deferred revoke releases leave only now, *after* the installs: same-tick
   // FIFO delivery plus the server-side version fence guarantee the next
@@ -227,14 +219,6 @@ void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
                      static_cast<int64_t>(updates.size()), "", tracer());
   for (const db::ItemVersion& update : updates) {
     store().Install(update.item, update.version);
-  }
-  // The transaction leaves the policy's books only once its last shard
-  // released (it still holds locks elsewhere until then).
-  auto pending = pending_releases_.find(txn);
-  GTPL_CHECK(pending != pending_releases_.end());
-  if (--pending->second == 0) {
-    pending_releases_.erase(pending);
-    policy_->OnTxnFinished(txn);
   }
   if (sticky_) {
     // No lock table to promote; instead the fresh installs may satisfy

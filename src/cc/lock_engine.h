@@ -139,9 +139,6 @@ class LockCcEngine : public proto::EngineBase, public PolicyHost {
   std::vector<std::unique_ptr<db::LockTable>> lock_tables_;
   std::unique_ptr<ConflictPolicy> policy_;
   LockEngineTraits traits_;
-  // Release messages still in flight per committing txn; the policy learns
-  // the txn finished when the count reaches zero.
-  std::unordered_map<TxnId, int32_t> pending_releases_;
   // Shard whose blocked request the policy is currently resolving; abort
   // decisions are attributed to its server site.
   int32_t current_shard_ = 0;

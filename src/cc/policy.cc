@@ -1,32 +1,33 @@
 #include "cc/policy.h"
 
 #include "common/check.h"
-#include "db/waits_for_graph.h"
+#include "core/precedence_graph.h"
 
 namespace gtpl::cc {
 namespace {
 
-// Cycle detection at block time, exactly as the pre-refactor s-2PL engines
-// did it: record the wait edges, then abort the requester if they closed a
-// cycle through it. The engine routes OnWaiterGranted/OnTxnFinished to
-// ClearWaits/RemoveTxn at the same call sites the old engines used, so the
-// graph contents — and therefore every abort and downstream event time —
-// are bit-identical.
+// Cycle detection at block time on g-2PL's precedence graph, where "w waits
+// for h" is the request edge h -> w: record the wait edges, then abort the
+// requester if they closed a cycle through it. A grant drops the granted
+// transaction's waits, an abort drops the victim. A committed transaction
+// waits for nothing, so it closes no cycle; its node leaves the graph with
+// the last wait on it (grant or abort of that waiter).
 class DetectPolicy : public ConflictPolicy {
  public:
   void OnBlocked(TxnId txn, ItemId item, const std::vector<TxnId>& blockers,
                  PolicyHost& host) override {
     (void)item;
-    wfg_.AddWaits(txn, blockers);
-    if (wfg_.HasCycleFrom(txn)) host.AbortTxn(txn);
+    if (graph_.AddWaits(txn, blockers)) host.AbortTxn(txn);
   }
 
-  void OnWaiterGranted(TxnId txn) override { wfg_.ClearWaits(txn); }
+  void OnWaiterGranted(TxnId txn) override {
+    graph_.RemoveRequestEdgesInto(txn);
+  }
 
-  void OnTxnFinished(TxnId txn) override { wfg_.RemoveTxn(txn); }
+  void OnTxnAborted(TxnId txn) override { graph_.RemoveTxn(txn); }
 
  private:
-  db::WaitsForGraph wfg_;
+  core::PrecedenceGraph graph_;
 };
 
 class NoWaitPolicy : public ConflictPolicy {

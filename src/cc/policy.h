@@ -39,12 +39,14 @@ class PolicyHost {
 /// Strategy slot deciding what happens when a lock request blocks — the
 /// deadlock-handling half of a 2PL variant. The generic lock engine calls
 /// the hooks at exactly the points the original s-2PL engine consulted its
-/// waits-for graph, so the detection policy reproduces it bit for bit:
+/// deadlock graph, so the detection policy reproduces it bit for bit:
 ///
 ///   OnBlocked        after LockTable::Request returned kWaiting
 ///   OnWaiterGranted  for each queued request promoted by a release
-///   OnTxnFinished    when the transaction's last shard released its locks
-///                    (commit) or the abort decision dropped them
+///   OnTxnAborted     when the abort decision dropped the victim's locks
+///
+/// A commit needs no hook: at its commit point a transaction has no
+/// outstanding request, so it waits for nobody (DESIGN.md §12).
 ///
 /// Policies are engine-local and single-threaded like the simulator; they
 /// must not draw randomness (determinism contract, DESIGN.md §12).
@@ -62,14 +64,13 @@ class ConflictPolicy {
   /// A queued request of `txn` was promoted to granted.
   virtual void OnWaiterGranted(TxnId txn) { (void)txn; }
 
-  /// `txn` left the server plane: its last shard released (commit) or it
-  /// was aborted.
-  virtual void OnTxnFinished(TxnId txn) { (void)txn; }
+  /// `txn` was aborted and left the server plane.
+  virtual void OnTxnAborted(TxnId txn) { (void)txn; }
 };
 
-/// Waits-for-graph cycle detection at block time; the requester whose
-/// request closed a cycle aborts — the paper's s-2PL resolution,
-/// bit-identical to the pre-refactor engines.
+/// Cycle detection at block time on a core::PrecedenceGraph of wait edges;
+/// the requester whose request closed a cycle aborts — the paper's s-2PL
+/// resolution, bit-identical to the pre-refactor engines.
 std::unique_ptr<ConflictPolicy> MakeDetectPolicy();
 
 /// No-wait 2PL: any blocked request aborts the requester immediately.

@@ -18,7 +18,7 @@ using proto::Protocol;
 using proto::SimConfig;
 
 // Server-based strict 2PL (paper §3.1, the baseline): the generic lock
-// engine with waits-for-graph detection. Sticky leases (--lease) only add
+// engine with waits-for cycle detection. Sticky leases (--lease) only add
 // the lease layer on top.
 std::unique_ptr<EngineBase> MakeS2pl(const SimConfig& config) {
   return std::make_unique<LockCcEngine>(config, MakeDetectPolicy());

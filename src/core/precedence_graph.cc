@@ -16,6 +16,15 @@ void PrecedenceGraph::AddEdge(TxnId a, TxnId b, EdgeKind kind) {
   it->second |= kind;
 }
 
+bool PrecedenceGraph::AddWaits(TxnId waiter,
+                               const std::vector<TxnId>& blockers) {
+  for (TxnId blocker : blockers) AddEdge(blocker, waiter, kRequestEdge);
+  // Acyclic before the insert, so any cycle now uses a new edge into
+  // `waiter` and exists iff `waiter` reaches one of the blockers.
+  const std::unordered_set<TxnId> targets(blockers.begin(), blockers.end());
+  return !ReachableAmong(waiter, targets).empty();
+}
+
 bool PrecedenceGraph::CanReach(TxnId from, TxnId to) const {
   if (from == to) return true;
   std::vector<TxnId> stack{from};

@@ -27,7 +27,9 @@ enum EdgeKind : uint8_t {
 /// any required edge that would close a cycle triggers an abort instead.
 ///
 /// The graph is consistent with the lock-granting order, hence with the
-/// serialization order of the g-2PL schedule.
+/// serialization order of the g-2PL schedule. The lock-based engines (s-2PL
+/// detection, CBL) run deadlock detection on it too: "w waits for h" is the
+/// request edge h -> w (AddWaits).
 class PrecedenceGraph {
  public:
   PrecedenceGraph() = default;
@@ -35,6 +37,13 @@ class PrecedenceGraph {
   /// Adds a -> b with the given kind (or adds the kind to an existing edge).
   /// Callers must have established that no cycle results.
   void AddEdge(TxnId a, TxnId b, EdgeKind kind);
+
+  /// Deadlock detection at block time: `waiter` now waits for every
+  /// transaction in `blockers` (a request edge blocker -> waiter each).
+  /// Returns true iff the new edges closed a cycle, i.e. `waiter` reaches a
+  /// blocker. The graph must be acyclic before the call, so the caller
+  /// breaks a reported cycle by removing a transaction on it (RemoveTxn).
+  bool AddWaits(TxnId waiter, const std::vector<TxnId>& blockers);
 
   /// True iff a path from `from` to `to` exists (any edge kinds).
   bool CanReach(TxnId from, TxnId to) const;
@@ -77,7 +86,6 @@ class PrecedenceGraph {
   std::vector<TxnId> ConsistentOrder(const std::vector<TxnId>& txns) const;
 
   int64_t num_edges() const { return num_edges_; }
-  size_t num_nodes() const { return out_.size(); }
   bool HasEdge(TxnId a, TxnId b) const;
 
   /// True iff any edge points into `txn`.

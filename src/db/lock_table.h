@@ -30,8 +30,8 @@ struct LockRequest {
 /// fairness, preventing writer starvation). When locks are released, the
 /// maximal compatible prefix of the queue is granted in order.
 ///
-/// The table has no deadlock policy of its own; the caller pairs it with
-/// WaitsForGraph and aborts victims.
+/// The table has no deadlock policy of its own; the caller's
+/// cc::ConflictPolicy resolves blocked requests and aborts victims.
 class LockTable {
  public:
   /// Called when a queued request is granted (never for immediate grants).
@@ -49,8 +49,8 @@ class LockTable {
   void ReleaseAll(TxnId txn, const GrantCallback& on_grant);
 
   /// Transactions whose grant `txn` is currently waiting behind on `item`:
-  /// conflicting holders plus conflicting earlier waiters. Used to build the
-  /// waits-for graph.
+  /// conflicting holders plus conflicting earlier waiters, never `txn`
+  /// itself. The conflict policy receives them as `txn`'s wait edges.
   std::vector<TxnId> Blockers(TxnId txn, ItemId item) const;
 
   /// True iff `txn` currently holds `item` in any mode.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "common/check.h"
@@ -50,7 +51,17 @@ std::string Table::ToCsv() const {
     std::string line;
     for (size_t c = 0; c < cells.size(); ++c) {
       if (c > 0) line += ',';
-      line += cells[c];
+      const std::string& cell = cells[c];
+      if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+        line += cell;
+        continue;
+      }
+      line += '"';
+      for (char ch : cell) {
+        if (ch == '"') line += '"';
+        line += ch;
+      }
+      line += '"';
     }
     return line + "\n";
   };
@@ -61,10 +72,12 @@ std::string Table::ToCsv() const {
 
 void Table::Print(const std::string& csv_path) const {
   std::fputs(ToString().c_str(), stdout);
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    GTPL_CHECK(file.good()) << "cannot write " << csv_path;
-    file << ToCsv();
+  if (csv_path.empty()) return;
+  std::ofstream file(csv_path);
+  file << ToCsv();
+  if (!file.flush()) {
+    std::fprintf(stderr, "cannot write CSV file %s\n", csv_path.c_str());
+    std::exit(2);
   }
 }
 

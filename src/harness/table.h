@@ -19,11 +19,13 @@ class Table {
   /// Renders the aligned console form.
   std::string ToString() const;
 
-  /// Renders CSV (header + rows).
+  /// Renders CSV (header + rows). A cell holding a comma, double quote, CR
+  /// or LF is quoted with its quotes doubled (RFC 4180); others stay bare.
   std::string ToCsv() const;
 
   /// Prints ToString() to stdout; also writes CSV to `csv_path` when
-  /// non-empty.
+  /// non-empty. A CSV file that cannot be written prints one "cannot write
+  /// CSV file <path>" line to stderr and exits with status 2.
   void Print(const std::string& csv_path = "") const;
 
  private:

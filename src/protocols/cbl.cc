@@ -10,9 +10,10 @@
 //
 // CBL runs under sharding (EngineBase's routing): the per-item protocol state
 // lives at the owning shard's server site, while the coordination plane
-// (waits-for graph, abort decisions) stays global and instantaneous like
-// every other engine (DESIGN.md §8). Cross-server commits run the classic
-// client-coordinated 2PC; Validate() rejects the other commit paths.
+// (the wait edges on a core::PrecedenceGraph, abort decisions) stays global
+// and instantaneous like every other engine (DESIGN.md §8). Cross-server
+// commits run the classic client-coordinated 2PC; Validate() rejects the
+// other commit paths.
 
 #include "protocols/cbl.h"
 
@@ -24,7 +25,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "db/waits_for_graph.h"
+#include "core/precedence_graph.h"
 
 namespace gtpl::proto {
 namespace {
@@ -102,18 +103,6 @@ class CblEngine : public EngineBase {
     // cleaned that up at decision time (ServerAbort).
   }
 
-  bool ShardVote(int32_t shard, TxnId txn, bool speculative) override {
-    (void)shard;
-    (void)speculative;
-    return !Dead(txn);
-  }
-
-  void OnCommitDecision(int32_t shard, TxnId txn) override {
-    // The per-shard cbl-commit messages (DoCommit) carry the actual work.
-    (void)shard;
-    (void)txn;
-  }
-
  private:
   struct PendingReq {
     TxnId txn;
@@ -149,8 +138,7 @@ class CblEngine : public EngineBase {
       return;
     }
     it.queue.push_back(PendingReq{txn, site, mode});
-    AddWaitEdges(txn, item);
-    if (wfg_.HasCycleFrom(txn)) ServerAbort(txn, item);
+    if (AddWaitEdges(txn, item)) ServerAbort(txn, item);
   }
 
   void GrantShared(TxnId txn, SiteId site, ItemId item) {
@@ -201,11 +189,8 @@ class CblEngine : public EngineBase {
                        ClientOnCallback(site, item, collector);
                      });
     }
-    if (!blockers.empty()) {
-      wfg_.AddWaits(head.txn, blockers);
-      if (wfg_.HasCycleFrom(head.txn)) {
-        ServerAbort(head.txn, item);
-      }
+    if (!blockers.empty() && graph_.AddWaits(head.txn, blockers)) {
+      ServerAbort(head.txn, item);
     }
   }
 
@@ -221,11 +206,8 @@ class CblEngine : public EngineBase {
       cc.deferred_acks.push_back(item);
       TxnRun* pinner = ClientAt(site - 1).current.get();
       if (pinner != nullptr && !pinner->finished && !Dead(collector) &&
-          !pinner->doomed) {
-        wfg_.AddWaits(collector, {pinner->id});
-        if (wfg_.HasCycleFrom(collector)) {
-          ServerAbort(pinner->id, item);
-        }
+          !pinner->doomed && graph_.AddWaits(collector, {pinner->id})) {
+        ServerAbort(pinner->id, item);
       }
       return;
     }
@@ -255,7 +237,7 @@ class CblEngine : public EngineBase {
   }
 
   void ServerOnAck(SiteId site, ItemId item, TxnId acker, bool pinned) {
-    if (pinned && acker != kInvalidTxn) wfg_.RemoveTxn(acker);
+    if (pinned && acker != kInvalidTxn) graph_.RemoveTxn(acker);
     ItemCbl& it = items_[static_cast<size_t>(item)];
     it.copy_set.erase(site);
     if (it.acks_outstanding > 0) {
@@ -279,7 +261,7 @@ class CblEngine : public EngineBase {
       if (head.mode == LockMode::kShared) {
         if (it.x_holder != kInvalidTxn) return;
         it.queue.pop_front();
-        wfg_.ClearWaits(head.txn);
+        graph_.RemoveRequestEdgesInto(head.txn);
         GrantShared(head.txn, head.site, item);
         continue;  // batch-grant consecutive shared requests
       }
@@ -290,7 +272,7 @@ class CblEngine : public EngineBase {
                        [&head](SiteId s) { return s != head.site; })) {
         it.queue.pop_front();
         it.x_holder = head.txn;
-        wfg_.ClearWaits(head.txn);
+        graph_.RemoveRequestEdgesInto(head.txn);
         const Version version = store().VersionOf(item);
         it.copy_set.insert(head.site);
         network().Send(
@@ -334,14 +316,14 @@ class CblEngine : public EngineBase {
       GrantHead(update.item);
     }
     // Idempotent across the per-shard commit messages of one txn.
-    wfg_.RemoveTxn(txn);
+    graph_.RemoveTxn(txn);
   }
 
   void ServerAbort(TxnId victim, ItemId requested_item) {
     TxnRun* run = FindRun(victim);
     GTPL_CHECK(run != nullptr && !run->finished && !run->doomed)
         << "cbl victim " << victim << " is not a live txn";
-    wfg_.RemoveTxn(victim);
+    graph_.RemoveTxn(victim);
     // Drop the victim's queued requests and exclusive holds.
     for (size_t i = 0; i < items_.size(); ++i) {
       ItemCbl& it = items_[i];
@@ -360,7 +342,9 @@ class CblEngine : public EngineBase {
     ServerAbortDecision(victim, ServerSiteOf(ShardOf(requested_item)));
   }
 
-  void AddWaitEdges(TxnId txn, ItemId item) {
+  /// Posts `txn`'s waits behind `item`'s holder and queue; true iff they
+  /// closed a cycle.
+  bool AddWaitEdges(TxnId txn, ItemId item) {
     ItemCbl& it = items_[static_cast<size_t>(item)];
     std::vector<TxnId> blockers;
     if (it.x_holder != kInvalidTxn) blockers.push_back(it.x_holder);
@@ -368,10 +352,10 @@ class CblEngine : public EngineBase {
       if (r.txn == txn) break;
       blockers.push_back(r.txn);  // FIFO: everything ahead blocks
     }
-    wfg_.AddWaits(txn, blockers);
+    return graph_.AddWaits(txn, blockers);
   }
 
-  db::WaitsForGraph wfg_;
+  core::PrecedenceGraph graph_;
   std::vector<ItemCbl> items_;
   std::vector<ClientCbl> clients_cbl_;
 };

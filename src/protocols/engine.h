@@ -233,12 +233,11 @@ void EmitRelease(TxnId txn, int32_t shard, SiteId site, int64_t updates,
 /// ::decided_remotely, ::released_shards) and counts as gone once the run
 /// is finished. The run is also the only record of whether a transaction is
 /// alive (Dead): no engine keeps a set of aborted ids. State that must
-/// outlive the run (a lock engine's releases in flight, g-2PL's forward-list
-/// slots) stays keyed by TxnId in the engine and is erased with the
-/// transaction's last message.
+/// outlive the run (g-2PL's forward-list slots) stays keyed by TxnId in the
+/// engine and is erased with the transaction's last message.
 ///
 /// Determinism contract (DESIGN.md §8): the servers' *coordination plane*
-/// (shared precedence graph / waits-for graph, abort decisions) is modeled
+/// (the shared precedence graph, abort decisions) is modeled
 /// as instantaneous, like the paper's zero-cost server reordering; only the
 /// data and commit paths pay latency.
 ///
@@ -283,11 +282,20 @@ class EngineBase {
   /// prepare message arrives at the server. `speculative` marks kEarly
   /// prepares sent before the commit point: the vote is advisory ("not
   /// aborted so far"), so engines must NOT take commit-promise actions on
-  /// it (e.g. release-at-prepare).
-  virtual bool ShardVote(int32_t shard, TxnId txn, bool speculative) = 0;
+  /// it (e.g. release-at-prepare). The default votes yes unless `txn` is
+  /// dead.
+  virtual bool ShardVote(int32_t shard, TxnId txn, bool speculative) {
+    (void)shard;
+    (void)speculative;
+    return !Dead(txn);
+  }
   /// The commit decision arrived at participant `shard` (phase two); the
-  /// base already recorded the event.
-  virtual void OnCommitDecision(int32_t shard, TxnId txn) = 0;
+  /// base already recorded the event. The default does nothing: the
+  /// client's own messages (releases, forwards) carry the work.
+  virtual void OnCommitDecision(int32_t shard, TxnId txn) {
+    (void)shard;
+    (void)txn;
+  }
   /// Copy protocol-specific counters into the result.
   virtual void FillProtocolMetrics(RunResult* result) { (void)result; }
   /// The last operation's think time elapsed: begin committing. The default

@@ -321,21 +321,6 @@ void ShardedG2plEngine::DoCommit(TxnRun& run) { Finish(run, true); }
 
 void ShardedG2plEngine::OnClientAborted(TxnRun& run) { Finish(run, false); }
 
-bool ShardedG2plEngine::ShardVote(int32_t shard, TxnId txn,
-                                  bool speculative) {
-  (void)shard;  // deadlock avoidance is global; every shard sees the same
-  (void)speculative;  // the vote takes no commit-promise action either way
-  return !Dead(txn);
-}
-
-void ShardedG2plEngine::OnCommitDecision(int32_t shard, TxnId txn) {
-  // Nothing further server-side: in g-2PL the committed data itself
-  // migrates along the forward lists; the servers learn outcomes from the
-  // return messages. The base class already logged the decision.
-  (void)shard;
-  (void)txn;
-}
-
 void ShardedG2plEngine::FillProtocolMetrics(RunResult* result) {
   result->windows_dispatched = wm_->windows_dispatched();
   result->read_group_expansions = wm_->expansions();

@@ -40,8 +40,6 @@ class ShardedG2plEngine : public EngineBase {
   void DoCommit(TxnRun& run) override;
   void OnClientAborted(TxnRun& run) override;
   void FillProtocolMetrics(RunResult* result) override;
-  bool ShardVote(int32_t shard, TxnId txn, bool speculative) override;
-  void OnCommitDecision(int32_t shard, TxnId txn) override;
 
  private:
   /// One occupied forward-list slot (see the class comment).

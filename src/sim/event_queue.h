@@ -24,8 +24,8 @@ struct Event {
 /// put in a slot array until its event is popped, and freed slots are
 /// reused. A sift therefore moves 24-byte keys into a hole instead of
 /// swapping std::functions. Hand-rolled rather than std::priority_queue so
-/// that Pop can move the callback out and the arrays can be cleared and
-/// reserved explicitly between runs.
+/// that Pop can move the callback out and the arrays can be cleared
+/// explicitly between runs.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -53,10 +53,6 @@ class EventQueue {
     heap_.clear();
     actions_.clear();
     free_slots_.clear();
-  }
-  void Reserve(size_t n) {
-    heap_.reserve(n);
-    actions_.reserve(n);
   }
 
  private:

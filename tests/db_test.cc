@@ -1,5 +1,5 @@
-// Unit tests for the database substrate: lock table, waits-for graph and
-// versioned data store.
+// Unit tests for the database substrate: lock table and versioned data
+// store.
 
 #include "db/lock_table.h"
 
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "db/data_store.h"
-#include "db/waits_for_graph.h"
 
 namespace gtpl::db {
 namespace {
@@ -117,57 +116,6 @@ TEST_F(LockTableTest, HeldItemsLists) {
   table_.Request(1, 2, LockMode::kExclusive);
   const std::vector<ItemId> held = table_.HeldItems(1);
   EXPECT_EQ(held.size(), 2u);
-}
-
-TEST(WaitsForGraphTest, NoCycleOnChain) {
-  WaitsForGraph wfg;
-  wfg.AddWaits(1, {2});
-  wfg.AddWaits(2, {3});
-  EXPECT_FALSE(wfg.HasCycleFrom(1));
-}
-
-TEST(WaitsForGraphTest, DetectsTwoCycle) {
-  WaitsForGraph wfg;
-  wfg.AddWaits(1, {2});
-  wfg.AddWaits(2, {1});
-  EXPECT_TRUE(wfg.HasCycleFrom(1));
-  EXPECT_TRUE(wfg.HasCycleFrom(2));
-}
-
-TEST(WaitsForGraphTest, DetectsLongCycle) {
-  WaitsForGraph wfg;
-  wfg.AddWaits(1, {2});
-  wfg.AddWaits(2, {3});
-  wfg.AddWaits(3, {4});
-  wfg.AddWaits(4, {1});
-  EXPECT_TRUE(wfg.HasCycleFrom(1));
-  EXPECT_TRUE(wfg.HasCycleFrom(3));
-}
-
-TEST(WaitsForGraphTest, RemoveTxnBreaksCycle) {
-  WaitsForGraph wfg;
-  wfg.AddWaits(1, {2});
-  wfg.AddWaits(2, {1});
-  wfg.RemoveTxn(2);
-  EXPECT_FALSE(wfg.HasCycleFrom(1));
-}
-
-TEST(WaitsForGraphTest, ClearWaitsKeepsIncomingEdges) {
-  WaitsForGraph wfg;
-  wfg.AddWaits(1, {2});
-  wfg.AddWaits(2, {3});
-  wfg.ClearWaits(2);  // txn 2 got granted; txn 1 still waits for it
-  EXPECT_EQ(wfg.OutDegree(2), 0);
-  EXPECT_EQ(wfg.OutDegree(1), 1);
-  wfg.AddWaits(2, {1});
-  EXPECT_TRUE(wfg.HasCycleFrom(1));
-}
-
-TEST(WaitsForGraphTest, SelfEdgesIgnored) {
-  WaitsForGraph wfg;
-  wfg.AddWaits(1, {1, 2});
-  EXPECT_FALSE(wfg.HasCycleFrom(1));
-  EXPECT_EQ(wfg.OutDegree(1), 1);
 }
 
 TEST(DataStoreTest, VersionsStartAtZero) {

@@ -22,16 +22,29 @@ TEST(TableTest, AlignsColumns) {
   EXPECT_NE(out.find("wide-cell  1"), std::string::npos);
 }
 
-TEST(TableTest, CsvEscapesNothingButJoins) {
-  Table table({"x", "y"});
+TEST(TableTest, CsvQuotesOnlyCellsThatNeedIt) {
+  Table table({"x", "y,z"});
   table.AddRow({"1", "2"});
-  table.AddRow({"3", "4"});
-  EXPECT_EQ(table.ToCsv(), "x,y\n1,2\n3,4\n");
+  table.AddRow({"say \"hi\"", "a\nb"});
+  table.AddRow({"c\rd", "1 - 5 (uniform)"});
+  EXPECT_EQ(table.ToCsv(),
+            "x,\"y,z\"\n"
+            "1,2\n"
+            "\"say \"\"hi\"\"\",\"a\nb\"\n"
+            "\"c\rd\",1 - 5 (uniform)\n");
 }
 
 TEST(TableDeathTest, RowArityChecked) {
   Table table({"x", "y"});
   EXPECT_DEATH(table.AddRow({"only-one"}), "");
+}
+
+TEST(TableDeathTest, UnwritableCsvExitsWithStatusTwo) {
+  Table table({"x"});
+  table.AddRow({"1"});
+  EXPECT_EXIT(table.Print("/nonexistent/dir/t.csv"),
+              ::testing::ExitedWithCode(2),
+              "cannot write CSV file /nonexistent/dir/t.csv");
 }
 
 TEST(FmtTest, Decimals) {

@@ -133,5 +133,71 @@ TEST(PrecedenceGraphTest, DuplicateEdgeCountsOnce) {
   EXPECT_EQ(graph.num_edges(), 1);
 }
 
+// Deadlock detection on wait edges: AddWaits(w, {h}) is "w waits for h",
+// the request edge h -> w.
+
+TEST(PrecedenceGraphTest, WaitChainClosesNoCycle) {
+  PrecedenceGraph graph;
+  EXPECT_FALSE(graph.AddWaits(1, {2}));
+  EXPECT_FALSE(graph.AddWaits(2, {3}));
+  EXPECT_TRUE(graph.HasEdge(2, 1));
+  EXPECT_TRUE(graph.HasEdge(3, 2));
+}
+
+TEST(PrecedenceGraphTest, ClosingWaitOfTwoCycleDetected) {
+  PrecedenceGraph graph;
+  EXPECT_FALSE(graph.AddWaits(1, {2}));
+  EXPECT_TRUE(graph.AddWaits(2, {1}));
+}
+
+TEST(PrecedenceGraphTest, ClosingWaitOfLongCycleDetected) {
+  PrecedenceGraph graph;
+  EXPECT_FALSE(graph.AddWaits(1, {2}));
+  EXPECT_FALSE(graph.AddWaits(2, {3}));
+  EXPECT_FALSE(graph.AddWaits(3, {4}));
+  EXPECT_TRUE(graph.AddWaits(4, {5, 1}));
+}
+
+TEST(PrecedenceGraphTest, RemoveTxnBreaksWaitCycle) {
+  PrecedenceGraph graph;
+  graph.AddWaits(1, {2});
+  ASSERT_TRUE(graph.AddWaits(2, {1}));
+  graph.RemoveTxn(2);  // the victim
+  EXPECT_TRUE(graph.IsAcyclic());
+  EXPECT_EQ(graph.num_edges(), 0);
+  EXPECT_FALSE(graph.AddWaits(1, {3}));
+}
+
+TEST(PrecedenceGraphTest, GrantKeepsWaitsOnGrantee) {
+  PrecedenceGraph graph;
+  graph.AddWaits(1, {2});
+  graph.AddWaits(2, {3});
+  graph.RemoveRequestEdgesInto(2);  // 2 granted; 1 still waits for it
+  EXPECT_FALSE(graph.HasEdge(3, 2));
+  EXPECT_TRUE(graph.HasEdge(2, 1));
+  EXPECT_TRUE(graph.AddWaits(2, {1}));
+}
+
+// A transaction at its commit point waits for nobody, while others still
+// wait on the locks it holds until its releases land: it lies on no cycle,
+// and its node goes with the last wait on it.
+TEST(PrecedenceGraphTest, WaitedOnTxnLeavesWithItsLastWaiter) {
+  PrecedenceGraph graph;
+  EXPECT_FALSE(graph.AddWaits(2, {1}));
+  EXPECT_FALSE(graph.AddWaits(3, {1, 2}));
+  EXPECT_FALSE(graph.HasInEdges(1));
+  graph.RemoveRequestEdgesInto(2);  // 2 granted
+  EXPECT_EQ(graph.OutTargets(1), (std::vector<TxnId>{3}));
+  graph.RemoveTxn(3);  // 3 aborted
+  EXPECT_EQ(graph.num_edges(), 0);
+}
+
+TEST(PrecedenceGraphDeathTest, SelfWaitChecked) {
+  // No caller passes one: LockTable::Blockers stops before the requester,
+  // and CBL's blockers sit at other sites.
+  PrecedenceGraph graph;
+  EXPECT_DEATH(graph.AddWaits(1, {2, 1}), "");
+}
+
 }  // namespace
 }  // namespace gtpl::core
