@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -114,12 +115,19 @@ inline proto::SimConfig PaperBaseConfig() {
   return config;
 }
 
-/// Parses flags or exits with usage.
+/// Parses flags or exits with usage. A --csv path that cannot be opened for
+/// writing exits 2 here, before any grid runs, with the line Table::Print
+/// prints for a failed write.
 inline harness::CliOptions ParseOrDie(int argc, char** argv) {
   harness::CliOptions options;
   const Status status = harness::ParseCli(argc, argv, &options);
   if (!status.ok()) {
     std::fprintf(stderr, "%s: %s\n", argv[0], status.message().c_str());
+    std::exit(2);
+  }
+  if (!options.csv_path.empty() && !std::ofstream(options.csv_path)) {
+    std::fprintf(stderr, "cannot write CSV file %s\n",
+                 options.csv_path.c_str());
     std::exit(2);
   }
   return options;

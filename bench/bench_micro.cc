@@ -3,7 +3,9 @@
 // generator's access-set sampling and set-up, the trace writer, and a whole
 // small simulation — to keep the substrate's costs visible.
 
+#include <deque>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -165,6 +167,78 @@ void BM_PrecedenceGraphReachability(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrecedenceGraphReachability);
+
+core::EdgeKind RandomKind(rng::Rng& rng) {
+  return rng.Bernoulli(0.5) ? core::kStructuralEdge : core::kRequestEdge;
+}
+
+// The live g-2PL graph's shape: hot_g2pl_4shard's graph averages ~90 nodes
+// and ~530 edges. Edges run from older to newer transactions, and each
+// query asks whether a transaction reaches any of 8 older ones, which it
+// cannot: the no-cycle common case, whose walk covers the whole reachable
+// cone.
+void BM_PrecedenceGraphReachableAmong(benchmark::State& state) {
+  constexpr TxnId kNodes = 90;
+  rng::Rng rng(11);
+  core::PrecedenceGraph graph;
+  while (graph.num_edges() < 530) {
+    const TxnId a = rng.UniformInt(0, kNodes - 2);
+    graph.AddEdge(a, rng.UniformInt(a + 1, kNodes - 1), RandomKind(rng));
+  }
+  const std::unordered_set<TxnId> older{0, 1, 2, 3, 4, 5, 6, 7};
+  for (auto _ : state) {
+    const TxnId from = rng.UniformInt(8, 15);
+    benchmark::DoNotOptimize(graph.ReachableAmong(from, older));
+  }
+}
+BENCHMARK(BM_PrecedenceGraphReachableAmong);
+
+// Steady churn at that live size: each iteration admits a transaction with
+// edges from 10 live ones, asks whether a newer live transaction reaches 8
+// older ones (as a request does against an item's window members), then
+// retires one: alternately contracting a random live transaction (an abort)
+// and removing the oldest (a drain).
+void BM_PrecedenceGraphChurn(benchmark::State& state) {
+  constexpr int64_t kLive = 90;
+  rng::Rng rng(12);
+  core::PrecedenceGraph graph;
+  std::deque<TxnId> live;
+  TxnId next = 0;
+  const auto live_at = [&rng, &live](int64_t lo, int64_t hi) {
+    return live[static_cast<size_t>(rng.UniformInt(lo, hi))];
+  };
+  const auto admit = [&] {
+    for (int i = 0; i < 10 && !live.empty(); ++i) {
+      graph.AddEdge(live_at(0, static_cast<int64_t>(live.size()) - 1), next,
+                    RandomKind(rng));
+    }
+    live.push_back(next++);
+  };
+  while (static_cast<int64_t>(live.size()) < kLive) admit();
+  std::unordered_set<TxnId> members;
+  bool abort = false;
+  int64_t edges = 0;
+  for (auto _ : state) {
+    admit();
+    members.clear();
+    while (members.size() < 8) members.insert(live_at(0, kLive / 4));
+    benchmark::DoNotOptimize(
+        graph.ReachableAmong(live_at(kLive / 2, kLive - 1), members));
+    if (abort) {
+      const auto victim = live.begin() + rng.UniformInt(1, kLive - 1);
+      graph.Contract(*victim);
+      live.erase(victim);
+    } else {
+      graph.RemoveTxn(live.front());
+      live.pop_front();
+    }
+    abort = !abort;
+    edges += graph.num_edges();
+  }
+  state.counters["edges"] = benchmark::Counter(
+      static_cast<double>(edges), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PrecedenceGraphChurn);
 
 // A fixed mix of trace events as the engines emit them: a transport send
 // with its label, a commit carrying its span phases, and a g-2PL window

@@ -30,6 +30,17 @@ enum EdgeKind : uint8_t {
 /// serialization order of the g-2PL schedule. The lock-based engines (s-2PL
 /// detection, CBL) run deadlock detection on it too: "w waits for h" is the
 /// request edge h -> w (AddWaits).
+///
+/// Nodes live in dense slots, each with a flat out-list and in-list of slot
+/// indices; the TxnId -> slot map is consulted only where a call enters. A
+/// node exists exactly while it has an edge: its slot returns to a free list
+/// with its last edge and keeps its lists' capacity for the next occupant.
+/// Walks (CanReach, ReachableAmong, AddWaits) mark slots with a per-walk
+/// epoch in reused scratch, so they neither hash nor allocate per visited
+/// node. That scratch makes even the const queries unsafe to run
+/// concurrently, which needs no lock: every graph belongs to one serial
+/// engine run (the window manager, the detect policy or CBL's engine), and
+/// the parallel engine owns none.
 class PrecedenceGraph {
  public:
   PrecedenceGraph() = default;
@@ -48,7 +59,9 @@ class PrecedenceGraph {
   /// True iff a path from `from` to `to` exists (any edge kinds).
   bool CanReach(TxnId from, TxnId to) const;
 
-  /// Subset of `candidates` reachable from `from` (single DFS).
+  /// Subset of `candidates` reachable from `from` (single DFS that stops
+  /// once every candidate in the graph is hit). The order of the hits is
+  /// unspecified: a caller that acts on them in turn sorts them first.
   std::vector<TxnId> ReachableAmong(
       TxnId from, const std::unordered_set<TxnId>& candidates) const;
 
@@ -90,8 +103,8 @@ class PrecedenceGraph {
 
   /// True iff any edge points into `txn`.
   bool HasInEdges(TxnId txn) const {
-    auto it = in_.find(txn);
-    return it != in_.end() && !it->second.empty();
+    const int32_t slot = SlotOf(txn);
+    return slot >= 0 && !nodes_[static_cast<size_t>(slot)].in.empty();
   }
 
   /// Targets of `txn`'s outgoing edges (any kind).
@@ -101,12 +114,48 @@ class PrecedenceGraph {
   bool IsAcyclic() const;
 
  private:
-  void EraseEdge(TxnId a, TxnId b);
+  struct OutEdge {
+    int32_t slot;
+    uint8_t kinds;  // EdgeKind bitmask, never 0
+  };
+  struct Node {
+    TxnId txn = kInvalidTxn;
+    std::vector<OutEdge> out;
+    std::vector<int32_t> in;  // source slots
+  };
 
-  // out_[a][b] = kind bitmask of edge a -> b; in_[b] = sources of edges into b.
-  std::unordered_map<TxnId, std::unordered_map<TxnId, uint8_t>> out_;
-  std::unordered_map<TxnId, std::unordered_set<TxnId>> in_;
+  /// The slot holding `txn`, or -1 when it has no edge.
+  int32_t SlotOf(TxnId txn) const {
+    auto it = slot_of_.find(txn);
+    return it == slot_of_.end() ? -1 : it->second;
+  }
+  int32_t AcquireSlot(TxnId txn);
+  void ReleaseIfIsolated(int32_t slot);
+  OutEdge& FindOut(int32_t from, int32_t to);
+  void Link(int32_t from, int32_t to, uint8_t kinds);
+  void EraseEdge(int32_t from, int32_t to);
+
+  /// Starts a walk: a new epoch clears every mark of the previous one.
+  void BeginWalk() const { ++epoch_; }
+  /// Marks `txn` as a target of the current walk. Returns false when it has
+  /// no slot.
+  bool MarkWanted(TxnId txn) const;
+  /// Depth-first walk from slot `from` that stops after `targets` marked
+  /// slots are reached. Appends the reached targets' txns to `hits` when
+  /// given; returns how many it reached.
+  int32_t Walk(int32_t from, int32_t targets, std::vector<TxnId>* hits) const;
+
+  std::vector<Node> nodes_;
+  std::vector<int32_t> free_slots_;
+  std::unordered_map<TxnId, int32_t> slot_of_;
   int64_t num_edges_ = 0;
+
+  // Walk scratch, one mark per slot: a slot is seen (wanted) in the current
+  // walk iff its mark equals epoch_. 64-bit epochs never wrap.
+  mutable std::vector<uint64_t> seen_;
+  mutable std::vector<uint64_t> wanted_;
+  mutable uint64_t epoch_ = 0;
+  mutable std::vector<int32_t> stack_;
 };
 
 }  // namespace gtpl::core

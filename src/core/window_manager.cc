@@ -123,7 +123,9 @@ bool WindowManager::ResolveCycle(ItemId item, const PendingRequest& request,
   if (request.restart_count > options_.aging_threshold) {
     // Aging: favor the oft-restarted requester by aborting the opposing
     // window members; their dissolvable wait edges may break the cycle.
-    // Members that already finished (committed) cannot be victims.
+    // Members that already finished (committed) cannot be victims. Victims
+    // go in ascending txn id order, not in the walk's unspecified order.
+    std::sort(reached_members.begin(), reached_members.end());
     for (TxnId member : reached_members) {
       if (callbacks_.can_abort != nullptr && !callbacks_.can_abort(member)) {
         continue;

@@ -279,6 +279,27 @@ TEST_F(WindowManagerTest, AgingAbortsMemberAndPurgesItsRequestAtAnotherItem) {
   EXPECT_TRUE(wm_->graph().IsAcyclic());
 }
 
+TEST_F(WindowManagerTest, AgingAbortsReachedMembersInAscendingIdOrder) {
+  // The aged requester T1 reaches both undrained members of item 0, T5
+  // (first window) and T4 (second), along T1 -> T5 -> T4: the walk meets
+  // T5 first, but the victims go in ascending id order.
+  G2plOptions options;
+  options.aging_threshold = 1;
+  Init(options);
+  wm_->OnRequest(5, 5, 0, LockMode::kShared, 0);  // [R{T5}] at item 0
+  wm_->OnRequest(4, 4, 0, LockMode::kShared, 0);  // pending behind T5
+  wm_->OnReturn(0, 0);                            // [R{T4}]: T5 -> T4
+  wm_->OnRequest(1, 1, 1, LockMode::kExclusive, 0);  // T1 holds item 1
+  wm_->OnRequest(5, 5, 1, LockMode::kExclusive, 0);  // T5 waits: T1 -> T5
+  ASSERT_TRUE(aborts_.empty());
+  ASSERT_TRUE(wm_->graph().HasEdge(5, 4));
+  wm_->OnRequest(1, 1, 0, LockMode::kExclusive, /*restart_count=*/5);
+  EXPECT_EQ(aborts_, (std::vector<TxnId>{4, 5}));
+  EXPECT_EQ(wm_->PendingCount(1), 0);  // T5's request purged
+  EXPECT_EQ(wm_->PendingCount(0), 1);  // the aged requester queues
+  EXPECT_TRUE(wm_->graph().IsAcyclic());
+}
+
 TEST_F(WindowManagerTest, GraphStaysAcyclicUnderChurn) {
   Init(G2plOptions{});
   // Interleave requests, returns, aborts over 4 items and ensure the
