@@ -115,9 +115,11 @@ inline proto::SimConfig PaperBaseConfig() {
   return config;
 }
 
-/// Parses flags or exits with usage. A --csv path that cannot be opened for
-/// writing exits 2 here, before any grid runs, with the line Table::Print
-/// prints for a failed write.
+/// Parses flags or exits with usage. A --csv path that cannot be written
+/// exits 2 here, before any grid runs, with the line Table::Print prints
+/// for a failed write: one byte is written and flushed, so a path that
+/// opens but refuses writes (a full device) fails too, and the file is then
+/// truncated back to empty.
 inline harness::CliOptions ParseOrDie(int argc, char** argv) {
   harness::CliOptions options;
   const Status status = harness::ParseCli(argc, argv, &options);
@@ -125,10 +127,15 @@ inline harness::CliOptions ParseOrDie(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", argv[0], status.message().c_str());
     std::exit(2);
   }
-  if (!options.csv_path.empty() && !std::ofstream(options.csv_path)) {
-    std::fprintf(stderr, "cannot write CSV file %s\n",
-                 options.csv_path.c_str());
-    std::exit(2);
+  if (!options.csv_path.empty()) {
+    std::ofstream probe(options.csv_path);
+    const bool writable = probe && probe.put('\n').flush();
+    probe.close();
+    if (!writable || !std::ofstream(options.csv_path)) {
+      std::fprintf(stderr, "cannot write CSV file %s\n",
+                   options.csv_path.c_str());
+      std::exit(2);
+    }
   }
   return options;
 }

@@ -1,9 +1,12 @@
 // A6: google-benchmark microbenchmarks of the core data structures — the
-// event queue, the strict-2PL lock table, the precedence graph, the workload
-// generator's access-set sampling and set-up, the trace writer, and a whole
-// small simulation — to keep the substrate's costs visible.
+// event queue, the message transport, the strict-2PL lock table, the
+// precedence graph, the workload generator's access-set sampling and set-up,
+// the trace writer, and a whole small simulation — to keep the substrate's
+// costs visible.
 
+#include <array>
 #include <deque>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -12,6 +15,9 @@
 
 #include "core/precedence_graph.h"
 #include "db/lock_table.h"
+#include "net/latency_model.h"
+#include "net/link_model.h"
+#include "net/network.h"
 #include "obs/export.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
@@ -41,8 +47,7 @@ BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
 
 // Steady state, as a running simulator sees the queue: N events pending,
 // then each iteration pops the earliest, runs it, and pushes one at
-// now + delay. Each callback captures 32 bytes, past std::function's
-// inline buffer, like the engines' closures.
+// now + delay. Each callback captures 32 bytes, like the engines' closures.
 void BM_EventQueueHold(benchmark::State& state) {
   const int64_t n = state.range(0);
   rng::Rng rng(1);
@@ -83,6 +88,75 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(4096);
+
+// One message through net::Network::Send and its delivery, with 1024 in
+// flight: each delivery sends the next message, between random pairs of 64
+// sites at latency 100, one in four a data copy. Arg 0 is the paper's pure
+// propagation (one event per message); arg 1 adds a LinkModel with NIC
+// queues (first-bit and delivery events, transmission 2 ticks per copy).
+class SendLoop {
+ public:
+  static constexpr int32_t kSites = 64;
+
+  explicit SendLoop(const net::LinkConfig& link)
+      : network_(&sim_, std::make_unique<net::UniformLatency>(100), link) {
+    network_.SetSiteLayout(kSites - 1);
+    rng::Rng rng(3);
+    for (Route& route : routes_) {
+      route.from = static_cast<SiteId>(rng.UniformInt(0, kSites - 1));
+      route.to = static_cast<SiteId>(rng.UniformInt(0, kSites - 2));
+      if (route.to >= route.from) ++route.to;
+      route.payload =
+          rng.Bernoulli(0.25) ? net::kDataPayload : net::kControlPayload;
+    }
+    for (int i = 0; i < 1024; ++i) Send();
+  }
+
+  /// Runs events until one more message is delivered.
+  void DeliverOne() {
+    const int64_t target = delivered_ + 1;
+    while (delivered_ < target) sim_.Step();
+  }
+
+  int64_t delivered() const { return delivered_; }
+
+ private:
+  struct Route {
+    SiteId from = 0;
+    SiteId to = 0;
+    uint64_t payload = 0;
+  };
+
+  void Send() {
+    const Route& route = routes_[next_++ % routes_.size()];
+    network_.Send(
+        route.from, route.to, "request",
+        [this] {
+          ++delivered_;
+          Send();
+        },
+        route.payload);
+  }
+
+  sim::Simulator sim_;
+  net::Network network_;
+  std::array<Route, 4096> routes_;
+  size_t next_ = 0;
+  int64_t delivered_ = 0;
+};
+
+void BM_NetworkSendDeliver(benchmark::State& state) {
+  net::LinkConfig link;
+  if (state.range(0) != 0) {
+    link.bandwidth = 4.0;
+    link.nic_queue = true;
+  }
+  SendLoop loop(link);
+  for (auto _ : state) loop.DeliverOne();
+  benchmark::DoNotOptimize(loop.delivered());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NetworkSendDeliver)->Arg(0)->Arg(1);
 
 void BM_LockTableConflictChurn(benchmark::State& state) {
   const int32_t items = 64;

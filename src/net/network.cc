@@ -25,8 +25,45 @@ double Network::MaxLinkUtilization(SimTime horizon) const {
   return link_ == nullptr ? 0.0 : link_->MaxUtilization(horizon);
 }
 
-void Network::RunDelivery(const DeliveryInfo& info, const std::string& label,
-                          const std::function<void()>& deliver) {
+uint32_t Network::Park(std::string&& label, sim::Callback&& deliver) {
+  uint32_t slot;
+  if (free_flights_.empty()) {
+    slot = static_cast<uint32_t>(flights_.size());
+    flights_.emplace_back();
+  } else {
+    slot = free_flights_.back();
+    free_flights_.pop_back();
+  }
+  Flight& flight = flights_[slot];
+  flight.deliver = std::move(deliver);
+  flight.label = std::move(label);
+  return slot;
+}
+
+void Network::ArriveFirstBit(const Route& route, uint32_t slot) {
+  const SimTime arrival = simulator_->Now();
+  const SimTime service = link_->TransmissionDelay(route.payload);
+  const SimTime deliver_time =
+      link_->AdmitDownlink(route.to, route.payload, arrival);
+  const SimTime receiver_delay = deliver_time - service - arrival;
+  stats_.receiver_queue_delay.Add(static_cast<double>(receiver_delay));
+  const SimTime sender_delay = route.tx_start - route.send_time;
+  queue_delay_hist_.Add(static_cast<double>(sender_delay + receiver_delay));
+  simulator_->ScheduleAt(deliver_time,
+                         [this, route, slot] { Deliver(route, slot); });
+}
+
+void Network::Deliver(const Route& route, uint32_t slot) {
+  Flight& flight = flights_[slot];
+  DeliveryInfo info;
+  info.active = true;
+  info.send_time = route.send_time;
+  info.tx_start = route.tx_start;
+  info.rx_queue_entry = route.rx_queue_entry;
+  info.deliver_time = simulator_->Now();
+  info.from = route.from;
+  info.to = route.to;
+  info.payload = route.payload;
   if (tracer_ != nullptr && tracer_->enabled()) {
     const SimTime service =
         link_ == nullptr ? 0 : link_->TransmissionDelay(info.payload);
@@ -35,20 +72,24 @@ void Network::RunDelivery(const DeliveryInfo& info, const std::string& label,
     event.site = info.to;
     event.peer = info.from;
     event.payload = static_cast<int64_t>(info.payload);
-    event.label = label;
+    event.label = flight.label;
     event.d0 = info.tx_start - info.send_time;               // sender queue
     event.d1 = info.Propagation();                           // propagation
     event.d2 = info.deliver_time - info.rx_queue_entry - service;
     event.d3 = service;                                      // transmission
     tracer_->Emit(std::move(event));
   }
+  // Out of the slot before it runs: the delivery may Send again, which can
+  // reuse the slot or grow flights_.
+  sim::Callback deliver = std::move(flight.deliver);
+  free_flights_.push_back(slot);
   current_delivery_ = info;
   deliver();
   current_delivery_.active = false;
 }
 
 void Network::Send(SiteId from, SiteId to, std::string label,
-                   std::function<void()> on_deliver, uint64_t payload) {
+                   sim::Callback&& on_deliver, uint64_t payload) {
   const SimTime propagation = latency_->Latency(from, to);
   stats_.Count(IsServerSite(from), IsServerSite(to), payload);
 
@@ -63,20 +104,10 @@ void Network::Send(SiteId from, SiteId to, std::string label,
       event.label = label;
       tracer_->Emit(std::move(event));
     }
-    DeliveryInfo info;
-    info.active = true;
-    info.send_time = now;
-    info.tx_start = now;
-    info.rx_queue_entry = now + propagation;
-    info.deliver_time = now + propagation;
-    info.from = from;
-    info.to = to;
-    info.payload = payload;
+    const Route route{now, now, now + propagation, from, to, payload};
+    const uint32_t slot = Park(std::move(label), std::move(on_deliver));
     simulator_->Schedule(propagation,
-                         [this, info, label = std::move(label),
-                          deliver = std::move(on_deliver)] {
-                           RunDelivery(info, label, deliver);
-                         });
+                         [this, route, slot] { Deliver(route, slot); });
     return;
   }
 
@@ -103,32 +134,10 @@ void Network::Send(SiteId from, SiteId to, std::string label,
     tracer_->Emit(std::move(event));
   }
 
-  simulator_->ScheduleAt(
-      first_bit_arrival,
-      [this, from, to, payload, service, sender_delay, send_time = now,
-       tx_start, label = std::move(label),
-       deliver = std::move(on_deliver)]() mutable {
-        const SimTime arrival = simulator_->Now();
-        const SimTime deliver_time = link_->AdmitDownlink(to, payload, arrival);
-        const SimTime receiver_delay = deliver_time - service - arrival;
-        stats_.receiver_queue_delay.Add(static_cast<double>(receiver_delay));
-        queue_delay_hist_.Add(
-            static_cast<double>(sender_delay + receiver_delay));
-        DeliveryInfo info;
-        info.active = true;
-        info.send_time = send_time;
-        info.tx_start = tx_start;
-        info.rx_queue_entry = arrival;
-        info.deliver_time = deliver_time;
-        info.from = from;
-        info.to = to;
-        info.payload = payload;
-        simulator_->ScheduleAt(deliver_time,
-                               [this, info, label = std::move(label),
-                                deliver = std::move(deliver)] {
-                                 RunDelivery(info, label, deliver);
-                               });
-      });
+  const Route route{now, tx_start, first_bit_arrival, from, to, payload};
+  const uint32_t slot = Park(std::move(label), std::move(on_deliver));
+  simulator_->ScheduleAt(first_bit_arrival,
+                         [this, route, slot] { ArriveFirstBit(route, slot); });
 }
 
 }  // namespace gtpl::net

@@ -2,14 +2,15 @@
 #define GTPL_NET_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "net/latency_model.h"
 #include "net/link_model.h"
 #include "obs/trace.h"
+#include "sim/callback.h"
 #include "sim/simulator.h"
 #include "stats/histogram.h"
 #include "stats/welford.h"
@@ -85,7 +86,10 @@ inline constexpr uint64_t kFlSlotPayload = 1;
 
 /// Message transport over the simulator: Send() schedules the delivery
 /// callback at the destination. Protocol payloads live in the closure, so
-/// the transport is protocol-agnostic.
+/// the transport is protocol-agnostic. A message in flight parks its
+/// callback and label in a Network-owned slab, and its events capture the
+/// slab slot and the message's timing, so sending allocates nothing once
+/// the slab has grown to the peak number of messages in flight.
 ///
 /// By default delivery is charged pure propagation delay — the paper's
 /// model ("the size of the message is less of a concern than the number of
@@ -106,8 +110,7 @@ class Network {
   /// message size recorded in the stats (default: a control message) and
   /// charged transmission delay under a finite-bandwidth link model.
   void Send(SiteId from, SiteId to, std::string label,
-            std::function<void()> on_deliver,
-            uint64_t payload = kControlPayload);
+            sim::Callback&& on_deliver, uint64_t payload = kControlPayload);
 
   /// Declares the site layout for direction accounting: sites kServerSite
   /// and every site > `num_clients` are data servers (the sharded engines'
@@ -155,10 +158,37 @@ class Network {
   obs::Tracer* tracer_ = nullptr;
   DeliveryInfo current_delivery_;
 
-  /// Runs `deliver` with current_delivery_ set to `info` (and the
-  /// kMsgDeliver trace event emitted first).
-  void RunDelivery(const DeliveryInfo& info, const std::string& label,
-                   const std::function<void()>& deliver);
+  /// A message's timing and endpoints. It rides in the capture of the
+  /// message's events (16 + 40 bytes of sim::Callback's 64), so the parked
+  /// flight holds only what has no room there. The delivery time is the
+  /// delivery event's own time.
+  struct Route {
+    SimTime send_time = 0;
+    SimTime tx_start = 0;
+    SimTime rx_queue_entry = 0;  // first bit at the receiver downlink
+    SiteId from = 0;
+    SiteId to = 0;
+    uint64_t payload = 0;
+  };
+
+  /// A message between Send and its delivery: its callback and trace label.
+  struct Flight {
+    sim::Callback deliver;
+    std::string label;  // at most 15 chars: inline, never allocates
+  };
+  std::vector<Flight> flights_;  // by slot
+  std::vector<uint32_t> free_flights_;
+
+  /// Parks a message's callback and label in a free slot; returns the slot.
+  uint32_t Park(std::string&& label, sim::Callback&& deliver);
+
+  /// Link model: the first bit reaches the receiver downlink; admits the
+  /// message there and schedules its delivery.
+  void ArriveFirstBit(const Route& route, uint32_t slot);
+
+  /// Frees the slot, then runs its callback with current_delivery_ set (and
+  /// the kMsgDeliver trace event emitted first).
+  void Deliver(const Route& route, uint32_t slot);
 };
 
 }  // namespace gtpl::net

@@ -349,10 +349,10 @@ RunResult EngineBase::Run() {
       ++sampler_fires;
       metrics.SampleAll(sim_.Now());
       if (sim_.pending_events() > 0) {
-        sim_.Schedule(config_.metrics_interval, sample);
+        sim_.Schedule(config_.metrics_interval, [&sample] { sample(); });
       }
     };
-    sim_.Schedule(config_.metrics_interval, sample);
+    sim_.Schedule(config_.metrics_interval, [&sample] { sample(); });
   }
   for (ClientState& client : clients_) {
     const SimTime idle = client.generator->SampleIdle();

@@ -55,7 +55,7 @@ class ParallelEngine {
 
   /// Counts the message in the SENDER's slice and parks it on the channel.
   void SendMsg(int32_t src_lp, int32_t dst_lp, SiteId from, SiteId to,
-               uint64_t payload, std::function<void()> action);
+               uint64_t payload, sim::Callback&& action);
 
   // --- client-LP handlers ---------------------------------------------
   void BeginTxn(int32_t client_index);
@@ -212,7 +212,7 @@ void ParallelEngine::SampleMetricsBelow(SimTime horizon) {
 
 void ParallelEngine::SendMsg(int32_t src_lp, int32_t dst_lp, SiteId from,
                              SiteId to, uint64_t payload,
-                             std::function<void()> action) {
+                             sim::Callback&& action) {
   slices_[static_cast<size_t>(src_lp)].network.Count(
       IsServerSite(config_, from), IsServerSite(config_, to), payload);
   psim_->lp(src_lp).SendTo(dst_lp, latency_, std::move(action));

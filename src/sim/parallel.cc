@@ -16,18 +16,17 @@ ShardSim::ShardSim(ParallelSim* parent, int32_t index, int32_t num_lps)
   outbox_.resize(static_cast<size_t>(num_lps));
 }
 
-void ShardSim::Schedule(SimTime delay, std::function<void()> action) {
+void ShardSim::Schedule(SimTime delay, Callback&& action) {
   GTPL_CHECK_GE(delay, 0);
   queue_.Push(now_ + delay, next_seq_++, std::move(action));
 }
 
-void ShardSim::ScheduleAt(SimTime when, std::function<void()> action) {
+void ShardSim::ScheduleAt(SimTime when, Callback&& action) {
   GTPL_CHECK_GE(when, now_);
   queue_.Push(when, next_seq_++, std::move(action));
 }
 
-void ShardSim::SendTo(int32_t dst, SimTime delay,
-                      std::function<void()> action) {
+void ShardSim::SendTo(int32_t dst, SimTime delay, Callback&& action) {
   if (dst == index_) {
     Schedule(delay, std::move(action));
     return;
@@ -90,7 +89,7 @@ uint64_t ParallelSim::FlushChannels() {
     SimTime time;
     int32_t src;
     uint64_t src_seq;
-    std::function<void()>* action;
+    Callback* action;
   };
   std::vector<Inbound> inbound;
   for (size_t dst = 0; dst < lps_.size(); ++dst) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 
 namespace gtpl::exec {
@@ -42,10 +43,10 @@ class ShardSim {
   /// Schedules an LP-local event `delay` ticks from now (delay >= 0; zero
   /// delays run after all currently pending same-tick events, exactly like
   /// Simulator::Schedule).
-  void Schedule(SimTime delay, std::function<void()> action);
+  void Schedule(SimTime delay, Callback&& action);
 
   /// Schedules an LP-local event at absolute time `when` (>= Now()).
-  void ScheduleAt(SimTime when, std::function<void()> action);
+  void ScheduleAt(SimTime when, Callback&& action);
 
   /// Sends a cross-LP message: `action` runs on LP `dst` at Now() + delay.
   /// For dst != index(), delay must be >= the ParallelSim's lookahead —
@@ -53,7 +54,7 @@ class ShardSim {
   /// provably lands beyond every horizon the current window can execute
   /// under). Sending to the own LP is allowed with any delay >= 0 and is
   /// equivalent to Schedule.
-  void SendTo(int32_t dst, SimTime delay, std::function<void()> action);
+  void SendTo(int32_t dst, SimTime delay, Callback&& action);
 
   /// Requests a global stop: every LP finishes its current window, then
   /// ParallelSim::Run returns at the barrier.
@@ -76,7 +77,7 @@ class ShardSim {
   struct OutboundMsg {
     SimTime deliver_time = 0;
     uint64_t src_seq = 0;  // this LP's send order, the channel tiebreak
-    std::function<void()> action;
+    Callback action;
   };
 
   ParallelSim* parent_;

@@ -6,12 +6,12 @@
 
 namespace gtpl::sim {
 
-void Simulator::Schedule(SimTime delay, std::function<void()> action) {
+void Simulator::Schedule(SimTime delay, Callback&& action) {
   GTPL_CHECK_GE(delay, 0);
   queue_.Push(now_ + delay, next_seq_++, std::move(action));
 }
 
-void Simulator::ScheduleAt(SimTime when, std::function<void()> action) {
+void Simulator::ScheduleAt(SimTime when, Callback&& action) {
   GTPL_CHECK_GE(when, now_);
   queue_.Push(when, next_seq_++, std::move(action));
 }

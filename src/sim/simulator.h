@@ -2,9 +2,9 @@
 #define GTPL_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "common/types.h"
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 
 namespace gtpl::sim {
@@ -28,10 +28,10 @@ class Simulator {
 
   /// Schedules `action` to run `delay` ticks from now. delay >= 0; a zero
   /// delay runs after all currently pending same-tick events.
-  void Schedule(SimTime delay, std::function<void()> action);
+  void Schedule(SimTime delay, Callback&& action);
 
   /// Schedules `action` at absolute time `when` (>= Now()).
-  void ScheduleAt(SimTime when, std::function<void()> action);
+  void ScheduleAt(SimTime when, Callback&& action);
 
   /// Runs events until the queue drains, `until` is passed (if >= 0), or
   /// Stop() is called. Events stamped exactly `until` still run. Returns the

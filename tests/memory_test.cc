@@ -2,15 +2,17 @@
 // with clients, items and in-flight transactions, never with the number of
 // transactions it commits. Each case runs one engine (a serial engine from
 // the registry, or the parallel engine) at two run lengths and bounds the
-// growth of the peak live heap between them.
+// growth of the peak live heap between them. A second suite pins that the
+// event and message path allocates nothing per event or message once warm.
 //
-// The binary replaces the global operator new/delete and counts live bytes
-// with malloc_usable_size, so it measures exactly what the engine holds on
-// the heap, independent of the allocator's page caching.
+// The binary replaces the global operator new/delete, counts calls, and
+// counts live bytes with malloc_usable_size, so it measures exactly what the
+// engine holds on the heap, independent of the allocator's page caching.
 
 #include <malloc.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -23,18 +25,24 @@
 #include <gtest/gtest.h>
 
 #include "cc/registry.h"
+#include "net/latency_model.h"
+#include "net/link_model.h"
+#include "net/network.h"
 #include "protocols/config.h"
 #include "protocols/engine.h"
 #include "protocols/parsim.h"
+#include "sim/simulator.h"
 
 namespace {
 
 std::atomic<int64_t> g_live_bytes{0};
 std::atomic<int64_t> g_peak_bytes{0};
+std::atomic<int64_t> g_allocations{0};
 
 void* CountedAlloc(std::size_t size) {
   void* ptr = std::malloc(size == 0 ? 1 : size);
   if (ptr == nullptr) throw std::bad_alloc();
+  g_allocations.fetch_add(1);
   const auto bytes = static_cast<int64_t>(malloc_usable_size(ptr));
   const int64_t live = g_live_bytes.fetch_add(bytes) + bytes;
   int64_t peak = g_peak_bytes.load();
@@ -184,3 +192,99 @@ INSTANTIATE_TEST_SUITE_P(
 
 }  // namespace
 }  // namespace gtpl::proto
+
+namespace gtpl::net {
+namespace {
+
+/// A closed loop over Simulator + Network shaped like an engine's: each of
+/// kChains clients sends a message (a 32-byte capture), and its delivery
+/// arms a think timer (a 64-byte capture, the largest sim::Callback holds)
+/// that sends the chain's next message.
+class MessageLoop {
+ public:
+  static constexpr int32_t kChains = 64;
+
+  explicit MessageLoop(const LinkConfig& link)
+      : network_(&sim_, std::make_unique<UniformLatency>(100), link) {
+    network_.SetSiteLayout(kChains);
+    for (int64_t chain = 0; chain < kChains; ++chain) SendNext(chain, 0);
+  }
+
+  /// Runs events until `messages` more messages were sent.
+  void RunMessages(uint64_t messages) {
+    const uint64_t target = network_.stats().messages + messages;
+    while (network_.stats().messages < target && sim_.Step()) {
+    }
+  }
+
+  uint64_t timers() const { return timers_; }
+  int64_t checksum() const { return checksum_; }
+
+ private:
+  void SendNext(int64_t chain, int64_t hop) {
+    // Client chains talk to the server and back; every fourth message
+    // carries a data copy, so a link model charges it transmission.
+    const SiteId client = static_cast<SiteId>(chain + 1);
+    const bool to_server = hop % 2 == 0;
+    const uint64_t payload = hop % 4 == 1 ? kDataPayload : kControlPayload;
+    const int64_t tag = chain * 1000 + hop;
+    network_.Send(to_server ? client : kServerSite,
+                  to_server ? kServerSite : client,
+                  to_server ? "request" : "reply",
+                  [this, chain, hop, tag] {
+                    static_assert(sizeof(this) + 3 * sizeof(int64_t) == 32);
+                    checksum_ += tag;
+                    ArmTimer(chain, hop + 1);
+                  },
+                  payload);
+  }
+
+  void ArmTimer(int64_t chain, int64_t hop) {
+    std::array<int64_t, 5> pad{};
+    pad.fill(hop);
+    ++timers_;
+    sim_.Schedule(1 + hop % 3, [this, chain, hop, pad] {
+      static_assert(sizeof(this) + 2 * sizeof(int64_t) + sizeof(pad) == 64);
+      checksum_ += pad[static_cast<size_t>(hop % 5)];
+      SendNext(chain, hop);
+    });
+  }
+
+  sim::Simulator sim_;
+  Network network_;
+  uint64_t timers_ = 0;
+  int64_t checksum_ = 0;
+};
+
+/// Heap blocks allocated while the loop sends `messages` messages.
+int64_t AllocationsOver(MessageLoop& loop, uint64_t messages) {
+  const int64_t before = g_allocations.load();
+  loop.RunMessages(messages);
+  return g_allocations.load() - before;
+}
+
+void ExpectNoAllocationOnceWarm(const LinkConfig& link) {
+  MessageLoop loop(link);
+  constexpr uint64_t kMessages = 10'000;
+  AllocationsOver(loop, kMessages);  // warm-up: slabs and NIC maps grow
+  const uint64_t warm_timers = loop.timers();
+  const int64_t allocations = AllocationsOver(loop, kMessages);
+  EXPECT_GE(loop.timers() - warm_timers, kMessages - MessageLoop::kChains);
+  EXPECT_NE(loop.checksum(), 0);
+  EXPECT_EQ(allocations, 0) << "heap blocks allocated by " << kMessages
+                            << " messages and their timers once warm";
+}
+
+TEST(AllocationTest, PropagationPathAllocatesNothingOnceWarm) {
+  ExpectNoAllocationOnceWarm(LinkConfig{});
+}
+
+TEST(AllocationTest, LinkModelPathAllocatesNothingOnceWarm) {
+  LinkConfig link;
+  link.bandwidth = 4.0;  // a data copy takes 2 ticks, a control message 0
+  link.nic_queue = true;
+  ExpectNoAllocationOnceWarm(link);
+}
+
+}  // namespace
+}  // namespace gtpl::net

@@ -3,6 +3,9 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <array>
+#include <memory>
+#include <numeric>
 #include <random>
 #include <set>
 #include <utility>
@@ -10,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 
 namespace gtpl::sim {
@@ -52,13 +56,17 @@ TEST(EventQueueTest, SizeAndClear) {
 }
 
 // Differential test against a sorted reference. Seeded random pushes and
-// pops interleave while the heap grows to a few thousand events and
+// pops interleave while the queue grows to a few thousand events and
 // drains again, with many same-tick ties; each round ends by clearing a
 // non-empty queue, and the next round reuses it. Every pop must return the
 // reference's earliest (time, seq) and run the callback pushed with that
-// seq, so a freed slot that hands back a stale callback, or a sift that
-// breaks (time, seq) order, fails here.
-TEST(EventQueueTest, MatchesSortedReferenceUnderInterleaving) {
+// seq, so a freed slot that hands back a stale callback, or a bucket or
+// sift that breaks (time, seq) order, fails here. Delays in [0, 8) stay
+// inside the ring; delays in [0, 4096) also enter the heap past it, migrate
+// as the floor advances (or jumps, when the ring runs dry) and tie with
+// later direct pushes to the same tick, and each round's Clear drops heap
+// events.
+void CheckAgainstSortedReference(SimTime delay_range) {
   std::mt19937_64 rng(20240917);
   EventQueue queue;
   uint64_t next_seq = 0;  // unique across the queue's lifetime
@@ -71,7 +79,9 @@ TEST(EventQueueTest, MatchesSortedReferenceUnderInterleaving) {
       // Alternate 8000-op phases that mostly push and mostly pop.
       const uint64_t push_pct = (op / 8000) % 2 == 0 ? 70 : 30;
       if (reference.empty() || rng() % 100 < push_pct) {
-        const SimTime time = now + static_cast<SimTime>(rng() % 8);
+        const SimTime time =
+            now + static_cast<SimTime>(rng() % static_cast<uint64_t>(
+                                                   delay_range));
         const uint64_t seq = next_seq++;
         queue.Push(time, seq, [&fired, seq] { fired = seq; });
         reference.emplace(time, seq);
@@ -90,11 +100,147 @@ TEST(EventQueueTest, MatchesSortedReferenceUnderInterleaving) {
       max_size = std::max(max_size, queue.size());
     }
     ASSERT_FALSE(queue.empty());
+    if (delay_range > EventQueue::kSpan) {
+      // The queue being cleared holds events past the ring.
+      ASSERT_GE(reference.rbegin()->first, now + EventQueue::kSpan);
+    }
     queue.Clear();
     EXPECT_TRUE(queue.empty());
     EXPECT_EQ(queue.size(), 0u);
+    now = 0;  // a cleared queue accepts any time again
   }
   EXPECT_GE(max_size, 2000u);
+}
+
+TEST(EventQueueTest, MatchesSortedReferenceUnderInterleaving) {
+  for (const SimTime delay_range : {SimTime{8}, SimTime{4096}}) {
+    SCOPED_TRACE(testing::Message() << "delays in [0, " << delay_range << ")");
+    ASSERT_NO_FATAL_FAILURE(CheckAgainstSortedReference(delay_range));
+  }
+}
+
+// Counts constructions and destructions of a capture, and destructions of
+// the live (not moved-from) value, to check that a Callback destroys each
+// capture exactly once however it is moved.
+struct LifetimeCounts {
+  int constructed = 0;
+  int destroyed = 0;
+  int live_destroyed = 0;
+};
+
+class Tracked {
+ public:
+  explicit Tracked(LifetimeCounts* counts) : counts_(counts) {
+    ++counts_->constructed;
+  }
+  Tracked(Tracked&& other) noexcept
+      : counts_(other.counts_), live_(std::exchange(other.live_, false)) {
+    ++counts_->constructed;
+  }
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    ++counts_->destroyed;
+    if (live_) ++counts_->live_destroyed;
+  }
+  void operator()() const { ++calls_; }
+  int calls() const { return calls_; }
+
+ private:
+  LifetimeCounts* counts_;
+  bool live_ = true;
+  mutable int calls_ = 0;
+};
+
+TEST(CallbackTest, MoveConstructDestroysCaptureOnce) {
+  LifetimeCounts counts;
+  {
+    Callback a(Tracked{&counts});
+    Callback b(std::move(a));
+    EXPECT_FALSE(a);
+    ASSERT_TRUE(b);
+    b();
+    EXPECT_EQ(counts.live_destroyed, 0);
+  }
+  EXPECT_EQ(counts.live_destroyed, 1);
+  EXPECT_EQ(counts.destroyed, counts.constructed);
+}
+
+TEST(CallbackTest, MoveAssignDestroysTheOverwrittenCapture) {
+  LifetimeCounts first;
+  LifetimeCounts second;
+  {
+    Callback a(Tracked{&first});
+    Callback b(Tracked{&second});
+    b = std::move(a);
+    EXPECT_EQ(second.live_destroyed, 1);
+    EXPECT_EQ(first.live_destroyed, 0);
+    EXPECT_FALSE(a);
+    b = std::move(b);  // self-assignment keeps the capture
+    ASSERT_TRUE(b);
+    a = std::move(b);
+    EXPECT_EQ(first.live_destroyed, 0);
+  }
+  EXPECT_EQ(first.live_destroyed, 1);
+  EXPECT_EQ(second.live_destroyed, 1);
+  EXPECT_EQ(first.destroyed, first.constructed);
+  EXPECT_EQ(second.destroyed, second.constructed);
+}
+
+TEST(CallbackTest, PopHandsOverAndClearDestroysEachCaptureOnce) {
+  LifetimeCounts popped;
+  LifetimeCounts cleared;
+  LifetimeCounts dropped;
+  {
+    EventQueue queue;
+    uint64_t seq = 0;
+    queue.Push(3, seq++, Tracked{&popped});
+    for (SimTime time : {SimTime{5}, SimTime{5}, SimTime{9000}}) {
+      queue.Push(time, seq++, Tracked{&cleared});
+    }
+    {
+      Event event = queue.Pop();
+      EXPECT_EQ(event.time, 3);
+      EXPECT_EQ(popped.live_destroyed, 0);
+      event.action();
+    }
+    EXPECT_EQ(popped.live_destroyed, 1);
+    queue.Clear();
+    EXPECT_EQ(cleared.live_destroyed, 3);
+    // The queue's destructor drops what is still pending.
+    queue.Push(7, seq++, Tracked{&dropped});
+    queue.Push(20'000, seq++, Tracked{&dropped});
+  }
+  EXPECT_EQ(dropped.live_destroyed, 2);
+  for (const LifetimeCounts* counts : {&popped, &cleared, &dropped}) {
+    EXPECT_EQ(counts->destroyed, counts->constructed);
+  }
+}
+
+TEST(CallbackTest, MoveOnlyAndVectorCapturesSurviveTheQueue) {
+  int got = 0;
+  int sum = 0;
+  std::array<int64_t, 7> wide{};  // with the reference: a full 64 bytes
+  wide.fill(3);
+  int64_t wide_sum = 0;
+  Callback unique = [p = std::make_unique<int>(41), &got] { got = *p + 1; };
+  Callback vec = [v = std::vector<int>{1, 2, 3, 4}, &sum] {
+    sum = std::accumulate(v.begin(), v.end(), 0);
+  };
+  Callback full = [wide, &wide_sum] {
+    wide_sum = std::accumulate(wide.begin(), wide.end(), int64_t{0});
+  };
+  static_assert(sizeof(wide) + sizeof(&wide_sum) == Callback::kCapacity);
+  Callback moved_unique(std::move(unique));
+  Callback moved_vec;
+  moved_vec = std::move(vec);
+  EventQueue queue;
+  queue.Push(1, 0, std::move(moved_unique));
+  queue.Push(2000, 1, std::move(moved_vec));  // past the ring: migrates
+  queue.Push(2000, 2, std::move(full));
+  while (!queue.empty()) queue.Pop().action();
+  EXPECT_EQ(got, 42);
+  EXPECT_EQ(sum, 10);
+  EXPECT_EQ(wide_sum, 21);
 }
 
 TEST(SimulatorTest, ClockAdvancesToEventTimes) {
@@ -220,15 +366,24 @@ TEST(SimulatorTest, StepAdvancesClockMonotonically) {
   EXPECT_EQ(sim.Now(), 4);
 }
 
-#ifndef NDEBUG
-// The (time, seq) pair is the determinism tiebreak; a duplicate seq makes
-// same-tick order depend on heap internals. Debug builds abort on it.
-TEST(EventQueueDeathTest, DuplicateSeqAbortsInDebugBuilds) {
+// The (time, seq) pair is the determinism tiebreak, and a tick's bucket
+// pops in push order: a duplicate or falling seq would reorder same-tick
+// events, and a time below the last pop has no bucket. Both abort in every
+// build.
+TEST(EventQueueDeathTest, DuplicateOrFallingSeqAborts) {
   EventQueue queue;
   queue.Push(1, 7, [] {});
   EXPECT_DEATH(queue.Push(2, 7, [] {}), "duplicate event seq");
+  EXPECT_DEATH(queue.Push(2, 3, [] {}), "duplicate event seq");
 }
-#endif
+
+TEST(EventQueueDeathTest, PushBeforeLastPopAborts) {
+  EventQueue queue;
+  queue.Push(10, 0, [] {});
+  queue.Push(12, 1, [] {});
+  queue.Pop();
+  EXPECT_DEATH(queue.Push(9, 2, [] {}), "before the last pop");
+}
 
 TEST(SimulatorTest, EmptyRunAdvancesToHorizon) {
   Simulator sim;
